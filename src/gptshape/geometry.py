@@ -367,9 +367,7 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid + 1)
     ys = np.linspace(ymin, ymax, grid + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    values = p(np.stack([X, Y], axis=-1))
-    polylines = marching_squares(values, xs, ys, 0.0,
+    polylines = marching_squares(p.on_grid(xs, ys), xs, ys, 0.0,
                                  lambda cx, cy: float(p(np.array([cx, cy]))))
 
     open_count = sum(1 for _, closed in polylines if not closed)

@@ -108,6 +108,25 @@ class Poly2:
                 out += c * x1**a1 * x2**a2
         return out
 
+    def on_grid(self, xs, ys) -> np.ndarray:
+        """Evaluate on a tensor grid: ``out[i, j] = p(xs[i], ys[j])``.
+
+        Powers are taken on the 1-D axes and each term is their outer
+        product, summed in the order and with the association of
+        :meth:`__call__`, so the result equals ``p`` on the stacked
+        ``meshgrid(xs, ys, indexing="ij")`` points bit for bit.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.ndim != 1 or ys.ndim != 1:
+            raise ValueError("grid axes must be 1-D")
+        out = np.zeros((xs.size, ys.size))
+        term = np.empty_like(out)
+        for (a1, a2), c in self.term_items():
+            np.multiply((c * xs**a1)[:, None], (ys**a2)[None, :], out=term)
+            out += term
+        return out
+
     def gradient(self, pts) -> np.ndarray:
         """Gradient at points of shape (..., 2); returns shape (..., 2)."""
         g1 = partial(self, 0)(pts)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._marching import marching_squares
-from .errors import EmptyInputError, EmptyLevelSetError, TooCoarseError
+from .errors import ConfigError, EmptyInputError, EmptyLevelSetError, TooCoarseError
 from .polynomial import Poly2
 
 DEFAULT_BOX = (-4.0, 4.0, -4.0, 4.0)
@@ -68,8 +68,9 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
             level: float = 0.0) -> LevelSetCurves:
     """Marching-squares extraction of ``{p = level}`` inside ``box``.
 
-    Saddle cells are resolved by evaluating ``p`` at the cell center.
-    Polylines that end on the box boundary are reported open (their
+    Saddle cells are resolved by the sign of ``p - level`` at the cell
+    center (``marching_squares`` subtracts ``level`` from the callback's
+    value).  Polylines that end on the box boundary are reported open (their
     component is unbounded or clipped).
     """
     if grid < MIN_GRID:
@@ -79,13 +80,8 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
         raise ValueError(f"degenerate box {box}")
     xs = np.linspace(xmin, xmax, grid)
     ys = np.linspace(ymin, ymax, grid)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    values = p(np.stack([X, Y], axis=-1))
-
-    def center(x, y):
-        return float(p(np.array([x, y]))) - level
-
-    chains = marching_squares(values, xs, ys, level, center)
+    chains = marching_squares(p.on_grid(xs, ys), xs, ys, level,
+                              lambda cx, cy: float(p(np.array([cx, cy]))))
     if not chains:
         raise EmptyLevelSetError(
             f"level set {{p = {level}}} does not cross the box {box} "
@@ -97,22 +93,30 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
                           float(level))
 
 
-def hausdorff(a, b, chunk: int = 1024) -> float:
-    """Symmetric Hausdorff distance between two finite point sets."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
+def _point_set(pts, name):
+    pts = np.asarray(pts, dtype=float)
+    if pts.size == 0:
         raise EmptyInputError("hausdorff distance needs two nonempty point sets")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ConfigError(f"hausdorff: {name} must be an (m, 2) array, "
+                          f"got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"hausdorff: {name} has non-finite coordinates")
+    return pts
 
-    def directed(p, q):
-        worst = 0.0
-        for i in range(0, len(p), chunk):
-            block = p[i:i + chunk]
-            d2 = ((block[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
-            worst = max(worst, float(np.sqrt(d2.min(axis=1).max())))
-        return worst
 
-    return max(directed(a, b), directed(b, a))
+def hausdorff(a, b) -> float:
+    """Symmetric Hausdorff distance between two finite planar point sets.
+
+    ``a`` and ``b`` must be nonempty ``(m, 2)`` arrays of finite
+    coordinates.  Nearest neighbours come from a KD-tree
+    (:class:`scipy.spatial.cKDTree`), so the cost is O(m log m) rather than
+    one distance per pair; the distances are the same Euclidean ones.
+    """
+    from scipy.spatial import cKDTree  # lazy: keeps scipy off render's import path
+
+    a, b = _point_set(a, "a"), _point_set(b, "b")
+    return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
 
 
 # SVG export ----------------------------------------------------------------

@@ -101,6 +101,25 @@ def test_eval_matches_reference(degree, seed, x1, x2):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+AXIS = st.lists(st.floats(-3, 3), min_size=1, max_size=9)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 8), st.integers(0, 10**6), AXIS, AXIS)
+def test_on_grid_equals_pointwise_bit_for_bit(degree, seed, xs, ys):
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-3.0, 3.0, size=poly_dim(degree))
+    c[rng.random(c.size) < 0.3] = 0.0  # both paths skip exact zeros
+    p = Poly2(degree, c)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    assert np.array_equal(p.on_grid(xs, ys), p(np.stack([X, Y], axis=-1)))
+
+
+def test_on_grid_rejects_non_vector_axes():
+    with pytest.raises(ValueError):
+        ELLIPSE.on_grid(np.zeros((2, 2)), np.zeros(3))
+
+
 def test_gradient_ellipse():
     np.testing.assert_allclose(ELLIPSE.gradient(np.array([2.0, 0.0])), [4.0, 0.0], atol=1e-14)
     const = Poly2.from_terms({(0, 0): 5.0})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gptshape.errors import EmptyInputError, EmptyLevelSetError, TooCoarseError
+from gptshape.errors import ConfigError, EmptyInputError, EmptyLevelSetError, TooCoarseError
 from gptshape.geometry import discretize, ShapeSpec
 from gptshape.polynomial import Poly2
 from gptshape.render import LevelSetCurves, export_svg, extract, hausdorff
@@ -60,6 +60,17 @@ def test_extract_refinement_improves_accuracy():
     assert h[2] <= h[1] / 1.8
 
 
+def test_extract_saddle_uses_center_sign_at_nonzero_level():
+    # p = level + 5e-6 at the center cell's saddle: the level set
+    # x1*x2 = -5e-6 has one branch in quadrant II and one in quadrant IV
+    p = Poly2.from_terms({(1, 1): 1.0, (0, 0): 1.5e-5})
+    out = extract(p, box=(-0.5, 0.5, -0.5, 0.5), grid=32, level=1e-5)
+    assert out.n_components == 2
+    for pl in out.polylines:
+        x, y = pl[:, 0], pl[:, 1]
+        assert (np.all(x <= 0) and np.all(y >= 0)) or (np.all(x >= 0) and np.all(y <= 0))
+
+
 def test_extract_empty_level_set():
     with pytest.raises(EmptyLevelSetError):
         extract(CIRCLE, box=(-2, 2, -2, 2), grid=64, level=-2.0)
@@ -88,16 +99,37 @@ def test_hausdorff_concentric_circles():
     assert got == pytest.approx(0.1, abs=2e-3)
 
 
-def test_hausdorff_is_symmetric_and_chunking_agrees():
+def brute_force_hausdorff(a, b):
+    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def test_hausdorff_is_symmetric_and_matches_brute_force():
     rng = np.random.default_rng(2)
     a, b = rng.standard_normal((300, 2)), rng.standard_normal((40, 2))
     assert hausdorff(a, b) == hausdorff(b, a)
-    assert hausdorff(a, b, chunk=7) == pytest.approx(hausdorff(a, b), abs=0)
+    assert hausdorff(a, b) == brute_force_hausdorff(a, b)
 
 
 def test_hausdorff_empty_rejected():
     with pytest.raises(EmptyInputError):
         hausdorff(np.empty((0, 2)), circle_points(10))
+
+
+def test_hausdorff_rejects_nan():
+    with pytest.raises(ConfigError, match="non-finite"):
+        hausdorff([[0.0, 0.0], [np.nan, 1.0]], [[1.0, 0.0]])
+
+
+def test_hausdorff_rejects_flat_vector():
+    # a length-4 vector is not one 4-D point
+    with pytest.raises(ConfigError, match=r"\(m, 2\)"):
+        hausdorff([0.0, 0.0, 1.0, 1.0], [[1.0, 0.0]])
+
+
+def test_hausdorff_rejects_three_columns():
+    with pytest.raises(ConfigError, match=r"\(m, 2\)"):
+        hausdorff(circle_points(10), np.zeros((5, 3)))
 
 
 # svg ----------------------------------------------------------------------
