@@ -67,6 +67,7 @@ from .recovery import (
     recover,
     recover_crossvalidated,
     recover_minimal_degree,
+    scan,
 )
 from .transform import (
     LiftedTransform,
@@ -143,6 +144,7 @@ __all__ = [
     "recover_crossvalidated",
     "recover_minimal_degree",
     "resolve",
+    "scan",
     "to_forms",
     "trace_implicit",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +33,7 @@ from .recovery import (
     recover,
     recover_crossvalidated,
     recover_minimal_degree,
+    scan,
 )
 from .render import export_svg, extract
 from .transform import MatchOptions, Similarity, lift, match, push_forward
@@ -193,7 +193,8 @@ def _boundary_from_meta(M: GptMatrix) -> DiscretizedBoundary:
 def cmd_recover(args) -> int:
     M = GptMatrix.from_json(_read_json(args.gpt))
     if args.scan_degrees:
-        return _scan(M, args)
+        return _scan(_boundary_from_meta(M), M.lam, args.scan_degrees,
+                     None if args.out == "-" else args.out)
     if args.cross_lambda is not None:
         boundary = _boundary_from_meta(M)
         out = recover_crossvalidated(
@@ -213,46 +214,23 @@ def cmd_recover(args) -> int:
     return EXIT_OK
 
 
-def _scan_rows(boundary, npo, lam, dmax, row_degree=None):
-    rows = []
-    for d in range(1, dmax + 1):
-        M = assemble_gpt(boundary, npo, lam, d, row_degree)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = recover(M)
-        rows.append({
-            "d": d,
-            "residual": out.residual,
-            "kernel_gap": out.kernel_gap,
-        })
-    return rows
-
-
-def _print_scan(rows) -> None:
+def _scan(boundary, lam, dmax, out) -> int:
+    """Assemble once at degree dmax, print the degree table, optionally write it."""
+    if dmax < 1:
+        raise ConfigError(f"the degree scan needs DMAX >= 1, got {dmax}")
+    rows = scan(assemble_gpt(boundary, assemble(boundary), lam, dmax))
     print(f"{'d':>3} {'residual':>12} {'kernel_gap':>12}")
     for row in rows:
         print(f"{row['d']:>3} {row['residual']:>12.3e} {row['kernel_gap']:>12.3e}")
-
-
-def _scan(M: GptMatrix, args) -> int:
-    boundary = _boundary_from_meta(M)
-    rows = _scan_rows(boundary, assemble(boundary), M.lam, args.scan_degrees,
-                      None)
-    _print_scan(rows)
-    if args.out != "-":
-        _write_json({"schema": 1, "lambda": M.lam, "rows": rows}, args.out)
+    if out:
+        _write_json({"schema": 1, "lambda": lam, "rows": rows}, out)
     return EXIT_OK
 
 
 def cmd_scan_degrees(args) -> int:
     spec = _load_shape(args)
     lam = _lambda(args)
-    boundary = discretize(spec, args.n)
-    rows = _scan_rows(boundary, assemble(boundary), lam, args.dmax)
-    _print_scan(rows)
-    if args.out:
-        _write_json({"schema": 1, "lambda": lam, "rows": rows}, args.out)
-    return EXIT_OK
+    return _scan(discretize(spec, args.n), lam, args.dmax, args.out)
 
 
 def cmd_match(args) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoContrastError, NotHarmonicError, TooCloseError
+from .errors import ConfigError, NoContrastError, NotHarmonicError, TooCloseError
 from .geometry import DiscretizedBoundary
 from .npo import NpoMatrix, Resolvent, neumann_data
 from .polynomial import Poly2, laplacian, multiindex_at, ordinal, poly_dim
@@ -111,6 +111,19 @@ class GptMatrix:
     def entry(self, alpha, beta):
         return self.entries[ordinal(alpha) - 1, ordinal(beta)]
 
+    def truncate(self, d: int, row_degree: int | None = None) -> "GptMatrix":
+        """The matrix at column degree d and row degree row_degree (default 2 d).
+
+        Entries do not depend on the degree bounds and both axes run in
+        graded lex order, so that matrix is the leading block of this one.
+        """
+        row_degree = 2 * d if row_degree is None else row_degree
+        if not (1 <= d <= self.d and 1 <= row_degree <= self.row_degree):
+            raise ValueError(f"block degrees ({d}, {row_degree}) must lie in "
+                             f"1..{self.d} and 1..{self.row_degree}")
+        return GptMatrix(self.lam, d, row_degree,
+                         self.entries[: poly_dim(row_degree) - 1, : poly_dim(d)])
+
     def to_json(self) -> dict:
         if np.iscomplexobj(self.entries):
             raise ValueError("complex-lambda matrices are not JSON-serializable")
@@ -131,9 +144,18 @@ class GptMatrix:
     def from_json(cls, obj: dict) -> "GptMatrix":
         d = int(obj["d"])
         row_degree = int(obj.get("row_degree", 2 * d))
-        entries = np.asarray(obj["entries"], dtype=float).reshape(
-            poly_dim(row_degree) - 1, poly_dim(d))
-        return cls(float(obj["lambda"]), d, row_degree, entries,
+        if d < 1 or row_degree < 1:
+            raise ConfigError(
+                f"GPT degrees must be >= 1, got d={d}, row_degree={row_degree}")
+        shape = (poly_dim(row_degree) - 1, poly_dim(d))
+        entries = np.asarray(obj["entries"], dtype=float)
+        if entries.size != shape[0] * shape[1]:
+            raise ConfigError(
+                f"GPT entries: expected {shape[0] * shape[1]} values for d={d}, "
+                f"row_degree={row_degree}, got {entries.size}")
+        if not np.all(np.isfinite(entries)):
+            raise ConfigError("GPT entries must all be finite")
+        return cls(float(obj["lambda"]), d, row_degree, entries.reshape(shape),
                    dict(obj.get("meta", {})))
 
 
@@ -151,7 +173,11 @@ def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
         row_degree = 2 * d
     if row_degree < 1:
         raise ValueError(f"row degree must be >= 1, got {row_degree}")
-    res = Resolvent(npo, lam)
+    return _assemble(b, Resolvent(npo, lam), d, row_degree)
+
+
+def _assemble(b: DiscretizedBoundary, res: Resolvent, d: int,
+              row_degree: int) -> GptMatrix:
     alphas = _row_alphas(row_degree)
     betas = _col_betas(d)
     rhs = np.column_stack([neumann_data(b, a) for a in alphas])
@@ -220,7 +246,8 @@ def far_field(b: DiscretizedBoundary, npo: NpoMatrix, lam, h: Poly2, x,
         raise TooCloseError(
             f"|x| = {np.hypot(*x):.3g} is inside 3x the boundary radius {radius:.3g}")
 
-    M = assemble_gpt(b, npo, lam, d=max(h.degree, 1), row_degree=max(truncation, 1))
+    res = Resolvent(npo, lam)
+    M = _assemble(b, res, max(h.degree, 1), max(truncation, 1))
     expansion = 0.0
     for r, alpha in enumerate(M.row_alphas):
         a1, a2 = alpha
@@ -240,7 +267,7 @@ def far_field(b: DiscretizedBoundary, npo: NpoMatrix, lam, h: Poly2, x,
 
     # direct route: u - h = S[(lambda I - K*)^{-1} (dh/dnu)]
     dnu_h = np.sum(b.normals * h.gradient(b.nodes), axis=1)
-    phi = Resolvent(npo, lam).apply(dnu_h)
+    phi = res.apply(dnu_h)
     dist = np.hypot(b.nodes[:, 0] - x[0], b.nodes[:, 1] - x[1])
     direct = float(np.sum(b.weights * np.log(dist) * phi) / (2.0 * np.pi))
     return FarFieldResult(float(expansion), direct)

@@ -87,20 +87,18 @@ class Resolvent:
                 f"|lambda| = {abs(lam):.6g} <= 1/2: invertibility not guaranteed")
         self.lam = lam
         self.npo = npo
-        system = lam * np.eye(npo.n) - npo.matrix
-        self._lu = scipy.linalg.lu_factor(system)
+        self._lu = scipy.linalg.lu_factor(lam * np.eye(npo.n) - npo.matrix)
         diag = np.abs(np.diag(self._lu[0]))
         cond_est = float(np.max(diag) / max(np.min(diag), 1e-300))
         if cond_est > _COND_LIMIT:
             raise NearSingularError(
                 f"resolvent system nearly singular (condition estimate {cond_est:.3g})")
-        self._system = system
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Solve (lambda I - A) phi = f; f may hold several columns."""
         f = np.asarray(f)
         phi = scipy.linalg.lu_solve(self._lu, f)
-        resid = np.max(np.abs(self._system @ phi - f))
+        resid = np.max(np.abs(self.lam * phi - self.npo.matrix @ phi - f))
         scale = max(float(np.max(np.abs(f))), 1e-300)
         if resid > _RESIDUAL_TOL * scale:
             raise NearSingularError(

@@ -28,7 +28,7 @@ restricting columns to successively lower degrees.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .gpt import GptMatrix, assemble_gpt
 from .npo import assemble
-from .polynomial import Poly2, poly_dim
+from .polynomial import Poly2
 
 AMBIGUOUS_GAP = 0.1
 CROSS_LAMBDA_TOL = 1e-3
@@ -161,6 +161,23 @@ def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
     )
 
 
+def scan(M: GptMatrix) -> list:
+    """Residual and kernel gap of the recovery at each degree d = 1..M.d.
+
+    Row d recovers from the leading block ``M.truncate(d)``, so one
+    assembly at the top degree serves the whole ladder; ``truncate``
+    raises ValueError unless ``M.row_degree >= 2 M.d``.
+    """
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for d in range(1, M.d + 1):
+            out = recover(M.truncate(d))
+            rows.append({"d": d, "residual": out.residual,
+                         "kernel_gap": out.kernel_gap})
+    return rows
+
+
 def recover_minimal_degree(
     M: GptMatrix,
     residual_tol: float = 1e-8,
@@ -176,8 +193,8 @@ def recover_minimal_degree(
     lie on a product of lines, so at any declared degree above the vertex
     count the kernel contains all multiples of that product.
 
-    Columns of the matrix are graded-lex ordered, so restricting to the
-    leading ``poly_dim(d')`` columns keeps exactly the kernel members of
+    Columns of the matrix are graded-lex ordered, so its leading block
+    ``M.truncate(d', M.row_degree)`` keeps exactly the kernel members of
     degree at most ``d'``.  Scanning ``d'`` upward and stopping at the
     first unambiguous near-null direction therefore isolates the minimal
     polynomial itself.  The reduced result carries a ``DegreeReduced``
@@ -187,28 +204,12 @@ def recover_minimal_degree(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         full = recover(M, eps_nz)
-    if "AmbiguousKernel" not in full.flags:
-        return full
-    lam = M.lam.real if isinstance(M.lam, complex) else M.lam
-    for dprime in range(1, M.d):
-        sub = M.entries[:, : poly_dim(dprime)]
-        _, s, vh = np.linalg.svd(sub)
-        residual = float(s[-1] / np.linalg.norm(sub))
-        gap = float(s[-1] / s[-2]) if s[-2] > 0 else np.inf
-        if residual > residual_tol or gap > AMBIGUOUS_GAP:
-            continue
-        v = np.conj(vh[-1])
-        if np.iscomplexobj(v):
-            v = v / v[int(np.argmax(np.abs(v)))]
-            v = v.real
-        return RecoveryResult(
-            g_hat=normalize(Poly2(dprime, v), eps_nz),
-            singular_values=s,
-            kernel_gap=gap,
-            residual=residual,
-            lambda_used=float(lam),
-            flags=("DegreeReduced",),
-        )
+        if "AmbiguousKernel" not in full.flags:
+            return full
+        for dprime in range(1, M.d):
+            out = recover(M.truncate(dprime, M.row_degree), eps_nz)
+            if out.residual <= residual_tol and "AmbiguousKernel" not in out.flags:
+                return replace(out, flags=("DegreeReduced",))
     warnings.warn(
         f"kernel gap {full.kernel_gap:.3g} exceeds {AMBIGUOUS_GAP} and no "
         "column-degree restriction resolves it",
@@ -304,8 +305,10 @@ def estimate_lambda(
     Assembles the candidate's GPT matrix over ``lam_grid`` (same degree and
     row degree as the target), takes the Frobenius misfit against the
     target, and refines the grid argmin by golden-section search on the
-    bracketing interval.  A misfit curve flatter than 1e-12 carries no
-    information about lambda and raises :class:`UninformativeError`.
+    bracketing interval, or by a bounded search on the interval to its
+    neighbour when the argmin is an end point of the grid.  A misfit curve
+    flatter than 1e-12 carries no information about lambda and raises
+    :class:`UninformativeError`.
     """
     grid = [float(v) for v in lam_grid]
     if not grid:
@@ -327,6 +330,7 @@ def estimate_lambda(
         )
     i = int(np.argmin(values))
     best_lam, best_val = grid[i], values[i]
+    res = None
     if 0 < i < len(grid) - 1 and values[i] < values[i - 1] and values[i] < values[i + 1]:
         res = minimize_scalar(
             misfit,
@@ -334,8 +338,18 @@ def estimate_lambda(
             method="golden",
             options={"xtol": 1e-10},
         )
-        if res.fun <= best_val:
-            best_lam, best_val = float(res.x), float(res.fun)
+    elif i in (0, len(grid) - 1):
+        # an end point has one neighbour: search the interval between them
+        j = 1 if i == 0 else i - 1
+        if grid[i] * grid[j] > 0:  # the interval must not cross [-1/2, 1/2]
+            res = minimize_scalar(
+                misfit,
+                bounds=(min(grid[i], grid[j]), max(grid[i], grid[j])),
+                method="bounded",
+                options={"xatol": 1e-10},
+            )
+    if res is not None and res.fun <= best_val:
+        best_lam, best_val = float(res.x), float(res.fun)
     return LambdaEstimate(
         lam=best_lam,
         misfit=best_val,

@@ -17,10 +17,9 @@ import numpy as np
 
 from ._marching import marching_squares
 from .errors import ConfigError, EmptyInputError, EmptyLevelSetError, TooCoarseError
+from .geometry import DEFAULT_BOX, DEFAULT_GRID
 from .polynomial import Poly2
 
-DEFAULT_BOX = (-4.0, 4.0, -4.0, 4.0)
-DEFAULT_GRID = 512
 MIN_GRID = 32
 
 

@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from gptshape import cli
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly
-from gptshape.npo import load_npo
+from gptshape.gpt import assemble_gpt
+from gptshape.npo import assemble, load_npo
 from gptshape.polynomial import Poly2
 
 CLI = [sys.executable, "-m", "gptshape"]
@@ -159,6 +161,23 @@ def test_recover_missing_file_is_io_error(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda obj: obj["entries"].__setitem__(3, math.nan), "finite"),
+    (lambda obj: obj["entries"].pop(), "expected 84 values"),
+    (lambda obj: obj.__setitem__("d", 0), "degrees must be >= 1"),
+], ids=["nan-entry", "short-entries", "zero-degree"])
+def test_recover_malformed_gpt_is_config_error(tmp_path, capsys, corrupt, message):
+    b = discretize(ShapeSpec.disk(), 64)
+    obj = assemble_gpt(b, assemble(b), 1.5, 2).to_json()
+    corrupt(obj)
+    path = tmp_path / "M.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["recover", "--gpt", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_recover_scan_degrees_table(tmp_path):
     M = tmp_path / "M.json"
     scan = tmp_path / "scan.json"
@@ -184,6 +203,22 @@ def test_scan_degrees_subcommand(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 3
     assert rows[1]["residual"] <= 1e-10
+
+
+def test_scan_degrees_factors_once(tmp_path, lu_factor_calls, capsys):
+    out = tmp_path / "scan.json"
+    assert cli.main(["scan-degrees", "--shape", "ellipse:2,1", "--n", "128",
+                     "--dmax", "3", "--out", str(out)]) == 0
+    assert len(lu_factor_calls) == 1
+    assert [row["d"] for row in json.loads(out.read_text())["rows"]] == [1, 2, 3]
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("dmax", ["0", "-2"])
+def test_scan_degrees_rejects_nonpositive_dmax(dmax, capsys):
+    assert cli.main(["scan-degrees", "--shape", "disk", "--n", "64",
+                     "--dmax", dmax]) == 1
+    assert "DMAX" in capsys.readouterr().err
 
 
 # match ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from oracles import disk_gpt_oracle, ellipse_first_order_pt, first_order_block
 
 from gptshape.errors import NoContrastError, NotHarmonicError, TooCloseError
-from gptshape.geometry import ShapeSpec, discretize_parametric
+from gptshape.geometry import ShapeSpec, discretize, discretize_parametric
 from gptshape.gpt import (
     Contrast,
     FarFieldResult,
@@ -194,6 +194,12 @@ def test_far_field_decays_and_expansion_converges():
     assert errs[2] <= 1e-6
 
 
+def test_far_field_factors_once(lu_factor_calls):
+    b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 128)
+    far_field(b, assemble(b), 1.5, Poly2.from_terms({(1, 0): 1.0}), (9.0, 0.0))
+    assert len(lu_factor_calls) == 1
+
+
 def test_far_field_too_close_rejected():
     b = discretize_parametric(ShapeSpec.disk(), 64)
     npo = assemble(b)
@@ -207,6 +213,37 @@ def test_far_field_requires_harmonic_background():
     npo = assemble(b)
     with pytest.raises(NotHarmonicError):
         far_field(b, npo, 1.5, Poly2.from_terms({(2, 0): 1.0}), (8.0, 0.0))
+
+
+# truncation ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    ShapeSpec.ellipse(2.0, 1.0, (0.3, -0.2), 0.4),
+    ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2),
+    ShapeSpec.polygon([(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)]),
+], ids=["ellipse", "lemniscate", "triangle"])
+def test_truncate_matches_assembly_at_each_degree(spec):
+    dmax = 4
+    b = discretize(spec, 128)
+    npo = assemble(b)
+    M = assemble_gpt(b, npo, 1.5, dmax)
+    for d in range(1, dmax + 1):
+        want = assemble_gpt(b, npo, 1.5, d).entries
+        got = M.truncate(d)
+        assert (got.d, got.row_degree, got.lam, got.meta) == (d, 2 * d, 1.5, {})
+        np.testing.assert_allclose(got.entries, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+    want = assemble_gpt(b, npo, 1.5, 2, row_degree=5).entries
+    np.testing.assert_allclose(M.truncate(2, 5).entries, want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_truncate_rejects_out_of_range():
+    _, M = build(ShapeSpec.disk(), 64, 1.5, 2)
+    for d, row_degree in ((3, 4), (1, 5), (0, None), (1, 0)):
+        with pytest.raises(ValueError):
+            M.truncate(d, row_degree)
 
 
 # serialization -------------------------------------------------------------------

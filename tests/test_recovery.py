@@ -21,6 +21,7 @@ from gptshape.recovery import (
     recover,
     recover_crossvalidated,
     recover_minimal_degree,
+    scan,
 )
 
 
@@ -261,6 +262,18 @@ def test_minimal_degree_reduces_overdeclared_ellipse():
     np.testing.assert_allclose(out.g_hat.coeffs, [-4, 0, 0, 4, 0, 1], atol=1e-6)
 
 
+def test_scan_rows_are_leading_block_recoveries():
+    _, M = gpt_of(ShapeSpec.ellipse(2.0, 1.0), 128, 1.5, 3)
+    rows = scan(M)
+    assert [row["d"] for row in rows] == [1, 2, 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert rows[0]["residual"] == recover(M.truncate(1)).residual
+    assert rows[1]["residual"] < 1e-10 < rows[0]["residual"]
+    with pytest.raises(ValueError):
+        scan(M.truncate(3, 5))
+
+
 # lambda estimation -----------------------------------------------------------
 
 
@@ -278,6 +291,16 @@ def test_estimate_lambda_off_grid_target():
     b, M = gpt_of(ShapeSpec.disk(), 256, 0.75, 2)
     est = estimate_lambda(M, b, [0.6, 0.7, 0.8, 0.9, 1.1])
     assert est.lam == pytest.approx(0.75, abs=1e-4)
+
+
+@pytest.mark.parametrize("lam", [0.8, 2.6, 2.9])
+def test_estimate_lambda_refines_end_point_argmin(lam):
+    # on this grid the misfit minimum for each target sits at an end point
+    b, M = gpt_of(ShapeSpec.ellipse(2.0, 1.0), 128, lam, 2)
+    grid = [0.75, 1.0, 1.25, 1.5, 2.0, 3.0]
+    est = estimate_lambda(M, b, grid)
+    assert int(np.argmin(est.misfits)) in (0, len(grid) - 1)
+    assert est.lam == pytest.approx(lam, abs=1e-4)
 
 
 def test_estimate_lambda_wrong_shape_has_positive_misfit():
