@@ -22,21 +22,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
-from .errors import ConfigError, GptShapeError, NumericError
+from . import __version__, acceptance
+from .errors import ConfigError, NumericError
 from .geometry import DiscretizedBoundary, ShapeSpec, discretize
 from .gpt import GptMatrix, assemble_gpt, lambda_of_k
-from .npo import NpoMatrix, assemble, dump_npo
+from .npo import assemble, dump_npo
 from .polynomial import Poly2
-from .recovery import (
-    estimate_lambda,
-    recover,
-    recover_crossvalidated,
-    recover_minimal_degree,
-    scan,
-)
+from .recovery import recover, recover_crossvalidated, recover_minimal_degree, scan
 from .render import export_svg, extract
-from .transform import MatchOptions, Similarity, lift, match, push_forward
+from .transform import MatchOptions, match
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -120,8 +114,7 @@ def parse_shape(text: str) -> ShapeSpec:
 
 def _load_shape(args) -> ShapeSpec:
     if getattr(args, "shape_file", None):
-        with open(args.shape_file) as fh:
-            return ShapeSpec.from_json(json.load(fh))
+        return ShapeSpec.from_json(_read_json(args.shape_file))
     if getattr(args, "shape", None):
         return parse_shape(args.shape)
     raise ConfigError("one of --shape or --shape-file is required")
@@ -146,7 +139,10 @@ def _write_json(obj, path) -> None:
 
 def _read_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_poly(path) -> Poly2:
@@ -156,8 +152,8 @@ def _load_poly(path) -> Poly2:
         obj = obj["g"]
     try:
         return Poly2.from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path} is not a Poly2 or recovery JSON") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} is not a Poly2 or recovery JSON: {exc}") from exc
 
 
 # subcommands ----------------------------------------------------------------
@@ -272,124 +268,13 @@ def cmd_render(args) -> int:
 # verify -----------------------------------------------------------------------
 
 
-def _verify_checks(quick: bool, corrupt_diagonal: bool):
-    """Built-in oracle suite: (name, callable -> (ok, detail)) pairs."""
-
-    def disk_gpt():
-        b = discretize(ShapeSpec.disk(), 128)
-        npo = assemble(b)
-        if corrupt_diagonal:
-            m = np.array(npo.matrix)
-            np.fill_diagonal(m, np.diag(m) + 0.01)
-            npo = NpoMatrix(m, b)
-        M = assemble_gpt(b, npo, 1.5, 2)
-        err = abs(M.entry((1, 0), (1, 0)) - np.pi / 1.5)
-        off = abs(M.entry((1, 0), (0, 1)))
-        return err <= 1e-8 and off <= 1e-8, f"first-order error {err:.2e}"
-
-    def circle_identities():
-        b = discretize(ShapeSpec.disk(), 128)
-        A = assemble(b).matrix
-        e1 = np.max(np.abs(A @ np.ones(b.n) - 0.5))
-        t = np.arctan2(b.nodes[:, 1], b.nodes[:, 0])
-        e2 = np.max(np.abs(A @ np.cos(t)))
-        return e1 <= 1e-10 and e2 <= 1e-8, f"A1 error {e1:.2e}, mode-1 {e2:.2e}"
-
-    def gauss_identity():
-        b = discretize(ShapeSpec.ellipse(2.0, 1.0), 128)
-        A = assemble(b).matrix
-        err = np.max(np.abs(b.weights @ A - 0.5 * b.weights))
-        return err <= 1e-8, f"weighted-row error {err:.2e}"
-
-    def lift_oracle():
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(20):
-            d = int(rng.integers(1, 6))
-            A = rng.uniform(-2, 2, (2, 2))
-            B = rng.uniform(-2, 2, (2, 2))
-            diff = lift(A @ B, d).matrix - lift(A, d).matrix @ lift(B, d).matrix
-            scale = 1 + np.max(np.abs(lift(A @ B, d).matrix))
-            worst = max(worst, float(np.max(np.abs(diff)) / scale))
-        return worst <= 1e-12, f"multiplicativity error {worst:.2e}"
-
-    def push_forward_invariance():
-        rng = np.random.default_rng(1)
-        worst = 0.0
-        for _ in range(20):
-            p = Poly2(3, rng.uniform(-2, 2, 10))
-            T = Similarity(float(rng.uniform(0.5, 2)), float(rng.uniform(0, 6.28)))
-            x = rng.uniform(-1.5, 1.5, 2)
-            worst = max(worst, abs(float(push_forward(p, T)(T(x)) - p(x))))
-        return worst <= 1e-9, f"eval error {worst:.2e}"
-
-    checks = [
-        ("disk-gpt-analytic", disk_gpt),
-        ("circle-npo-identities", circle_identities),
-        ("gauss-weighted-row", gauss_identity),
-        ("lift-multiplicative", lift_oracle),
-        ("push-forward-invariance", push_forward_invariance),
-    ]
-    if quick:
-        return checks
-
-    def ellipse_pt():
-        b = discretize(ShapeSpec.ellipse(2.0, 1.0), 512)
-        M = assemble_gpt(b, assemble(b), 1.5, 1, row_degree=1)
-        k = (2 * 1.5 + 1) / (2 * 1.5 - 1)
-        want = (k - 1) * np.pi * 2 * 1 * (2 + 1) / (2 + k * 1)
-        err = abs(M.entry((1, 0), (1, 0)) - want) / abs(want)
-        return err <= 1e-6, f"relative error {err:.2e}"
-
-    def traced_circle():
-        from .geometry import trace_implicit
-        p = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
-        b = trace_implicit(p, box=(-2, 2, -2, 2), n=256)
-        ea = abs(b.area() - np.pi)
-        ep = abs(b.perimeter() - 2 * np.pi)
-        return ea <= 1e-4 and ep <= 1e-4, f"area err {ea:.2e}, perim err {ep:.2e}"
-
-    def far_field_check():
-        from .gpt import far_field
-        b = discretize(ShapeSpec.disk(), 256)
-        npo = assemble(b)
-        h = Poly2.from_terms({(1, 0): 1.0})
-        out = far_field(b, npo, 1.5, h, (5.0, 0.0), truncation=4)
-        err = abs(out.expansion - out.direct)
-        return err <= 1e-6, f"expansion vs direct {err:.2e}"
-
-    def ellipse_recovery():
-        b = discretize(ShapeSpec.ellipse(2.0, 1.0), 512)
-        out = recover(assemble_gpt(b, assemble(b), 1.5, 2))
-        err = np.max(np.abs(out.g_hat.coeffs - np.array([-4, 0, 0, 4, 0, 1])))
-        return err <= 1e-6, f"coefficient error {err:.2e}"
-
-    def lambda_fit():
-        b = discretize(ShapeSpec.disk(), 128)
-        npo = assemble(b)
-        M = assemble_gpt(b, npo, 1.5, 2)
-        est = estimate_lambda(M, b, [0.75, 1.0, 1.25, 1.5, 2.0, 3.0], npo=npo)
-        err = abs(est.lam - 1.5)
-        return err <= 1e-4, f"lambda error {err:.2e}"
-
-    return checks + [
-        ("ellipse-first-order-pt", ellipse_pt),
-        ("traced-circle-identities", traced_circle),
-        ("far-field-two-routes", far_field_check),
-        ("ellipse-recovery", ellipse_recovery),
-        ("lambda-estimate", lambda_fit),
-    ]
-
-
 def cmd_verify(args) -> int:
     failures = 0
-    for name, check in _verify_checks(args.quick, args.corrupt_diagonal):
-        try:
-            ok, detail = check()
-        except GptShapeError as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        print(f"{'ok  ' if ok else 'FAIL'} {name:<28} {detail}")
-        failures += 0 if ok else 1
+    for check in acceptance.CHECKS:
+        if check.quick or not args.quick:
+            ok, line = acceptance.run(check)
+            print(line)
+            failures += 0 if ok else 1
     if failures:
         print(f"{failures} check(s) failed")
         return EXIT_NUMERIC
@@ -472,10 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("verify", help="run the built-in oracle suite")
+    p = sub.add_parser("verify", help="run the built-in acceptance checks")
     p.add_argument("--quick", action="store_true", help="fast subset only")
-    p.add_argument("--corrupt-diagonal", action="store_true",
-                   help=argparse.SUPPRESS)  # failure-injection hook for tests
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -142,21 +142,25 @@ class GptMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GptMatrix":
-        d = int(obj["d"])
-        row_degree = int(obj.get("row_degree", 2 * d))
+        try:
+            lam = float(obj["lambda"])
+            d = int(obj["d"])
+            row_degree = int(obj.get("row_degree", 2 * d))
+            entries = np.asarray(obj["entries"], dtype=float)
+            meta = dict(obj.get("meta", {}))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed GPT JSON ({type(exc).__name__}: {exc})") from exc
         if d < 1 or row_degree < 1:
             raise ConfigError(
                 f"GPT degrees must be >= 1, got d={d}, row_degree={row_degree}")
         shape = (poly_dim(row_degree) - 1, poly_dim(d))
-        entries = np.asarray(obj["entries"], dtype=float)
         if entries.size != shape[0] * shape[1]:
             raise ConfigError(
                 f"GPT entries: expected {shape[0] * shape[1]} values for d={d}, "
                 f"row_degree={row_degree}, got {entries.size}")
         if not np.all(np.isfinite(entries)):
             raise ConfigError("GPT entries must all be finite")
-        return cls(float(obj["lambda"]), d, row_degree, entries.reshape(shape),
-                   dict(obj.get("meta", {})))
+        return cls(lam, d, row_degree, entries.reshape(shape), meta)
 
 
 def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,

@@ -306,8 +306,9 @@ def estimate_lambda(
     row degree as the target), takes the Frobenius misfit against the
     target, and refines the grid argmin by golden-section search on the
     bracketing interval, or by a bounded search on the interval to its
-    neighbour when the argmin is an end point of the grid.  A misfit curve
-    flatter than 1e-12 carries no information about lambda and raises
+    neighbour when the argmin is an end point of the grid or its bracket
+    crosses [-1/2, 1/2] (then the neighbour of the same sign).  A misfit
+    curve flatter than 1e-12 carries no information about lambda and raises
     :class:`UninformativeError`.
     """
     grid = [float(v) for v in lam_grid]
@@ -330,24 +331,26 @@ def estimate_lambda(
         )
     i = int(np.argmin(values))
     best_lam, best_val = grid[i], values[i]
+    # refine only toward neighbours on the argmin's side of [-1/2, 1/2]
+    near = [j for j in (i - 1, i + 1)
+            if 0 <= j < len(grid) and grid[j] * grid[i] > 0]
+    if 0 < i < len(grid) - 1 and not values[i] < min(values[i - 1], values[i + 1]):
+        near = []
     res = None
-    if 0 < i < len(grid) - 1 and values[i] < values[i - 1] and values[i] < values[i + 1]:
+    if len(near) == 2:
         res = minimize_scalar(
             misfit,
             bracket=(grid[i - 1], grid[i], grid[i + 1]),
             method="golden",
             options={"xtol": 1e-10},
         )
-    elif i in (0, len(grid) - 1):
-        # an end point has one neighbour: search the interval between them
-        j = 1 if i == 0 else i - 1
-        if grid[i] * grid[j] > 0:  # the interval must not cross [-1/2, 1/2]
-            res = minimize_scalar(
-                misfit,
-                bounds=(min(grid[i], grid[j]), max(grid[i], grid[j])),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
+    elif near:
+        res = minimize_scalar(
+            misfit,
+            bounds=sorted((grid[i], grid[near[0]])),
+            method="bounded",
+            options={"xatol": 1e-10},
+        )
     if res is not None and res.fun <= best_val:
         best_lam, best_val = float(res.x), float(res.fun)
     return LambdaEstimate(

@@ -1,8 +1,8 @@
 """Independent reference computations used by several test modules.
 
 Everything here is deliberately built from first principles (dense FFT
-grids, closed-form ellipse tensors, explicit expansions) rather than from
-the package's own assembly routines, so agreement is meaningful.
+grids, explicit expansions) rather than from the package's own assembly
+routines, so agreement is meaningful.
 """
 
 import numpy as np
@@ -28,15 +28,6 @@ def disk_gpt_oracle(lam, alpha, beta, nfft=4096):
     phi = np.fft.irfft(F, nfft)
     b1, b2 = beta
     return (2 * np.pi / nfft) * np.sum(c**b1 * s**b2 * phi)
-
-
-def ellipse_first_order_pt(a, b, lam):
-    """Closed-form first-order polarization tensor of an axis-aligned ellipse."""
-    k = (2 * lam + 1) / (2 * lam - 1)
-    area = np.pi * a * b
-    m11 = (k - 1) * area * (a + b) / (a + k * b)
-    m22 = (k - 1) * area * (a + b) / (b + k * a)
-    return np.array([[m11, 0.0], [0.0, m22]])
 
 
 def first_order_block(M):

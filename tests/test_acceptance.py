@@ -1,233 +1,25 @@
-"""End-to-end acceptance checks with pinned tolerances.
+"""The acceptance registry (``gptshape.acceptance``), one test per check.
 
-Each check prints exactly one PASS/FAIL line carrying the measured numbers
-(visible with ``pytest -s``, or in the captured output on failure), then
-asserts.  The checks are deliberately self-contained — every one rebuilds
-the objects it needs and times itself against its own wall-clock budget —
-so a single failure points at one pipeline stage.
+Tests are named ``test_cNN_<check>`` by registry position, so the ids stay
+stable as checks are appended.  Each prints the line ``gptshape verify``
+prints (shown with ``pytest -s`` or on failure), then asserts.
 """
 
-import math
-import time
-import warnings
-
-import numpy as np
-
-from gptshape.geometry import (
-    ShapeSpec,
-    discretize,
-    lemniscate_poly,
-    trace_implicit,
-)
-from gptshape.gpt import assemble_gpt, far_field
-from gptshape.npo import assemble
-from gptshape.polynomial import Boundedness, Poly2, boundedness_check, to_forms
-from gptshape.recovery import (
-    kernel_residual,
-    normalize,
-    recover,
-    recover_minimal_degree,
-)
-from gptshape.render import extract, hausdorff
-from gptshape.transform import Similarity, lift, match, push_forward
-
-ELLIPSE_POLY = Poly2.from_terms({(2, 0): 1.0, (0, 2): 4.0, (0, 0): -4.0})
-LEM_POLES, LEM_LEVEL = [(1.0, 0.0), (-1.0, 0.0)], 0.2
+from gptshape import acceptance
 
 
-def _report(label: str, ok: bool, detail: str) -> None:
-    print(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}")
-    assert ok, f"{label}: {detail}"
+def _test(check):
+    def test():
+        ok, line = acceptance.run(check)
+        print(line)
+        assert ok, line
+    return test
 
 
-def _angle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
+for _i, _check in enumerate(acceptance.CHECKS, start=1):
+    globals()[f"test_c{_i:02d}_{_check.name.replace('-', '_')}"] = _test(_check)
 
 
-def _margin_box(pts: np.ndarray, frac: float = 0.10):
-    x0, y0 = pts.min(axis=0)
-    x1, y1 = pts.max(axis=0)
-    mx, my = frac * (x1 - x0), frac * (y1 - y0)
-    return (x0 - mx, x1 + mx, y0 - my, y1 + my)
-
-
-def test_c01_disk_first_order_polarization_oracle():
-    t0 = time.perf_counter()
-    b = discretize(ShapeSpec.disk(), 256)
-    M = assemble_gpt(b, assemble(b), 1.5, 1)
-    want = math.pi / 1.5
-    rel = abs(M.entry((1, 0), (1, 0)) - want) / want
-    off = max(abs(M.entry((1, 0), (0, 1))), abs(M.entry((0, 1), (1, 0))))
-    dt = time.perf_counter() - t0
-    ok = rel <= 1e-8 and off <= 1e-8 and dt < 1.0
-    _report("disk first-order polarization", ok,
-            f"diag rel err {rel:.2e} (<=1e-8), off-diag {off:.2e} (<=1e-8), "
-            f"{dt:.2f}s (<1s)")
-
-
-def test_c02_circle_operator_spectral_identities():
-    t0 = time.perf_counter()
-    b = discretize(ShapeSpec.disk(), 128)
-    A = assemble(b).matrix
-    const_err = float(np.max(np.abs(A @ np.ones(b.n) - 0.5)))
-    # on the unit circle the first Fourier mode cos t is just the x coordinate
-    mode_err = float(np.max(np.abs(A @ b.nodes[:, 0])))
-    dt = time.perf_counter() - t0
-    ok = const_err <= 1e-8 and mode_err <= 1e-8 and dt < 1.0
-    _report("circle operator identities", ok,
-            f"|A 1 - 1/2| {const_err:.2e} (<=1e-8), |A cos| {mode_err:.2e} "
-            f"(<=1e-8), {dt:.2f}s (<1s)")
-
-
-def test_c03_ellipse_kernel_and_recovery():
-    t0 = time.perf_counter()
-    b = discretize(ShapeSpec.ellipse(2.0, 1.0), 512)
-    M = assemble_gpt(b, assemble(b), 1.5, 2)
-    kres = kernel_residual(M, ELLIPSE_POLY)
-    out = recover(M)
-    coeff_err = float(np.max(np.abs(out.g_hat.coeffs
-                                    - normalize(ELLIPSE_POLY).coeffs)))
-    dt = time.perf_counter() - t0
-    ok = (kres <= 1e-6 and coeff_err <= 1e-6 and out.kernel_gap <= 1e-4
-          and dt < 5.0)
-    _report("ellipse kernel and recovery", ok,
-            f"kernel residual {kres:.2e} (<=1e-6), coeff err {coeff_err:.2e} "
-            f"(<=1e-6), gap {out.kernel_gap:.2e} (<=1e-4), {dt:.2f}s (<5s)")
-
-
-def test_c04_recovery_independent_of_spectral_parameter():
-    t0 = time.perf_counter()
-    b = discretize(ShapeSpec.ellipse(2.0, 1.0), 512)
-    npo = assemble(b)
-    outs = [recover(assemble_gpt(b, npo, lam, 2)) for lam in (0.75, 1.5, 3.0)]
-    diff = max(float(np.max(np.abs(a.g_hat.coeffs - b_.g_hat.coeffs)))
-               for i, a in enumerate(outs) for b_ in outs[i + 1:])
-    dt = time.perf_counter() - t0
-    ok = diff <= 1e-5 and dt < 15.0
-    _report("recovery is independent of the spectral parameter", ok,
-            f"pairwise coeff diff {diff:.2e} (<=1e-5) over lambda "
-            f"{{0.75, 1.5, 3.0}}, {dt:.2f}s (<15s)")
-
-
-def test_c05_two_component_lemniscate_recovery_and_render():
-    t0 = time.perf_counter()
-    b = discretize(ShapeSpec.lemniscate(LEM_POLES, LEM_LEVEL), 512)
-    M = assemble_gpt(b, assemble(b), 1.5, 4)
-    out = recover(M)
-    src = trace_implicit(lemniscate_poly(LEM_POLES, LEM_LEVEL), n=2048)
-    curves = extract(out.g_hat, box=_margin_box(src.nodes), grid=2048)
-    h = hausdorff(curves.points(), src.nodes)
-    dt = time.perf_counter() - t0
-    ok = out.residual <= 1e-5 and h <= 1e-3 and dt < 30.0
-    _report("two-component lemniscate recovery and render", ok,
-            f"residual {out.residual:.2e} (<=1e-5), Hausdorff to source "
-            f"{h:.2e} (<=1e-3), {dt:.2f}s (<30s)")
-
-
-def test_c06_lift_expansion_oracle_and_multiplicativity():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    worst_oracle = worst_mult = 0.0
-    for _ in range(100):
-        d = int(rng.integers(1, 7))
-        A = rng.uniform(-2.0, 2.0, size=(2, 2))
-        B = rng.uniform(-2.0, 2.0, size=(2, 2))
-        L = lift(A, d).matrix
-        top = Poly2.from_terms({(1, 0): A[0, 0], (0, 1): A[0, 1]})
-        bot = Poly2.from_terms({(1, 0): A[1, 0], (0, 1): A[1, 1]})
-        for h in range(d + 1):
-            prod = Poly2.from_terms({(0, 0): 1.0})
-            for _ in range(d - h):
-                prod = prod * top
-            for _ in range(h):
-                prod = prod * bot
-            want = to_forms(prod.padded(d)).blocks[d]
-            worst_oracle = max(worst_oracle,
-                               float(np.max(np.abs(L[h] - want)))
-                               / (1.0 + float(np.max(np.abs(want)))))
-        left = lift(A @ B, d).matrix
-        right = lift(A, d).matrix @ lift(B, d).matrix
-        worst_mult = max(worst_mult,
-                         float(np.max(np.abs(left - right)))
-                         / (1.0 + float(np.max(np.abs(left)))))
-    dt = time.perf_counter() - t0
-    ok = worst_oracle <= 1e-12 and worst_mult <= 1e-12 and dt < 1.0
-    _report("lift expansion oracle and multiplicativity", ok,
-            f"oracle err {worst_oracle:.2e} (<=1e-12), multiplicativity err "
-            f"{worst_mult:.2e} (<=1e-12) over 100 draws d<=6, {dt:.2f}s (<1s)")
-
-
-def test_c07_similarity_round_trip():
-    t0 = time.perf_counter()
-    g_ref = lemniscate_poly(LEM_POLES, LEM_LEVEL)
-    g_obs = push_forward(g_ref, Similarity(2.0, math.pi / 6))
-    out = match(g_ref, g_obs)
-    s_rel = abs(out.best.s - 2.0) / 2.0
-    # the two-pole lemniscate is invariant under rotation by pi
-    th_err = min(_angle_dist(out.best.theta, math.pi / 6),
-                 _angle_dist(out.best.theta, math.pi / 6 + math.pi))
-    dt = time.perf_counter() - t0
-    ok = (s_rel <= 1e-3 and th_err <= 1e-3 and out.epsilon_match <= 1e-6
-          and dt < 10.0)
-    _report("similarity round trip", ok,
-            f"scale rel err {s_rel:.2e} (<=1e-3), angle err {th_err:.2e} rad "
-            f"(<=1e-3 mod symmetry), epsilon {out.epsilon_match:.2e} (<=1e-6), "
-            f"{dt:.2f}s (<10s)")
-
-
-def test_c08_boundedness_verdicts():
-    t0 = time.perf_counter()
-    certified = boundedness_check(ELLIPSE_POLY) is Boundedness.CERTIFIED_BOUNDED
-    odd_inputs = [
-        Poly2.from_terms({(1, 0): 1.0}),
-        Poly2.from_terms({(3, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0}),
-        Poly2.from_terms({(5, 0): 1.0, (2, 3): -2.0, (0, 0): 4.0}),
-    ]
-    odd_ok = all(boundedness_check(p) is Boundedness.ODD_DEGREE_UNBOUNDED
-                 for p in odd_inputs)
-    dt = time.perf_counter() - t0
-    ok = certified and odd_ok and dt < 1.0
-    _report("boundedness verdicts", ok,
-            f"ellipse certified bounded: {certified}, odd degrees 1/3/5 "
-            f"unbounded: {odd_ok}, {dt:.2f}s (<1s)")
-
-
-def test_c09_triangle_degree_four_pipeline():
-    # A triangle's boundary lies on the product of its three edge lines, so
-    # the declared-degree-4 kernel holds every degree-<=1 multiple of that
-    # cubic and the smallest singular vector alone is an arbitrary mixture.
-    # The pipeline resolves this by minimal-degree reduction, which isolates
-    # the cubic itself.  Its zero set is unbounded (the edge lines extend
-    # past the vertices), so the render window is the source bounding box
-    # with a 10% margin and the distance bound is met by the short stubs.
-    t0 = time.perf_counter()
-    verts = [(math.cos(a), math.sin(a))
-             for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3,
-                       math.pi / 2 + 4 * math.pi / 3)]
-    b = discretize(ShapeSpec.polygon(verts), 512)
-    M = assemble_gpt(b, assemble(b), 1.5, 4)
-    out = recover_minimal_degree(M)
-    verdict = boundedness_check(out.g_hat)
-    curves = extract(out.g_hat, box=_margin_box(b.nodes), grid=512)
-    h = hausdorff(curves.points(), b.nodes)
-    diameter = math.sqrt(3.0)  # equilateral with unit circumradius
-    dt = time.perf_counter() - t0
-    ok = h <= 0.15 * diameter and dt < 60.0
-    _report("triangle degree-4 pipeline", ok,
-            f"Hausdorff {h:.3f} (<= 0.15 x diameter = {0.15 * diameter:.3f}), "
-            f"verdict {verdict.name}, flags {list(out.flags)}, recovered "
-            f"degree {out.g_hat.degree}, {dt:.2f}s (<60s)")
-
-
-def test_c10_far_field_expansion_cross_check():
-    t0 = time.perf_counter()
-    b = discretize(ShapeSpec.disk(), 256)
-    out = far_field(b, assemble(b), 1.5, Poly2.from_terms({(1, 0): 1.0}),
-                    (5.0, 0.0), truncation=4)
-    err = abs(out.expansion - out.direct)
-    dt = time.perf_counter() - t0
-    ok = err <= 1e-6 and dt < 2.0
-    _report("far-field expansion cross-check", ok,
-            f"|expansion - direct| {err:.2e} (<=1e-6) at (5, 0), truncation 4, "
-            f"{dt:.2f}s (<2s)")
+def test_run_fails_a_check_over_its_budget():
+    ok, line = acceptance.run(acceptance.Check("slow", False, 0.0, lambda: (True, "fine")))
+    assert not ok and line.startswith("FAIL slow") and "(budget 0s)" in line

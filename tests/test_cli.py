@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from gptshape import cli
+from gptshape import acceptance, cli
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly
 from gptshape.gpt import assemble_gpt
-from gptshape.npo import assemble, load_npo
+from gptshape.npo import NpoMatrix, assemble, load_npo
 from gptshape.polynomial import Poly2
 
 CLI = [sys.executable, "-m", "gptshape"]
@@ -51,8 +51,7 @@ def test_gpt_ellipse_matches_analytic_pt(tmp_path):
     betas = [tuple(b) for b in obj["col_betas"]]
     entries = np.array(obj["entries"]).reshape(len(alphas), len(betas))
     m11 = entries[alphas.index((1, 0)), betas.index((1, 0))]
-    k = (2 * 1.5 + 1) / (2 * 1.5 - 1)
-    want = (k - 1) * math.pi * 2 * 1 * (2 + 1) / (2 + k * 1)
+    want = acceptance.ellipse_first_order_pt(2.0, 1.0, 1.5)[0, 0]
     assert m11 == pytest.approx(want, abs=1e-4)
 
 
@@ -161,17 +160,31 @@ def test_recover_missing_file_is_io_error(tmp_path):
     assert r.returncode == 3
 
 
+def _edit(change):  # edit the JSON object in place, then serialize it
+    def corrupt(obj):
+        change(obj)
+        return json.dumps(obj)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda obj: obj["entries"].__setitem__(3, math.nan), "finite"),
-    (lambda obj: obj["entries"].pop(), "expected 84 values"),
-    (lambda obj: obj.__setitem__("d", 0), "degrees must be >= 1"),
-], ids=["nan-entry", "short-entries", "zero-degree"])
+    (_edit(lambda obj: obj["entries"].__setitem__(3, math.nan)), "finite"),
+    (_edit(lambda obj: obj["entries"].pop()), "expected 84 values"),
+    (_edit(lambda obj: obj.__setitem__("d", 0)), "degrees must be >= 1"),
+    (_edit(lambda obj: obj.pop("d")), "KeyError: 'd'"),
+    (_edit(lambda obj: obj.pop("lambda")), "KeyError: 'lambda'"),
+    (_edit(lambda obj: obj.pop("entries")), "KeyError: 'entries'"),
+    (_edit(lambda obj: obj.__setitem__("entries", [[1.0, 2.0], [3.0]])), "ValueError"),
+    (_edit(lambda obj: obj.__setitem__("d", "two")), "ValueError"),
+    (lambda obj: json.dumps([obj]), "TypeError"),
+    (lambda obj: json.dumps(obj)[:-20], "not valid JSON"),
+], ids=["nan-entry", "short-entries", "zero-degree", "no-d", "no-lambda",
+        "no-entries", "ragged-entries", "text-degree", "top-level-list",
+        "truncated-file"])
 def test_recover_malformed_gpt_is_config_error(tmp_path, capsys, corrupt, message):
     b = discretize(ShapeSpec.disk(), 64)
-    obj = assemble_gpt(b, assemble(b), 1.5, 2).to_json()
-    corrupt(obj)
     path = tmp_path / "M.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(corrupt(assemble_gpt(b, assemble(b), 1.5, 2).to_json()))
     assert cli.main(["recover", "--gpt", str(path)]) == 1
     err = capsys.readouterr().err
     assert message in err
@@ -323,12 +336,24 @@ def test_render_and_match_accept_recover_output(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
-def test_render_rejects_non_polynomial_json(tmp_path):
+@pytest.mark.parametrize("command", ["render", "match"])
+@pytest.mark.parametrize("text, message", [
+    ('{"degree": 2, "coeffs": [1.0, 0.0, 0.0]}', "needs 6 coefficients"),
+    ('{"degree": 1, "coeffs": [NaN, 1.0, 0.0]}', "finite"),
+    ('{"degree": -1, "coeffs": []}', "degree must be >= 0"),
+    ('{"degree": 2, "coeffs": [', "not valid JSON"),
+    ('{"schema": 1, "entries": [1.0, 2.0]}', "not a Poly2"),
+], ids=["coefficient-count", "nan-coefficient", "negative-degree", "truncated-file",
+        "not-a-poly"])
+def test_malformed_poly_is_config_error(tmp_path, capsys, command, text, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema": 1, "entries": [1.0, 2.0]}))
-    r = run("render", "--poly", str(bad), "--out", str(tmp_path / "c.svg"))
-    assert r.returncode == 1
-    assert "not a Poly2" in r.stderr
+    bad.write_text(text)
+    argv = {"render": ["render", "--poly", str(bad), "--out", str(tmp_path / "c.svg")],
+            "match": ["match", "--ref", str(bad), "--obs", str(bad)]}[command]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 # verify --------------------------------------------------------------------------
@@ -341,10 +366,17 @@ def test_verify_quick_passes():
     assert "FAIL" not in r.stdout
 
 
-def test_verify_corruption_hook_is_caught():
-    r = run("verify", "--quick", "--corrupt-diagonal")
-    assert r.returncode == 2
-    assert "FAIL disk-gpt-analytic" in r.stdout
+def test_verify_corruption_hook_is_caught(monkeypatch, capsys):
+    def corrupted(b):
+        m = np.array(assemble(b).matrix)
+        np.fill_diagonal(m, np.diag(m) + 0.01)
+        return NpoMatrix(m, b)
+
+    monkeypatch.setattr(acceptance, "assemble", corrupted)
+    assert cli.main(["verify", "--quick"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL disk-first-order-polarization-oracle" in out
+    assert out.rstrip().endswith("check(s) failed")
 
 
 # top level -----------------------------------------------------------------------

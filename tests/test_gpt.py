@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import disk_gpt_oracle, ellipse_first_order_pt, first_order_block
+from oracles import disk_gpt_oracle, first_order_block
 
+from gptshape.acceptance import ellipse_first_order_pt
 from gptshape.errors import NoContrastError, NotHarmonicError, TooCloseError
 from gptshape.geometry import ShapeSpec, discretize, discretize_parametric
 from gptshape.gpt import (

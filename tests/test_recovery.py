@@ -141,16 +141,6 @@ def test_lemniscate_recovery_degree_four():
     np.testing.assert_allclose(out.g_hat.coeffs, normalize(g_true).coeffs, atol=1e-5)
 
 
-def test_lambda_independence_of_direction():
-    coeffs = {}
-    for lam in (0.75, 1.5, 3.0):
-        _, M = gpt_of(ShapeSpec.ellipse(2.0, 1.0), 512, lam, 2)
-        coeffs[lam] = recover(M).g_hat.coeffs
-    for a in coeffs:
-        for b in coeffs:
-            assert np.max(np.abs(coeffs[a] - coeffs[b])) <= 1e-5
-
-
 def test_underdegreed_lemniscate_is_detectable():
     # no degree-2 polynomial vanishes on a two-pole lemniscate; the failure
     # shows up as a residual elbow and as lambda-dependence of the spurious
@@ -301,6 +291,14 @@ def test_estimate_lambda_refines_end_point_argmin(lam):
     est = estimate_lambda(M, b, grid)
     assert int(np.argmin(est.misfits)) in (0, len(grid) - 1)
     assert est.lam == pytest.approx(lam, abs=1e-4)
+
+
+@pytest.mark.parametrize("lam", [-1.2, -0.9, 0.9, 1.2])
+def test_estimate_lambda_refines_on_the_argmin_side(lam):
+    # the argmin is +-1, whose bracket on this grid crosses [-1/2, 1/2]
+    b, M = gpt_of(ShapeSpec.ellipse(2.0, 1.0), 64, lam, 2)
+    est = estimate_lambda(M, b, [-3.0, -1.0, 1.0, 3.0])
+    assert est.lam == pytest.approx(np.copysign(max(abs(lam), 1.0), lam), abs=1e-6)
 
 
 def test_estimate_lambda_wrong_shape_has_positive_misfit():
