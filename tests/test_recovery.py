@@ -141,6 +141,16 @@ def test_lemniscate_recovery_degree_four():
     np.testing.assert_allclose(out.g_hat.coeffs, normalize(g_true).coeffs, atol=1e-5)
 
 
+def test_lambda_independence_of_direction():
+    coeffs = {}
+    for lam in (0.75, 1.5, 3.0):
+        _, M = gpt_of(ShapeSpec.ellipse(2.0, 1.0), 512, lam, 2)
+        coeffs[lam] = recover(M).g_hat.coeffs
+    for a in coeffs:
+        for b in coeffs:
+            assert np.max(np.abs(coeffs[a] - coeffs[b])) <= 1e-5
+
+
 def test_underdegreed_lemniscate_is_detectable():
     # no degree-2 polynomial vanishes on a two-pole lemniscate; the failure
     # shows up as a residual elbow and as lambda-dependence of the spurious
