@@ -46,10 +46,8 @@ from .npo import (
     dump_npo,
     load_npo,
     neumann_data,
-    resolve,
 )
 from .gpt import (
-    Contrast,
     FarFieldResult,
     GptMatrix,
     assemble_gpt,
@@ -70,8 +68,6 @@ from .recovery import (
     scan,
 )
 from .transform import (
-    LiftedTransform,
-    MatchOptions,
     MatchResult,
     Similarity,
     lift,
@@ -90,7 +86,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Boundedness",
     "ConfigError",
-    "Contrast",
     "DiscretizedBoundary",
     "FarFieldResult",
     "FormBlocks",
@@ -98,8 +93,6 @@ __all__ = [
     "GptShapeError",
     "LambdaEstimate",
     "LevelSetCurves",
-    "LiftedTransform",
-    "MatchOptions",
     "MatchResult",
     "NpoMatrix",
     "NumericError",
@@ -143,7 +136,6 @@ __all__ = [
     "recover",
     "recover_crossvalidated",
     "recover_minimal_degree",
-    "resolve",
     "scan",
     "to_forms",
     "trace_implicit",

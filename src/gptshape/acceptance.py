@@ -162,7 +162,7 @@ def _lemniscate():
 def _lift_oracle():
     worst = 0.0
     for d, A, _ in _lift_draws():
-        L = lift(A, d).matrix
+        L = lift(A, d)
         top = Poly2.from_terms({(1, 0): A[0, 0], (0, 1): A[0, 1]})
         bot = Poly2.from_terms({(1, 0): A[1, 0], (0, 1): A[1, 1]})
         for h in range(d + 1):
@@ -235,8 +235,8 @@ def _far_field():
 def _lift_multiplicativity():
     worst = 0.0
     for d, A, B in _lift_draws():
-        left = lift(A @ B, d).matrix
-        right = lift(A, d).matrix @ lift(B, d).matrix
+        left = lift(A @ B, d)
+        right = lift(A, d) @ lift(B, d)
         worst = max(worst, float(np.max(np.abs(left - right)))
                     / (1.0 + float(np.max(np.abs(left)))))
     return worst <= 1e-12, f"multiplicativity err {worst:.2e} (<=1e-12) over 100 draws d<=6"

@@ -30,7 +30,7 @@ from .npo import assemble, dump_npo
 from .polynomial import Poly2
 from .recovery import recover, recover_crossvalidated, recover_minimal_degree, scan
 from .render import export_svg, extract
-from .transform import MatchOptions, match
+from .transform import match
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,6 +83,8 @@ def parse_shape(text: str) -> ShapeSpec:
             raise ConfigError("flower takes base,amplitude,petals[,missing]")
         if not args:
             return ShapeSpec.flower()
+        if not (args[2] >= 1 and args[2].is_integer()):
+            raise ConfigError(f"flower petals must be a positive integer, got {args[2]:g}")
         return ShapeSpec.flower(args[0], args[1], int(args[2]),
                                 missing_petal=bool(args[3]) if len(args) == 4 else False)
     if kind == "triangle":
@@ -112,11 +114,27 @@ def parse_shape(text: str) -> ShapeSpec:
     raise ConfigError(f"unknown shape kind {kind!r}")
 
 
-def _load_shape(args) -> ShapeSpec:
+def _shape_boundary(obj, n) -> tuple[ShapeSpec, DiscretizedBoundary]:
+    """Shape JSON and a node count, read from a file, to the spec and its boundary.
+
+    A file may hold any JSON, so a missing or ill-typed field is a
+    configuration error here rather than a traceback from the discretizer.
+    """
+    try:
+        spec = ShapeSpec.from_json(obj)
+        return spec, discretize(spec, int(n))
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"malformed shape or node count ({type(exc).__name__}: {exc})") from exc
+
+
+def _load_shape(args) -> tuple[ShapeSpec, DiscretizedBoundary]:
+    """The shape given by --shape or --shape-file and its boundary at --n nodes."""
     if getattr(args, "shape_file", None):
-        return ShapeSpec.from_json(_read_json(args.shape_file))
+        return _shape_boundary(_read_json(args.shape_file), args.n)
     if getattr(args, "shape", None):
-        return parse_shape(args.shape)
+        spec = parse_shape(args.shape)
+        return spec, discretize(spec, args.n)
     raise ConfigError("one of --shape or --shape-file is required")
 
 
@@ -160,9 +178,8 @@ def _load_poly(path) -> Poly2:
 
 
 def cmd_gpt(args) -> int:
-    spec = _load_shape(args)
+    spec, boundary = _load_shape(args)
     lam = _lambda(args)
-    boundary = discretize(spec, args.n)
     npo = assemble(boundary)
     if args.dump_npo:
         dump_npo(npo, args.dump_npo)
@@ -183,7 +200,7 @@ def _boundary_from_meta(M: GptMatrix) -> DiscretizedBoundary:
             "the GPT file carries no shape metadata; it cannot be "
             "re-assembled at another lambda or degree"
         )
-    return discretize(ShapeSpec.from_json(meta["shape"]), int(meta["n"]))
+    return _shape_boundary(meta["shape"], meta["n"])[1]
 
 
 def cmd_recover(args) -> int:
@@ -224,18 +241,15 @@ def _scan(boundary, lam, dmax, out) -> int:
 
 
 def cmd_scan_degrees(args) -> int:
-    spec = _load_shape(args)
-    lam = _lambda(args)
-    return _scan(discretize(spec, args.n), lam, args.dmax, args.out)
+    _, boundary = _load_shape(args)
+    return _scan(boundary, _lambda(args), args.dmax, args.out)
 
 
 def cmd_match(args) -> int:
     ref = _load_poly(args.ref)
     obs = _load_poly(args.obs)
     d = max(ref.degree, obs.degree)
-    opts = MatchOptions(threshold=args.threshold,
-                        allow_reflection=args.allow_reflection)
-    out = match(ref.padded(d), obs.padded(d), opts)
+    out = match(ref.padded(d), obs.padded(d), args.threshold, args.allow_reflection)
     _write_json(out.to_json(), args.out)
     print(
         f"s={out.best.s:.6g} theta={out.best.theta:.6g} sign={out.sign} "

@@ -29,6 +29,7 @@ from .polynomial import Poly2, partial
 MIN_NODES = 16
 DEFAULT_BOX = (-4.0, 4.0, -4.0, 4.0)
 DEFAULT_GRID = 512
+POLYGON_GRADING = 3.0
 
 
 @dataclass(frozen=True)
@@ -244,20 +245,20 @@ def _segments_properly_intersect(p1, p2, p3, p4):
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
-def discretize_polygon(spec: ShapeSpec, n: int, grading: float = 3.0) -> DiscretizedBoundary:
+def discretize_polygon(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     """Graded composite-midpoint nodes on each edge of a simple polygon.
 
-    The grading map w(t) = t^q / (t^q + (1-t)^q) pushes nodes toward both
-    corners of an edge like t^q, which compensates the corner singularities
-    of layer-potential densities.  The underlying rule in the graded
-    variable is composite midpoint: its nodes stay uniformly spaced in t,
-    so the closest approach to a corner is ~(2n)^-q per edge and nodes on
-    adjacent edges can never collide (a Gauss rule would add its own
-    quadratic endpoint clustering on top of the grading and drive nodes
-    into the corners at machine precision for n in the hundreds).  Weights
-    are normalised per edge so constants integrate exactly.  Corners are
-    never nodes, so every node carries a well-defined edge normal;
-    curvature is zero along straight edges.
+    The grading map w(t) = t^q / (t^q + (1-t)^q) with q = POLYGON_GRADING
+    pushes nodes toward both corners of an edge like t^q, which compensates
+    the corner singularities of layer-potential densities.  The underlying
+    rule in the graded variable is composite midpoint: its nodes stay
+    uniformly spaced in t, so the closest approach to a corner is ~(2n)^-q
+    per edge and nodes on adjacent edges can never collide (a Gauss rule
+    would add its own quadratic endpoint clustering on top of the grading
+    and drive nodes into the corners at machine precision for n in the
+    hundreds).  Weights are normalised per edge so constants integrate
+    exactly.  Corners are never nodes, so every node carries a well-defined
+    edge normal; curvature is zero along straight edges.
     """
     if n < MIN_NODES:
         raise TooCoarseError(f"need at least {MIN_NODES} nodes per edge, got {n}")
@@ -279,7 +280,7 @@ def discretize_polygon(spec: ShapeSpec, n: int, grading: float = 3.0) -> Discret
     if signed_area < 0:
         verts = verts[::-1]
 
-    q = float(grading)
+    q = POLYGON_GRADING
     t = (np.arange(n) + 0.5) / n  # midpoints on (0, 1), corners excluded
     tq, uq = t**q, (1.0 - t) ** q
     w = tq / (tq + uq)
@@ -424,16 +425,16 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
 # dispatch ----------------------------------------------------------------
 
 
-def discretize(spec: ShapeSpec, n: int, **kwargs) -> DiscretizedBoundary:
+def discretize(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     """Route a ShapeSpec to the appropriate discretizer."""
     if spec.kind in ("disk", "ellipse", "flower"):
         return discretize_parametric(spec, n)
     if spec.kind == "polygon":
-        return discretize_polygon(spec, n, **kwargs)
+        return discretize_polygon(spec, n)
     if spec.kind == "lemniscate":
         poly = lemniscate_poly(spec.params["poles"], spec.params["level"])
-        return trace_implicit(poly, n=n, **kwargs)
+        return trace_implicit(poly, n=n)
     if spec.kind == "implicit":
         box = spec.params.get("box", DEFAULT_BOX)
-        return trace_implicit(spec.params["poly"], box=box, n=n, **kwargs)
+        return trace_implicit(spec.params["poly"], box=box, n=n)
     raise ValueError(f"unknown shape kind {spec.kind!r}")

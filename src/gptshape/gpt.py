@@ -51,22 +51,6 @@ def k_of_lambda(lam) -> float:
     return (2.0 * lam + 1.0) / (2.0 * lam - 1.0)
 
 
-@dataclass(frozen=True)
-class Contrast:
-    """Conductivity contrast and its spectral parameter, kept consistent."""
-
-    k: float
-    lam: float
-
-    @classmethod
-    def from_k(cls, k):
-        return cls(float(k) if k != math.inf else math.inf, lambda_of_k(k))
-
-    @classmethod
-    def from_lambda(cls, lam):
-        return cls(k_of_lambda(lam), float(lam))
-
-
 def _row_alphas(row_degree: int):
     return [multiindex_at(i) for i in range(1, poly_dim(row_degree))]
 
@@ -160,6 +144,8 @@ class GptMatrix:
                 f"row_degree={row_degree}, got {entries.size}")
         if not np.all(np.isfinite(entries)):
             raise ConfigError("GPT entries must all be finite")
+        if not math.isfinite(lam):
+            raise ConfigError(f"GPT lambda must be finite, got {lam}")
         return cls(lam, d, row_degree, entries.reshape(shape), meta)
 
 

@@ -106,11 +106,6 @@ class Resolvent:
         return phi
 
 
-def resolve(npo: NpoMatrix, lam, f: np.ndarray) -> np.ndarray:
-    """One-shot resolvent solve; build a :class:`Resolvent` to reuse the factorization."""
-    return Resolvent(npo, lam).apply(f)
-
-
 def neumann_data(b: DiscretizedBoundary, alpha) -> np.ndarray:
     """Normal derivative of the monomial x^alpha sampled at the nodes."""
     a1, a2 = alpha

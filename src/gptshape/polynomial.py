@@ -296,6 +296,9 @@ def quad_form_matrix(form) -> np.ndarray:
 
 # boundedness ------------------------------------------------------------
 
+NEGLIGIBLE_BLOCK = 1e-8  # form block size, relative to the largest coefficient
+DEFINITE_EIG = 1e-10     # eigenvalue size, relative to the largest magnitude
+
 
 class Boundedness(enum.Enum):
     CERTIFIED_BOUNDED = "certified_bounded"
@@ -303,24 +306,24 @@ class Boundedness(enum.Enum):
     ODD_DEGREE_UNBOUNDED = "odd_degree_unbounded"
 
 
-def effective_degree(p: Poly2, rel_tol: float = 1e-8) -> int:
+def effective_degree(p: Poly2) -> int:
     """Highest degree whose form block is not negligible, -1 for zero.
 
-    A block counts as zero when all its entries are <= rel_tol times the
-    largest coefficient magnitude, which keeps recovery noise in trailing
-    blocks from inflating the degree.
+    A block counts as zero when all its entries are <= NEGLIGIBLE_BLOCK
+    times the largest coefficient magnitude, which keeps recovery noise in
+    trailing blocks from inflating the degree.
     """
     top = float(np.max(np.abs(p.coeffs))) if p.coeffs.size else 0.0
     if top == 0.0:
         return -1
     fb = to_forms(p)
     for j in range(p.degree, -1, -1):
-        if np.max(np.abs(fb.blocks[j])) > rel_tol * top:
+        if np.max(np.abs(fb.blocks[j])) > NEGLIGIBLE_BLOCK * top:
             return j
     return -1
 
 
-def boundedness_check(p: Poly2, rel_tol: float = 1e-8, tol_pd: float = 1e-10) -> Boundedness:
+def boundedness_check(p: Poly2) -> Boundedness:
     """Classify whether the zero set of p is certifiably bounded.
 
     Odd effective degree always gives an unbounded zero set.  For even
@@ -332,7 +335,7 @@ def boundedness_check(p: Poly2, rel_tol: float = 1e-8, tol_pd: float = 1e-10) ->
     not certify boundedness: x1^2 - x2^2 - 1 has a nonsingular leading
     form and an unbounded zero set.
     """
-    deg = effective_degree(p, rel_tol)
+    deg = effective_degree(p)
     if deg < 0:
         raise DegenerateInputError("zero polynomial has no meaningful zero set")
     if deg % 2 != 0:
@@ -340,7 +343,7 @@ def boundedness_check(p: Poly2, rel_tol: float = 1e-8, tol_pd: float = 1e-10) ->
     form = to_forms(p).blocks[deg]
     Q = quad_form_matrix(form)
     eig = np.linalg.eigvalsh(Q)
-    thresh = tol_pd * np.max(np.abs(eig))
+    thresh = DEFINITE_EIG * np.max(np.abs(eig))
     if np.all(eig > thresh) or np.all(eig < -thresh):
         return Boundedness.CERTIFIED_BOUNDED
     return Boundedness.INCONCLUSIVE

@@ -44,6 +44,7 @@ from .polynomial import Poly2
 
 AMBIGUOUS_GAP = 0.1
 CROSS_LAMBDA_TOL = 1e-3
+REDUCED_RESIDUAL_TOL = 1e-8
 DEFAULT_EPS_NZ = 1e-8
 
 
@@ -178,11 +179,7 @@ def scan(M: GptMatrix) -> list:
     return rows
 
 
-def recover_minimal_degree(
-    M: GptMatrix,
-    residual_tol: float = 1e-8,
-    eps_nz: float = DEFAULT_EPS_NZ,
-) -> RecoveryResult:
+def recover_minimal_degree(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
     """Recovery that drops to the smallest column degree holding a kernel.
 
     When the declared degree exceeds the degree of the minimal vanishing
@@ -196,10 +193,11 @@ def recover_minimal_degree(
     Columns of the matrix are graded-lex ordered, so its leading block
     ``M.truncate(d', M.row_degree)`` keeps exactly the kernel members of
     degree at most ``d'``.  Scanning ``d'`` upward and stopping at the
-    first unambiguous near-null direction therefore isolates the minimal
-    polynomial itself.  The reduced result carries a ``DegreeReduced``
-    flag; if no restriction resolves the ambiguity the full-matrix
-    recovery is returned unchanged (warning included).
+    first unambiguous near-null direction (residual at most
+    ``REDUCED_RESIDUAL_TOL``) therefore isolates the minimal polynomial
+    itself.  The reduced result carries a ``DegreeReduced`` flag; if no
+    restriction resolves the ambiguity the full-matrix recovery is
+    returned unchanged (warning included).
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -208,7 +206,7 @@ def recover_minimal_degree(
             return full
         for dprime in range(1, M.d):
             out = recover(M.truncate(dprime, M.row_degree), eps_nz)
-            if out.residual <= residual_tol and "AmbiguousKernel" not in out.flags:
+            if out.residual <= REDUCED_RESIDUAL_TOL and "AmbiguousKernel" not in out.flags:
                 return replace(out, flags=("DegreeReduced",))
     warnings.warn(
         f"kernel gap {full.kernel_gap:.3g} exceeds {AMBIGUOUS_GAP} and no "
@@ -257,21 +255,13 @@ def recover_crossvalidated(
     diff = float(np.max(np.abs(r1.g_hat.coeffs - r2.g_hat.coeffs)))
     if diff > CROSS_LAMBDA_TOL:
         best = r1 if r1.residual <= r2.residual else r2
-        flags = tuple(best.flags) + ("LambdaSuspect",)
         warnings.warn(
             f"recoveries at lambda={lam1} and lambda={lam2} differ by "
             f"{diff:.3g} in max coefficient; returning the smaller-residual "
             "result",
             stacklevel=2,
         )
-        return RecoveryResult(
-            g_hat=best.g_hat,
-            singular_values=best.singular_values,
-            kernel_gap=best.kernel_gap,
-            residual=best.residual,
-            lambda_used=best.lambda_used,
-            flags=flags,
-        )
+        return replace(best, flags=best.flags + ("LambdaSuspect",))
     return r1
 
 

@@ -26,7 +26,7 @@ within a factor of the best are refined and reported as alternates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -44,6 +44,15 @@ from .polynomial import (
 TWO_PI = 2.0 * math.pi
 
 
+def _similarity_matrix(s: float, theta: float, reflected: bool = False) -> np.ndarray:
+    """``s R(theta) F^r`` with ``F = diag(1, -1)`` and ``r = 1`` when reflected."""
+    c, sn = math.cos(theta), math.sin(theta)
+    R = np.array([[c, -sn], [sn, c]])
+    if reflected:
+        R[:, 1] = -R[:, 1]
+    return s * R
+
+
 @dataclass(frozen=True)
 class Similarity:
     """Rotation by ``theta`` composed with scaling by ``s > 0``."""
@@ -58,8 +67,7 @@ class Similarity:
 
     @property
     def matrix(self) -> np.ndarray:
-        c, sn = math.cos(self.theta), math.sin(self.theta)
-        return self.s * np.array([[c, -sn], [sn, c]])
+        return _similarity_matrix(self.s, self.theta)
 
     def inverse(self) -> "Similarity":
         return Similarity(1.0 / self.s, -self.theta)
@@ -69,26 +77,8 @@ class Similarity:
         return pts @ self.matrix.T
 
 
-@dataclass(frozen=True)
-class LiftedTransform:
-    """Action of a 2x2 matrix on degree-``d`` form coefficients."""
-
-    degree: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float, copy=True)
-        if m.shape != (self.degree + 1, self.degree + 1):
-            raise ValueError(
-                f"lift of degree {self.degree} must be "
-                f"{self.degree + 1}x{self.degree + 1}, got {m.shape}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def lift(A, d: int) -> LiftedTransform:
-    """Lift a 2x2 matrix to its action on degree-``d`` monomials.
+def lift(A, d: int) -> np.ndarray:
+    """Lift a 2x2 matrix to its ``(d+1) x (d+1)`` action on degree-``d`` monomials.
 
     Row ``h`` expands ``(a11 x1 + a12 x2)^{d-h} (a21 x1 + a22 x2)^h`` by the
     binomial theorem; the two coefficient sequences are convolved to give
@@ -110,14 +100,14 @@ def lift(A, d: int) -> LiftedTransform:
             for j in range(h + 1)
         ])
         rows[h] = np.convolve(top, bot)
-    return LiftedTransform(d, rows)
+    return rows
 
 
 def _push_forward_matrix(p: Poly2, A: np.ndarray) -> Poly2:
     """Polynomial vanishing on ``A``-image of ``{p = 0}`` (A invertible)."""
     Ainv = np.linalg.inv(A)
     forms = to_forms(p)
-    blocks = [b @ lift(Ainv, j).matrix for j, b in enumerate(forms.blocks)]
+    blocks = [b @ lift(Ainv, j) for j, b in enumerate(forms.blocks)]
     return from_forms(FormBlocks(p.degree, tuple(blocks)))
 
 
@@ -128,22 +118,15 @@ def push_forward(p: Poly2, T: Similarity) -> Poly2:
 
 # matching ----------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class MatchOptions:
-    """Search controls for :func:`match`."""
-
-    n_theta: int = 180
-    n_scale: int = 40
-    scale_min: float = 0.1
-    scale_max: float = 10.0
-    threshold: float = 0.01
-    allow_reflection: bool = False
-    alternates_factor: float = 1.5
-    max_candidates: int = 16
-    refine_maxiter: int = 500
-    refine_xatol: float = 1e-10
-    keep_curve: bool = False
+# match search: a (theta, scale) grid, then Nelder-Mead on the best cells
+N_THETA = 180
+N_SCALE = 40
+SCALE_MIN = 0.1
+SCALE_MAX = 10.0
+ALTERNATES_FACTOR = 1.5
+MAX_CANDIDATES = 16
+REFINE_MAXITER = 500
+REFINE_XATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -156,7 +139,6 @@ class MatchResult:
     alternates: tuple = ()
     reflected: bool = False
     matched: bool = True
-    objective_curve: np.ndarray | None = None
 
     def to_json(self) -> dict:
         return {
@@ -182,14 +164,6 @@ def _blocks_unit(p: Poly2):
     return [np.asarray(b) / norm for b in forms.blocks]
 
 
-def _rotation(theta: float, reflected: bool) -> np.ndarray:
-    c, sn = math.cos(theta), math.sin(theta)
-    R = np.array([[c, -sn], [sn, c]])
-    if reflected:
-        R = R @ np.array([[1.0, 0.0], [0.0, -1.0]])
-    return R
-
-
 def _grid_objective(ref_blocks, obs_blocks, thetas, scales, reflected):
     """J on the (theta, scale) grid, exploiting lift(sB, j) = s^j lift(B, j)."""
     d = len(ref_blocks) - 1
@@ -197,11 +171,11 @@ def _grid_objective(ref_blocks, obs_blocks, thetas, scales, reflected):
     spow = scales[None, :] ** (-js[:, None])  # s^{-j}, shape (d+1, n_scale)
     J = np.empty((len(thetas), len(scales)))
     for it, theta in enumerate(thetas):
-        B = _rotation(-theta, reflected)  # inverse rotation; reflection is its own inverse
+        B = _similarity_matrix(1.0, theta, reflected).T  # inverse of the orthogonal map
         a = np.empty(d + 1)
         b = np.empty(d + 1)
         for j in range(d + 1):
-            v = ref_blocks[j] @ lift(B, j).matrix
+            v = ref_blocks[j] @ lift(B, j)
             a[j] = obs_blocks[j] @ v
             b[j] = v @ v
         num = a @ spow
@@ -212,21 +186,21 @@ def _grid_objective(ref_blocks, obs_blocks, thetas, scales, reflected):
 
 def _objective(ref: Poly2, obs_unit: np.ndarray, logs: float, theta: float,
                reflected: bool) -> float:
-    A = math.exp(logs) * _rotation(theta, reflected)
+    A = _similarity_matrix(math.exp(logs), theta, reflected)
     v = _push_forward_matrix(ref, A).coeffs
     nv = np.linalg.norm(v)
     return max(2.0 - 2.0 * abs(float(obs_unit @ v)) / nv, 0.0)
 
 
-def _refine(ref, obs_unit, logs0, theta0, reflected, opts):
+def _refine(ref, obs_unit, logs0, theta0, reflected):
     res = minimize(
         lambda x: _objective(ref, obs_unit, x[0], x[1], reflected),
         x0=[logs0, theta0],
         method="Nelder-Mead",
         options={
-            "xatol": opts.refine_xatol,
+            "xatol": REFINE_XATOL,
             "fatol": 1e-15,
-            "maxiter": opts.refine_maxiter,
+            "maxiter": REFINE_MAXITER,
         },
     )
     return float(res.x[0]), float(res.x[1]), float(res.fun)
@@ -249,18 +223,19 @@ def _local_minima(J):
     return np.logical_and.reduce(out)
 
 
-def match(g_ref: Poly2, g_obs: Poly2, opts: MatchOptions | None = None) -> MatchResult:
+def match(g_ref: Poly2, g_obs: Poly2, threshold: float = 0.01,
+          allow_reflection: bool = False) -> MatchResult:
     """Find the similarity mapping the reference zero set onto the observed one.
 
     Both inputs are unit-normalized internally, so only the shapes of the
     coefficient vectors matter.  The search runs over rotations and scales
-    (plus reflections when ``opts.allow_reflection``), coarse grid first,
-    then simplex refinement; ``epsilon_match`` is the square root of the
-    final objective.  Grid minima within ``opts.alternates_factor`` of the
-    best are refined too and reported as alternates, which is how a shape's
+    (plus reflections when ``allow_reflection``), coarse grid first, then
+    simplex refinement; ``epsilon_match`` is the square root of the final
+    objective, and the result counts as matched when it is at most
+    ``threshold``.  Grid minima within ``ALTERNATES_FACTOR`` of the best are
+    refined too and reported as alternates, which is how a shape's
     rotational symmetry group shows up in the output.
     """
-    opts = opts or MatchOptions()
     if g_ref.degree != g_obs.degree:
         raise DegreeMismatchError(
             f"degree bounds differ: reference {g_ref.degree}, observed "
@@ -276,19 +251,16 @@ def match(g_ref: Poly2, g_obs: Poly2, opts: MatchOptions | None = None) -> Match
     obs_blocks = _blocks_unit(g_obs)
     obs_unit = from_forms(FormBlocks(g_obs.degree, tuple(obs_blocks))).coeffs
 
-    thetas = np.linspace(0.0, TWO_PI, opts.n_theta, endpoint=False)
-    scales = np.geomspace(opts.scale_min, opts.scale_max, opts.n_scale)
-    branches = (False, True) if opts.allow_reflection else (False,)
+    thetas = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
+    scales = np.geomspace(SCALE_MIN, SCALE_MAX, N_SCALE)
+    branches = (False, True) if allow_reflection else (False,)
 
     candidates = []  # (J_grid, logs, theta, reflected)
-    curve = None
     for reflected in branches:
         J = _grid_objective(ref_blocks, obs_blocks, thetas, scales, reflected)
-        if not reflected and opts.keep_curve:
-            curve = J
         best_eps = math.sqrt(float(J.min()))
         keep = _local_minima(J) & (
-            np.sqrt(J) <= opts.alternates_factor * best_eps + 1e-9
+            np.sqrt(J) <= ALTERNATES_FACTOR * best_eps + 1e-9
         )
         for it, isc in zip(*np.nonzero(keep)):
             candidates.append(
@@ -297,10 +269,10 @@ def match(g_ref: Poly2, g_obs: Poly2, opts: MatchOptions | None = None) -> Match
 
     # a rotation-invariant shape turns the whole theta axis into tied grid
     # minima; refine only the best few cells
-    candidates = sorted(candidates, key=lambda c: c[0])[: opts.max_candidates]
+    candidates = sorted(candidates, key=lambda c: c[0])[:MAX_CANDIDATES]
     refined = []
     for _, logs0, theta0, reflected in candidates:
-        logs, theta, J = _refine(g_ref, obs_unit, logs0, theta0, reflected, opts)
+        logs, theta, J = _refine(g_ref, obs_unit, logs0, theta0, reflected)
         refined.append((J, logs, theta, reflected))
 
     refined.sort(key=lambda r: r[0])
@@ -320,14 +292,14 @@ def match(g_ref: Poly2, g_obs: Poly2, opts: MatchOptions | None = None) -> Match
     best = Similarity(math.exp(logs_best), theta_best)
     eps_best = math.sqrt(J_best)
 
-    A = best.matrix @ (np.diag([1.0, -1.0]) if refl_best else np.eye(2))
-    v = _push_forward_matrix(g_ref, A).coeffs
+    v = _push_forward_matrix(
+        g_ref, _similarity_matrix(best.s, best.theta, refl_best)).coeffs
     sign = 1 if float(obs_unit @ v) >= 0 else -1
 
     alternates = tuple(
         (Similarity(math.exp(lg), th), math.sqrt(J))
         for J, lg, th, _ in unique[1:]
-        if math.sqrt(J) <= opts.alternates_factor * eps_best + 1e-9
+        if math.sqrt(J) <= ALTERNATES_FACTOR * eps_best + 1e-9
     )
     return MatchResult(
         best=best,
@@ -335,6 +307,5 @@ def match(g_ref: Poly2, g_obs: Poly2, opts: MatchOptions | None = None) -> Match
         sign=sign,
         alternates=alternates,
         reflected=refl_best,
-        matched=eps_best <= opts.threshold,
-        objective_curve=curve,
+        matched=eps_best <= threshold,
     )

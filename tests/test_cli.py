@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -12,11 +14,15 @@ from gptshape.gpt import assemble_gpt
 from gptshape.npo import NpoMatrix, assemble, load_npo
 from gptshape.polynomial import Poly2
 
-CLI = [sys.executable, "-m", "gptshape"]
-
-
-def run(*args, cwd=None):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, cwd=cwd)
+def run(*args):
+    """``gptshape ARGS`` in this process: exit code and captured output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse usage errors, --help, --version
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def write_poly(path, p):
@@ -110,6 +116,29 @@ def test_gpt_shape_file(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+@pytest.mark.parametrize("shape, message", [
+    ({"kind": "ellipse"}, "KeyError: 'a'"),
+    ({"a": 1}, "KeyError: 'kind'"),
+    ([1, 2], "TypeError"),
+    ({"kind": "pentagon"}, "unknown shape kind"),
+], ids=["ellipse-no-axes", "no-kind", "list", "unknown-kind"])
+def test_gpt_malformed_shape_file_is_config_error(tmp_path, capsys, shape, message):
+    sf = tmp_path / "shape.json"
+    sf.write_text(json.dumps(shape))
+    assert cli.main(["gpt", "--shape-file", str(sf), "--n", "64", "--d", "1",
+                     "--out", str(tmp_path / "M.json")]) == 1
+    err = capsys.readouterr().err
+    assert "malformed shape" in err and message in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("petals", ["2.5", "-5", "0"])
+def test_flower_petals_must_be_a_positive_integer(tmp_path, capsys, petals):
+    assert cli.main(["gpt", "--shape", f"flower:1,0.3,{petals}", "--n", "64",
+                     "--d", "1", "--out", str(tmp_path / "M.json")]) == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
 # recover ------------------------------------------------------------------------
 
 
@@ -178,9 +207,10 @@ def _edit(change):  # edit the JSON object in place, then serialize it
     (_edit(lambda obj: obj.__setitem__("d", "two")), "ValueError"),
     (lambda obj: json.dumps([obj]), "TypeError"),
     (lambda obj: json.dumps(obj)[:-20], "not valid JSON"),
+    (_edit(lambda obj: obj.__setitem__("lambda", math.nan)), "lambda must be finite"),
 ], ids=["nan-entry", "short-entries", "zero-degree", "no-d", "no-lambda",
         "no-entries", "ragged-entries", "text-degree", "top-level-list",
-        "truncated-file"])
+        "truncated-file", "nan-lambda"])
 def test_recover_malformed_gpt_is_config_error(tmp_path, capsys, corrupt, message):
     b = discretize(ShapeSpec.disk(), 64)
     path = tmp_path / "M.json"
@@ -189,6 +219,22 @@ def test_recover_malformed_gpt_is_config_error(tmp_path, capsys, corrupt, messag
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, meta, message", [
+    (["--scan-degrees", "2"], {"shape": {"kind": "disk"}, "n": 64}, "KeyError: 'radius'"),
+    (["--cross-lambda", "3"], {"shape": ShapeSpec.disk().to_json(), "n": "abc"},
+     "ValueError"),
+], ids=["scan-degrees-no-radius", "cross-lambda-text-n"])
+def test_recover_malformed_meta_is_config_error(tmp_path, capsys, option, meta, message):
+    b = discretize(ShapeSpec.disk(), 64)
+    path = tmp_path / "M.json"
+    path.write_text(json.dumps(dict(assemble_gpt(b, assemble(b), 1.5, 2).to_json(),
+                                    meta=meta)))
+    assert cli.main(["recover", "--gpt", str(path)] + option) == 1
+    err = capsys.readouterr().err
+    assert "malformed shape" in err and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_recover_scan_degrees_table(tmp_path):
@@ -389,6 +435,8 @@ def test_no_subcommand_shows_help():
 
 
 def test_version_flag():
-    r = run("--version")
+    # the one subprocess test: it covers the ``python -m gptshape`` entry point
+    r = subprocess.run([sys.executable, "-m", "gptshape", "--version"],
+                       capture_output=True, text=True)
     assert r.returncode == 0
     assert r.stdout.strip()

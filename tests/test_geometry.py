@@ -84,14 +84,14 @@ def test_parametric_spectral_perimeter_convergence():
 
 def test_unit_square_area():
     sq = ShapeSpec.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    b = discretize_polygon(sq, 64, grading=3.0)
+    b = discretize_polygon(sq, 64)
     assert b.area() == pytest.approx(1.0, abs=1e-8)
     np.testing.assert_allclose(b.curvatures, 0.0)
 
 
 def test_triangle_perimeter():
     tri = ShapeSpec.polygon([(0, 0), (1, 0), (0.5, np.sqrt(3) / 2)])
-    b = discretize_polygon(tri, 64, grading=3.0)
+    b = discretize_polygon(tri, 64)
     assert b.perimeter() == pytest.approx(3.0, abs=1e-6)
     assert b.n == 3 * 64
 
@@ -185,8 +185,7 @@ def test_trace_open_curves_warn_and_empty_raises():
 
 
 def test_dispatch_and_csv_round_trip(tmp_path):
-    b = discretize(ShapeSpec.lemniscate([(1, 0), (-1, 0)], 0.2), 64,
-                   box=(-2, 2, -2, 2), grid=128)
+    b = discretize(ShapeSpec.lemniscate([(1, 0), (-1, 0)], 0.2), 64)
     path = tmp_path / "boundary.csv"
     b.save_csv(path)
     loaded = DiscretizedBoundary.load_csv(path)

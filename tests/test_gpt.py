@@ -8,7 +8,6 @@ from gptshape.acceptance import ellipse_first_order_pt
 from gptshape.errors import NoContrastError, NotHarmonicError, TooCloseError
 from gptshape.geometry import ShapeSpec, discretize, discretize_parametric
 from gptshape.gpt import (
-    Contrast,
     FarFieldResult,
     GptMatrix,
     assemble_gpt,
@@ -41,9 +40,6 @@ def test_k_lambda_round_trip():
     for k in (0.25, 2.0, 5.0, 100.0):
         assert k_of_lambda(lambda_of_k(k)) == pytest.approx(k)
     assert k_of_lambda(0.5) == math.inf
-    c = Contrast.from_lambda(1.5)
-    assert c.k == pytest.approx(2.0)
-    assert Contrast.from_k(2.0).lam == pytest.approx(1.5)
 
 
 # disk oracle -----------------------------------------------------------------

@@ -13,7 +13,7 @@ from gptshape.geometry import (
     lemniscate_poly,
     trace_implicit,
 )
-from gptshape.npo import NpoMatrix, Resolvent, assemble, dump_npo, load_npo, neumann_data, resolve
+from gptshape.npo import NpoMatrix, Resolvent, assemble, dump_npo, load_npo, neumann_data
 
 
 def disk_npo(n=128):
@@ -82,11 +82,10 @@ def test_resolve_disk_eigenfunctions():
     b = npo.boundary
     t = np.arctan2(b.nodes[:, 1], b.nodes[:, 0])
     # K* kills mean-zero densities on a disk and halves constants
-    phi = resolve(npo, 1.5, np.cos(t))
-    np.testing.assert_allclose(phi, np.cos(t) / 1.5, atol=1e-10)
-    phi1 = resolve(npo, 1.5, np.ones(128))
-    np.testing.assert_allclose(phi1, 1.0, atol=1e-10)
-    np.testing.assert_allclose(resolve(npo, 1.5, np.zeros(128)), 0.0, atol=1e-14)
+    res = Resolvent(npo, 1.5)
+    np.testing.assert_allclose(res.apply(np.cos(t)), np.cos(t) / 1.5, atol=1e-10)
+    np.testing.assert_allclose(res.apply(np.ones(128)), 1.0, atol=1e-10)
+    np.testing.assert_allclose(res.apply(np.zeros(128)), 0.0, atol=1e-14)
 
 
 def test_resolvent_reuse_and_columns():
@@ -111,23 +110,23 @@ def test_resolvent_residual_bound():
 def test_lambda_inside_bound_rejected():
     npo = disk_npo(32)
     with pytest.raises(OutsideResolventBoundError):
-        resolve(npo, 0.4, np.ones(32))
+        Resolvent(npo, 0.4).apply(np.ones(32))
     with pytest.raises(OutsideResolventBoundError):
-        resolve(npo, -0.5, np.ones(32))
+        Resolvent(npo, -0.5).apply(np.ones(32))
 
 
 def test_near_singular_detected():
     npo = disk_npo(32)
     # 0.5 is an exact eigenvalue of A on the disk; approach it from outside
     with pytest.raises((NearSingularError, OutsideResolventBoundError)):
-        resolve(npo, 0.5 + 1e-15, np.ones(32))
+        Resolvent(npo, 0.5 + 1e-15).apply(np.ones(32))
 
 
 def test_complex_lambda_supported():
     npo = disk_npo(64)
     t = np.arctan2(npo.boundary.nodes[:, 1], npo.boundary.nodes[:, 0])
     lam = 1.5 + 0.3j
-    phi = resolve(npo, lam, np.cos(t))
+    phi = Resolvent(npo, lam).apply(np.cos(t))
     np.testing.assert_allclose(phi, np.cos(t) / lam, atol=1e-10)
 
 
@@ -136,7 +135,7 @@ def test_neumann_series_agrees_with_direct_solve():
     npo = assemble(b)
     f = neumann_data(b, (1, 0))
     mu = 0.3  # (I - mu A)^{-1} f = (1/mu) ((1/mu) I - A)^{-1} f
-    direct = resolve(npo, 1.0 / mu, f) / mu
+    direct = Resolvent(npo, 1.0 / mu).apply(f) / mu
     series = np.zeros_like(f)
     term = f.copy()
     for _ in range(60):

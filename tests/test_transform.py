@@ -13,8 +13,6 @@ from gptshape.errors import (
 from gptshape.geometry import lemniscate_poly
 from gptshape.polynomial import Poly2, to_forms
 from gptshape.transform import (
-    LiftedTransform,
-    MatchOptions,
     MatchResult,
     Similarity,
     _push_forward_matrix,
@@ -53,25 +51,25 @@ def test_similarity_rejects_bad_scale():
 
 def test_lift_identity():
     for d in range(5):
-        np.testing.assert_allclose(lift(np.eye(2), d).matrix, np.eye(d + 1), atol=0)
+        np.testing.assert_allclose(lift(np.eye(2), d), np.eye(d + 1), atol=0)
 
 
 def test_lift_pure_scaling():
     for d, s in [(1, 2.0), (3, 0.5), (4, 3.0)]:
         np.testing.assert_allclose(
-            lift(s * np.eye(2), d).matrix, s**d * np.eye(d + 1), atol=1e-14)
+            lift(s * np.eye(2), d), s**d * np.eye(d + 1), atol=1e-14)
 
 
 def test_lift_quarter_rotation_degree_two():
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
     want = [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
-    np.testing.assert_allclose(lift(A, 2).matrix, want, atol=1e-15)
+    np.testing.assert_allclose(lift(A, 2), want, atol=1e-15)
 
 
 def test_lift_degree_one_is_the_matrix_itself():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(lift(A, 1).matrix, A, atol=0)
-    np.testing.assert_allclose(lift(A, 0).matrix, [[1.0]], atol=0)
+    np.testing.assert_allclose(lift(A, 1), A, atol=0)
+    np.testing.assert_allclose(lift(A, 0), [[1.0]], atol=0)
 
 
 def test_lift_brute_force_expansion_oracle():
@@ -82,7 +80,7 @@ def test_lift_brute_force_expansion_oracle():
     for _ in range(100):
         d = int(rng.integers(1, 7))
         A = rng.uniform(-2.0, 2.0, size=(2, 2))
-        L = lift(A, d).matrix
+        L = lift(A, d)
         top = Poly2.from_terms({(1, 0): A[0, 0], (0, 1): A[0, 1]})
         bot = Poly2.from_terms({(1, 0): A[1, 0], (0, 1): A[1, 1]})
         for h in range(d + 1):
@@ -102,8 +100,8 @@ def test_lift_multiplicative():
         d = int(rng.integers(0, 7))
         A = rng.uniform(-2.0, 2.0, size=(2, 2))
         B = rng.uniform(-2.0, 2.0, size=(2, 2))
-        left = lift(A @ B, d).matrix
-        right = lift(A, d).matrix @ lift(B, d).matrix
+        left = lift(A @ B, d)
+        right = lift(A, d) @ lift(B, d)
         np.testing.assert_allclose(
             left, right, atol=1e-12 * (1 + np.max(np.abs(left))))
 
@@ -111,8 +109,6 @@ def test_lift_multiplicative():
 def test_lift_shape_validation():
     with pytest.raises(ValueError):
         lift(np.eye(3), 2)
-    with pytest.raises(ValueError):
-        LiftedTransform(2, np.eye(2))
 
 
 # push forward ----------------------------------------------------------------
@@ -253,21 +249,22 @@ def test_match_zero_reference_rejected():
         match(Poly2.zero(2), g_obs)
 
 
-def test_match_reflection_branch():
+@pytest.mark.parametrize("theta", [0.4, 0.9, 2.0, 5.2])
+def test_match_reflection_branch(theta):
     # chiral shape: three asymmetric poles; only the reflection branch can
     # reach an observation built from an orientation-reversing map
     g_ref = lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (0.2, -0.9)], 0.05)
-    A = 1.3 * np.array([[math.cos(0.4), -math.sin(0.4)],
-                        [math.sin(0.4), math.cos(0.4)]]) @ np.diag([1.0, -1.0])
+    A = 1.3 * np.array([[math.cos(theta), -math.sin(theta)],
+                        [math.sin(theta), math.cos(theta)]]) @ np.diag([1.0, -1.0])
     g_obs = _push_forward_matrix(g_ref, A)
     plain = match(g_ref, g_obs)
     assert plain.epsilon_match > 0.01
     assert not plain.reflected
-    ext = match(g_ref, g_obs, MatchOptions(allow_reflection=True))
+    ext = match(g_ref, g_obs, allow_reflection=True)
     assert ext.epsilon_match <= 1e-6
     assert ext.reflected
     assert ext.best.s == pytest.approx(1.3, rel=1e-3)
-    assert angle_dist(ext.best.theta, 0.4) <= 1e-3
+    assert angle_dist(ext.best.theta, theta) <= 1e-3
 
 
 def test_match_result_json():
@@ -281,11 +278,3 @@ def test_match_result_json():
         assert set(alt) == {"s", "theta", "eps"}
     assert isinstance(MatchResult(Similarity(1.0, 0.0), 0.0, 1), MatchResult)
 
-
-def test_match_objective_curve_kept_on_request():
-    p = Poly2.from_terms({(2, 0): 1.0, (0, 2): 4.0, (0, 0): -4.0})
-    opts = MatchOptions(keep_curve=True, n_theta=36, n_scale=10)
-    out = match(p, p, opts)
-    assert out.objective_curve is not None
-    assert out.objective_curve.shape == (36, 10)
-    assert match(p, p).objective_curve is None
