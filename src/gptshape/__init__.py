@@ -16,7 +16,6 @@ from .errors import (
 )
 from .polynomial import (
     Boundedness,
-    FormBlocks,
     Poly2,
     boundedness_check,
     effective_degree,
@@ -88,7 +87,6 @@ __all__ = [
     "ConfigError",
     "DiscretizedBoundary",
     "FarFieldResult",
-    "FormBlocks",
     "GptMatrix",
     "GptShapeError",
     "LambdaEstimate",

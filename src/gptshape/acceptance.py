@@ -166,7 +166,7 @@ def _lift_oracle():
         top = Poly2.from_terms({(1, 0): A[0, 0], (0, 1): A[0, 1]})
         bot = Poly2.from_terms({(1, 0): A[1, 0], (0, 1): A[1, 1]})
         for h in range(d + 1):
-            want = to_forms(reduce(mul, [top] * (d - h) + [bot] * h)).blocks[d]
+            want = to_forms(reduce(mul, [top] * (d - h) + [bot] * h))[d]
             worst = max(worst, float(np.max(np.abs(L[h] - want)))
                         / (1.0 + float(np.max(np.abs(want)))))
     return worst <= 1e-12, f"oracle err {worst:.2e} (<=1e-12) over 100 draws d<=6"

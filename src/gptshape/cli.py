@@ -83,9 +83,7 @@ def parse_shape(text: str) -> ShapeSpec:
             raise ConfigError("flower takes base,amplitude,petals[,missing]")
         if not args:
             return ShapeSpec.flower()
-        if not (args[2] >= 1 and args[2].is_integer()):
-            raise ConfigError(f"flower petals must be a positive integer, got {args[2]:g}")
-        return ShapeSpec.flower(args[0], args[1], int(args[2]),
+        return ShapeSpec.flower(args[0], args[1], args[2],
                                 missing_petal=bool(args[3]) if len(args) == 4 else False)
     if kind == "triangle":
         if len(args) not in (0, 1):
@@ -268,7 +266,10 @@ def cmd_render(args) -> int:
     curves = extract(p, box=tuple(box), grid=args.grid, level=args.level)
     overlays = None
     if args.overlay:
-        boundary = DiscretizedBoundary.load_csv(args.overlay)
+        try:
+            boundary = DiscretizedBoundary.load_csv(args.overlay)
+        except ValueError as exc:
+            raise ConfigError(f"{args.overlay} is not a boundary CSV: {exc}") from exc
         overlays = [boundary.nodes[boundary.component_id == c]
                     for c in sorted(set(int(v) for v in boundary.component_id))]
     export_svg(curves, args.out, overlays=overlays)

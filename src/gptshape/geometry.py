@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._marching import marching_squares
-from .errors import InvalidPolygonError, NoCurveFoundError, TooCoarseError
+from .errors import ConfigError, InvalidPolygonError, NoCurveFoundError, TooCoarseError
 from .polynomial import Poly2, partial
 
 MIN_NODES = 16
@@ -83,17 +83,35 @@ class DiscretizedBoundary:
 
     @classmethod
     def load_csv(cls, path) -> "DiscretizedBoundary":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        """Read a file written by :meth:`save_csv`; ValueError if it is not one."""
+        with open(path) as fh:
+            rows = fh.read().splitlines()[1:]
+        if not rows:
+            raise ValueError("no node rows")
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        if data.shape[1] != 7:
+            raise ValueError(f"expected 7 columns, got {data.shape[1]}")
         return cls(data[:, 0:2], data[:, 2:4], data[:, 4], data[:, 5],
                    data[:, 6].astype(int))
 
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Declarative shape description; build with the class methods."""
+    """Declarative shape description; build with the class methods.
+
+    The constructors are the one path into a spec, for the command-line
+    DSL and for JSON alike, so each one checks its parameters: every
+    number must be finite, and a flower needs a positive integer petal
+    count and ``|amplitude| < base``.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key, val in self.params.items():
+            if not isinstance(val, Poly2) and not np.all(np.isfinite(val)):
+                raise ConfigError(f"{self.kind} {key} must be finite, got {val!r}")
 
     @classmethod
     def disk(cls, radius=1.0, center=(0.0, 0.0)):
@@ -107,10 +125,16 @@ class ShapeSpec:
     @classmethod
     def flower(cls, base=1.0, amplitude=0.3, petals=5, missing_petal=False,
                center=(0.0, 0.0)):
-        return cls("flower", {"base": float(base), "amplitude": float(amplitude),
+        if not (petals >= 1 and float(petals).is_integer()):
+            raise ConfigError(f"flower petals must be a positive integer, got {petals:g}")
+        spec = cls("flower", {"base": float(base), "amplitude": float(amplitude),
                               "petals": int(petals),
                               "missing_petal": bool(missing_petal),
                               "center": tuple(center)})
+        amp, r0 = spec.params["amplitude"], spec.params["base"]
+        if not abs(amp) < r0:
+            raise ConfigError(f"flower needs |amplitude| < base, got {amp:g} and {r0:g}")
+        return spec
 
     @classmethod
     def polygon(cls, vertices):
@@ -133,11 +157,22 @@ class ShapeSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShapeSpec":
-        obj = dict(obj)
-        kind = obj.pop("kind")
+        """Rebuild a spec through the constructor of its kind, which checks it."""
+        kind = obj["kind"]
+        if kind == "disk":
+            return cls.disk(obj["radius"], obj["center"])
+        if kind == "ellipse":
+            return cls.ellipse(obj["a"], obj["b"], obj["center"], obj["tilt"])
+        if kind == "flower":
+            return cls.flower(obj["base"], obj["amplitude"], obj["petals"],
+                              obj.get("missing_petal", False), obj.get("center", (0.0, 0.0)))
+        if kind == "polygon":
+            return cls.polygon(obj["vertices"])
+        if kind == "lemniscate":
+            return cls.lemniscate(obj["poles"], obj["level"])
         if kind == "implicit":
-            obj["poly"] = Poly2.from_json(obj["poly"])
-        return cls(kind, obj)
+            return cls.implicit(Poly2.from_json(obj["poly"]), obj.get("box", DEFAULT_BOX))
+        raise ValueError(f"unknown shape kind {kind!r}")
 
 
 def lemniscate_poly(poles, level) -> Poly2:
@@ -194,12 +229,9 @@ def discretize_parametric(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     if n < MIN_NODES:
         raise TooCoarseError(f"need at least {MIN_NODES} nodes, got {n}")
     p = spec.params
-    if spec.kind == "disk":
-        r, (cx, cy) = p["radius"], p["center"]
-        xfun = lambda t: np.column_stack([cx + r * np.cos(t), cy + r * np.sin(t)])
-        dxfun = lambda t: np.column_stack([-r * np.sin(t), r * np.cos(t)])
-        ddxfun = lambda t: np.column_stack([-r * np.cos(t), -r * np.sin(t)])
-    elif spec.kind == "ellipse":
+    if spec.kind == "disk":  # the one-petal flower of amplitude 0, bit for bit
+        p = {"base": p["radius"], "amplitude": 0.0, "petals": 1, "center": p["center"]}
+    if spec.kind == "ellipse":
         a, b, (cx, cy), tilt = p["a"], p["b"], p["center"], p["tilt"]
         R = np.array([[np.cos(tilt), -np.sin(tilt)], [np.sin(tilt), np.cos(tilt)]])
 
@@ -212,7 +244,7 @@ def discretize_parametric(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
         xfun = lambda t: xfun0(t) + np.array([cx, cy])
         dxfun = make(lambda t: -a * np.sin(t), lambda t: b * np.cos(t))
         ddxfun = make(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t))
-    elif spec.kind == "flower":
+    elif spec.kind in ("disk", "flower"):
         r0, amp, m = p["base"], p["amplitude"], p["petals"]
         if p.get("missing_petal", False):
             # suppress the petal at t = 0 with the smooth window (1 - cos t)/2

@@ -21,6 +21,7 @@ solves many right-hand sides.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,13 +127,17 @@ def dump_npo(npo: NpoMatrix, path) -> None:
 
 
 def load_npo(path) -> np.ndarray:
-    """Read back a matrix written by :func:`dump_npo` (matrix only)."""
+    """Read back a matrix written by :func:`dump_npo` (matrix only).
+
+    The file size is checked against the header's n before any data is
+    read, so a corrupt header raises ValueError instead of allocating.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not an NPO dump (magic {magic!r})")
-        n = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-        if data.size != n * n:
+        head = fh.read(16)
+        if head[:8] != _MAGIC:
+            raise ValueError(f"not an NPO dump (magic {head[:8]!r})")
+        n = int.from_bytes(head[8:], "little")
+        if len(head) < 16 or os.fstat(fh.fileno()).st_size < 16 + 8 * n * n:
             raise ValueError("truncated NPO dump")
+        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
         return data.reshape(n, n).copy()

@@ -10,7 +10,7 @@ block::
 
 A polynomial of degree bound ``d`` stores one coefficient per multi-index
 of degree <= d, i.e. ``poly_dim(d) = (d+1)(d+2)/2`` numbers.  The
-homogeneous-form view (:class:`FormBlocks`) regroups the same numbers by
+homogeneous-form view (:func:`to_forms`) regroups the same numbers by
 degree, each block in the descending-power basis
 ``x1^j, x1^(j-1)*x2, ..., x2^j`` that the similarity lift in
 :mod:`gptshape.transform` acts on.
@@ -90,10 +90,6 @@ class Poly2:
         for alpha, val in terms.items():
             c[ordinal(alpha)] += val
         return cls(degree, c)
-
-    @classmethod
-    def monomial(cls, alpha, coefficient: float = 1.0) -> "Poly2":
-        return cls.from_terms({tuple(alpha): coefficient})
 
     # evaluation ---------------------------------------------------------
 
@@ -227,46 +223,23 @@ def harmonic_monomial(m: int, kind: str = "re") -> Poly2:
 # homogeneous-form view -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormBlocks:
-    """Coefficients regrouped by homogeneous degree.
+def to_forms(p: Poly2) -> list:
+    """Split a polynomial into homogeneous blocks (lossless).
 
-    ``blocks[j]`` has length j+1 and holds the coefficients of
+    Block j has length j+1 and holds the coefficients of
     ``x1^j, x1^(j-1)*x2, ..., x2^j`` in that order (descending power of x1,
     which is the reverse of the in-block graded lex order).
     """
-
-    degree: int
-    blocks: tuple
-
-    def __post_init__(self):
-        if len(self.blocks) != self.degree + 1:
-            raise ValueError("need one block per degree 0..d")
-        frozen = []
-        for j, b in enumerate(self.blocks):
-            b = np.array(b, dtype=float, copy=True).reshape(-1)
-            if b.size != j + 1:
-                raise ValueError(f"block {j} must have length {j + 1}, got {b.size}")
-            b.setflags(write=False)
-            frozen.append(b)
-        object.__setattr__(self, "blocks", tuple(frozen))
+    return [p.coeffs[ordinal((0, j)):ordinal((j, 0)) + 1][::-1].copy()
+            for j in range(p.degree + 1)]
 
 
-def to_forms(p: Poly2) -> FormBlocks:
-    """Split a polynomial into homogeneous blocks (lossless)."""
-    blocks = []
-    for j in range(p.degree + 1):
-        blocks.append(np.array([p.coeffs[ordinal((j - h, h))] for h in range(j + 1)]))
-    return FormBlocks(p.degree, tuple(blocks))
-
-
-def from_forms(fb: FormBlocks) -> Poly2:
-    """Inverse of :func:`to_forms`."""
-    c = np.zeros(poly_dim(fb.degree))
-    for j, block in enumerate(fb.blocks):
-        for h, val in enumerate(block):
-            c[ordinal((j - h, h))] = val
-    return Poly2(fb.degree, c)
+def from_forms(blocks) -> Poly2:
+    """Inverse of :func:`to_forms`: one block per degree 0..d."""
+    if any(len(b) != j + 1 for j, b in enumerate(blocks)):
+        raise ValueError("block j must have length j + 1")
+    return Poly2(len(blocks) - 1, np.concatenate([np.asarray(b, dtype=float)[::-1]
+                                                  for b in blocks]))
 
 
 def quad_form_matrix(form) -> np.ndarray:
@@ -316,9 +289,9 @@ def effective_degree(p: Poly2) -> int:
     top = float(np.max(np.abs(p.coeffs))) if p.coeffs.size else 0.0
     if top == 0.0:
         return -1
-    fb = to_forms(p)
+    forms = to_forms(p)
     for j in range(p.degree, -1, -1):
-        if np.max(np.abs(fb.blocks[j])) > NEGLIGIBLE_BLOCK * top:
+        if np.max(np.abs(forms[j])) > NEGLIGIBLE_BLOCK * top:
             return j
     return -1
 
@@ -340,7 +313,7 @@ def boundedness_check(p: Poly2) -> Boundedness:
         raise DegenerateInputError("zero polynomial has no meaningful zero set")
     if deg % 2 != 0:
         return Boundedness.ODD_DEGREE_UNBOUNDED
-    form = to_forms(p).blocks[deg]
+    form = to_forms(p)[deg]
     Q = quad_form_matrix(form)
     eig = np.linalg.eigvalsh(Q)
     thresh = DEFINITE_EIG * np.max(np.abs(eig))

@@ -23,11 +23,14 @@ An ambiguous kernel most often means the declared degree overshoots the
 minimal vanishing polynomial, so the kernel holds all of its low-degree
 multiples; :func:`recover_minimal_degree` resolves that case by
 restricting columns to successively lower degrees.
+
+Every verdict lives in ``RecoveryResult.flags`` and nowhere else: no
+function here emits a Python warning, so a caller reads the flags and
+never has to silence anything.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -125,8 +128,8 @@ def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
 
     Returns the normalized polynomial together with the full singular
     spectrum, the kernel gap, and the residual.  A kernel gap above
-    ``AMBIGUOUS_GAP`` raises a warning and adds the ``AmbiguousKernel``
-    flag, but still returns the best direction found.
+    ``AMBIGUOUS_GAP`` adds the ``AmbiguousKernel`` flag, but the best
+    direction found is still returned.
     """
     entries = M.entries
     if entries.shape[0] <= entries.shape[1]:
@@ -142,15 +145,7 @@ def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
     g_hat = normalize(Poly2(M.d, v), eps_nz)
     gap = float(s[-1] / s[-2]) if s[-2] > 0 else np.inf
     residual = float(s[-1] / np.linalg.norm(entries))
-    flags = ()
-    if gap > AMBIGUOUS_GAP:
-        flags = ("AmbiguousKernel",)
-        warnings.warn(
-            f"kernel gap {gap:.3g} exceeds {AMBIGUOUS_GAP}: kernel is not "
-            "numerically one-dimensional (wrong degree bound, or lambda near "
-            "an exceptional value)",
-            stacklevel=2,
-        )
+    flags = ("AmbiguousKernel",) if gap > AMBIGUOUS_GAP else ()
     lam = M.lam.real if isinstance(M.lam, complex) else M.lam
     return RecoveryResult(
         g_hat=g_hat,
@@ -170,12 +165,9 @@ def scan(M: GptMatrix) -> list:
     raises ValueError unless ``M.row_degree >= 2 M.d``.
     """
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for d in range(1, M.d + 1):
-            out = recover(M.truncate(d))
-            rows.append({"d": d, "residual": out.residual,
-                         "kernel_gap": out.kernel_gap})
+    for d in range(1, M.d + 1):
+        out = recover(M.truncate(d))
+        rows.append({"d": d, "residual": out.residual, "kernel_gap": out.kernel_gap})
     return rows
 
 
@@ -197,22 +189,15 @@ def recover_minimal_degree(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> Reco
     ``REDUCED_RESIDUAL_TOL``) therefore isolates the minimal polynomial
     itself.  The reduced result carries a ``DegreeReduced`` flag; if no
     restriction resolves the ambiguity the full-matrix recovery is
-    returned unchanged (warning included).
+    returned unchanged, ``AmbiguousKernel`` flag included.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        full = recover(M, eps_nz)
-        if "AmbiguousKernel" not in full.flags:
-            return full
-        for dprime in range(1, M.d):
-            out = recover(M.truncate(dprime, M.row_degree), eps_nz)
-            if out.residual <= REDUCED_RESIDUAL_TOL and "AmbiguousKernel" not in out.flags:
-                return replace(out, flags=("DegreeReduced",))
-    warnings.warn(
-        f"kernel gap {full.kernel_gap:.3g} exceeds {AMBIGUOUS_GAP} and no "
-        "column-degree restriction resolves it",
-        stacklevel=2,
-    )
+    full = recover(M, eps_nz)
+    if "AmbiguousKernel" not in full.flags:
+        return full
+    for dprime in range(1, M.d):
+        out = recover(M.truncate(dprime, M.row_degree), eps_nz)
+        if out.residual <= REDUCED_RESIDUAL_TOL and "AmbiguousKernel" not in out.flags:
+            return replace(out, flags=("DegreeReduced",))
     return full
 
 
@@ -237,12 +222,8 @@ def recover_crossvalidated(
         raise ValueError("cross-validation needs two distinct lambda values")
     if npo is None:
         npo = assemble(boundary)
-    results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for lam in (lam1, lam2):
-            M = assemble_gpt(boundary, npo, lam, d, row_degree)
-            results.append(recover(M, eps_nz))
+    results = [recover(assemble_gpt(boundary, npo, lam, d, row_degree), eps_nz)
+               for lam in (lam1, lam2)]
     r1, r2 = results
     ambiguous = ["AmbiguousKernel" in r.flags for r in results]
     if all(ambiguous):
@@ -255,12 +236,6 @@ def recover_crossvalidated(
     diff = float(np.max(np.abs(r1.g_hat.coeffs - r2.g_hat.coeffs)))
     if diff > CROSS_LAMBDA_TOL:
         best = r1 if r1.residual <= r2.residual else r2
-        warnings.warn(
-            f"recoveries at lambda={lam1} and lambda={lam2} differ by "
-            f"{diff:.3g} in max coefficient; returning the smaller-residual "
-            "result",
-            stacklevel=2,
-        )
         return replace(best, flags=best.flags + ("LambdaSuspect",))
     return r1
 

@@ -1,6 +1,7 @@
 """Similarity transforms on polynomials and shape matching.
 
-A similarity ``A = s R(theta)`` acts on the degree-``d`` monomial vector
+A similarity ``A = s R(theta)``, optionally after the mirror
+``F = diag(1, -1)``, acts on the degree-``d`` monomial vector
 ``x_[d] = (x1^d, x1^{d-1} x2, ..., x2^d)`` through a lifted matrix
 ``A_[d]`` of size ``(d+1) x (d+1)``: row ``h`` of ``A_[d]`` holds the
 coefficients of ``(a11 x1 + a12 x2)^{d-h} (a21 x1 + a22 x2)^h`` in the
@@ -32,14 +33,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegreeMismatchError, UnboundedInputError, ZeroPolynomialError
-from .polynomial import (
-    Boundedness,
-    FormBlocks,
-    Poly2,
-    boundedness_check,
-    from_forms,
-    to_forms,
-)
+from .polynomial import Boundedness, Poly2, boundedness_check, from_forms, to_forms
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,21 +49,25 @@ def _similarity_matrix(s: float, theta: float, reflected: bool = False) -> np.nd
 
 @dataclass(frozen=True)
 class Similarity:
-    """Rotation by ``theta`` composed with scaling by ``s > 0``."""
+    """Scaling by ``s > 0`` and rotation by ``theta``, mirrored first when ``reflected``."""
 
     s: float
     theta: float
+    reflected: bool = False
 
     def __post_init__(self):
         if not (self.s > 0 and np.isfinite(self.s)):
             raise ValueError(f"scale must be positive and finite, got {self.s}")
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
+        object.__setattr__(self, "reflected", bool(self.reflected))
 
     @property
     def matrix(self) -> np.ndarray:
-        return _similarity_matrix(self.s, self.theta)
+        return _similarity_matrix(self.s, self.theta, self.reflected)
 
     def inverse(self) -> "Similarity":
+        if self.reflected:  # (s R F)^-1 = F R^T / s = R F / s
+            return Similarity(1.0 / self.s, self.theta, True)
         return Similarity(1.0 / self.s, -self.theta)
 
     def __call__(self, pts) -> np.ndarray:
@@ -106,9 +104,7 @@ def lift(A, d: int) -> np.ndarray:
 def _push_forward_matrix(p: Poly2, A: np.ndarray) -> Poly2:
     """Polynomial vanishing on ``A``-image of ``{p = 0}`` (A invertible)."""
     Ainv = np.linalg.inv(A)
-    forms = to_forms(p)
-    blocks = [b @ lift(Ainv, j) for j, b in enumerate(forms.blocks)]
-    return from_forms(FormBlocks(p.degree, tuple(blocks)))
+    return from_forms([b @ lift(Ainv, j) for j, b in enumerate(to_forms(p))])
 
 
 def push_forward(p: Poly2, T: Similarity) -> Poly2:
@@ -137,8 +133,11 @@ class MatchResult:
     epsilon_match: float
     sign: int
     alternates: tuple = ()
-    reflected: bool = False
     matched: bool = True
+
+    @property
+    def reflected(self) -> bool:
+        return self.best.reflected
 
     def to_json(self) -> dict:
         return {
@@ -150,7 +149,8 @@ class MatchResult:
             "reflected": bool(self.reflected),
             "matched": bool(self.matched),
             "alternates": [
-                {"s": float(t.s), "theta": float(t.theta), "eps": float(e)}
+                {"s": float(t.s), "theta": float(t.theta), "eps": float(e),
+                 **({"reflected": True} if t.reflected else {})}
                 for t, e in self.alternates
             ],
         }
@@ -158,10 +158,10 @@ class MatchResult:
 
 def _blocks_unit(p: Poly2):
     forms = to_forms(p)
-    norm = math.sqrt(sum(float(b @ b) for b in forms.blocks))
+    norm = math.sqrt(sum(float(b @ b) for b in forms))
     if norm == 0.0:
         raise ZeroPolynomialError("cannot match the zero polynomial")
-    return [np.asarray(b) / norm for b in forms.blocks]
+    return [b / norm for b in forms]
 
 
 def _grid_objective(ref_blocks, obs_blocks, thetas, scales, reflected):
@@ -249,7 +249,7 @@ def match(g_ref: Poly2, g_obs: Poly2, threshold: float = 0.01,
         )
     ref_blocks = _blocks_unit(g_ref)
     obs_blocks = _blocks_unit(g_obs)
-    obs_unit = from_forms(FormBlocks(g_obs.degree, tuple(obs_blocks))).coeffs
+    obs_unit = from_forms(obs_blocks).coeffs
 
     thetas = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
     scales = np.geomspace(SCALE_MIN, SCALE_MAX, N_SCALE)
@@ -288,24 +288,16 @@ def match(g_ref: Poly2, g_obs: Poly2, threshold: float = 0.01,
         if not dup:
             unique.append((J, logs, theta, reflected))
 
-    J_best, logs_best, theta_best, refl_best = unique[0]
-    best = Similarity(math.exp(logs_best), theta_best)
-    eps_best = math.sqrt(J_best)
-
-    v = _push_forward_matrix(
-        g_ref, _similarity_matrix(best.s, best.theta, refl_best)).coeffs
+    band = ALTERNATES_FACTOR * math.sqrt(unique[0][0]) + 1e-9
+    found = [(Similarity(math.exp(logs), theta, reflected), math.sqrt(J))
+             for J, logs, theta, reflected in unique if math.sqrt(J) <= band]
+    best, eps_best = found[0]
+    v = push_forward(g_ref, best).coeffs
     sign = 1 if float(obs_unit @ v) >= 0 else -1
-
-    alternates = tuple(
-        (Similarity(math.exp(lg), th), math.sqrt(J))
-        for J, lg, th, _ in unique[1:]
-        if math.sqrt(J) <= ALTERNATES_FACTOR * eps_best + 1e-9
-    )
     return MatchResult(
         best=best,
         epsilon_match=eps_best,
         sign=sign,
-        alternates=alternates,
-        reflected=refl_best,
+        alternates=tuple(found[1:]),
         matched=eps_best <= threshold,
     )

@@ -139,6 +139,25 @@ def test_flower_petals_must_be_a_positive_integer(tmp_path, capsys, petals):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source, message", [
+    (["--shape", "ellipse:nan,1"], "ellipse a must be finite"),
+    (["--shape", "disk:inf"], "disk radius must be finite"),
+    (["--shape", "flower:1,2,5"], "flower needs |amplitude| < base"),
+    ({"kind": "disk", "radius": math.nan, "center": [0.0, 0.0]}, "disk radius must be finite"),
+    ({"kind": "flower", "base": 1.0, "amplitude": 0.3, "petals": 2.5}, "positive integer"),
+], ids=["nan-axis", "inf-radius", "crossing-flower", "file-nan-radius", "file-half-petal"])
+def test_shape_dsl_and_file_run_the_same_checks(tmp_path, capsys, source, message):
+    if isinstance(source, dict):
+        sf = tmp_path / "shape.json"
+        sf.write_text(json.dumps(source))
+        source = ["--shape-file", str(sf)]
+    assert cli.main(["gpt", *source, "--n", "64", "--d", "1",
+                     "--out", str(tmp_path / "M.json")]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
 # recover ------------------------------------------------------------------------
 
 
@@ -347,6 +366,20 @@ def test_render_with_overlay(tmp_path):
             "--overlay", str(bnd), "--out", str(svg))
     assert r.returncode == 0, r.stderr
     assert svg.read_text().count("<path") == 2
+
+
+@pytest.mark.parametrize("rows", ["abc,def\n", "1,2,3\n4,5,6\n", ""],
+                         ids=["text", "three-columns", "header-only"])
+def test_render_malformed_overlay_is_config_error(tmp_path, capsys, rows):
+    g = tmp_path / "g.json"
+    write_poly(g, Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}))
+    bnd = tmp_path / "b.csv"
+    bnd.write_text("x,y,nx,ny,w,kappa,component\n" + rows)
+    assert cli.main(["render", "--poly", str(g), "--box", "-2,2,-2,2", "--grid", "64",
+                     "--overlay", str(bnd), "--out", str(tmp_path / "c.svg")]) == 1
+    err = capsys.readouterr().err
+    assert "is not a boundary CSV" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_render_empty_level_set_is_numeric_error(tmp_path):

@@ -1,10 +1,19 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
-from gptshape.errors import InvalidPolygonError, NoCurveFoundError, TooCoarseError
+from gptshape.errors import (
+    ConfigError,
+    InvalidPolygonError,
+    NoCurveFoundError,
+    TooCoarseError,
+)
 from gptshape.geometry import (
     DiscretizedBoundary,
     ShapeSpec,
+    _from_parametrization,
     discretize,
     discretize_parametric,
     discretize_polygon,
@@ -32,6 +41,22 @@ def test_unit_disk_nodes():
     np.testing.assert_allclose(b.weights, 2 * np.pi / 64, atol=1e-14)
     np.testing.assert_allclose(b.normals, b.nodes, atol=1e-12)
     np.testing.assert_allclose(np.hypot(b.normals[:, 0], b.normals[:, 1]), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 128, 255, 256, 512, 1024])
+def test_disk_is_the_closed_form_bit_for_bit(n):
+    # reference: c + r (cos t, sin t) and its first two derivatives, written out
+    for r in (1.0, 0.5, 2.0, 3.7, -1.0):
+        for cx, cy in ((0.0, 0.0), (0.3, -0.2), (1.5, 2.0)):
+            want = _from_parametrization(
+                lambda t: np.column_stack([cx + r * np.cos(t), cy + r * np.sin(t)]),
+                lambda t: np.column_stack([-r * np.sin(t), r * np.cos(t)]),
+                lambda t: np.column_stack([-r * np.cos(t), -r * np.sin(t)]), n)
+            got = discretize_parametric(ShapeSpec.disk(r, (cx, cy)), n)
+            for name in ("nodes", "normals", "weights", "curvatures", "component_id"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.array_equal(a, b), (r, cx, cy, name)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (r, cx, cy, name)
 
 
 def test_ellipse_area_and_identities():
@@ -204,6 +229,29 @@ def test_shape_spec_json_round_trip():
     imp = ShapeSpec.implicit(UNIT_CIRCLE, box=(-2, 2, -2, 2))
     again = ShapeSpec.from_json(imp.to_json())
     np.testing.assert_array_equal(again.params["poly"].coeffs, UNIT_CIRCLE.coeffs)
+    # a file written by to_json reads back to the same bytes, for every kind
+    for spec in (ShapeSpec.disk(0.5, (0.3, -0.2)), spec,
+                 ShapeSpec.flower(1.0, 0.3, 5, True, (0.1, 0.2)), triangle_spec(),
+                 ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2), imp):
+        text = json.dumps(spec.to_json(), sort_keys=True)
+        again = ShapeSpec.from_json(json.loads(text))
+        assert json.dumps(again.to_json(), sort_keys=True) == text
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "disk", "radius": float("nan"), "center": [0, 0]}, "finite"),
+    ({"kind": "disk", "radius": 1.0, "center": [0, float("inf")]}, "finite"),
+    ({"kind": "ellipse", "a": float("nan"), "b": 1.0, "center": [0, 0], "tilt": 0}, "finite"),
+    ({"kind": "lemniscate", "poles": [[1, float("nan")]], "level": 0.2}, "finite"),
+    ({"kind": "flower", "base": 1.0, "amplitude": 0.3, "petals": 2.5}, "positive integer"),
+    ({"kind": "flower", "base": 1.0, "amplitude": 0.3, "petals": 0}, "positive integer"),
+    ({"kind": "flower", "base": 1.0, "amplitude": 2.0, "petals": 5}, "|amplitude| < base"),
+    ({"kind": "flower", "base": 1.0, "amplitude": -1.0, "petals": 5}, "|amplitude| < base"),
+], ids=["nan-radius", "inf-centre", "nan-axis", "nan-pole", "half-petal", "no-petal",
+        "crossing-flower", "touching-flower"])
+def test_shape_spec_from_json_runs_the_constructor_checks(obj, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ShapeSpec.from_json(obj)
 
 
 def test_lemniscate_poly_values():

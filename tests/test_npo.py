@@ -188,6 +188,17 @@ def test_load_rejects_bad_magic(tmp_path):
         load_npo(path)
 
 
+def test_load_checks_size_against_header(tmp_path):
+    # 80 bytes whose header claims n = 2**31: rejected before any allocation
+    path = tmp_path / "lying.bin"
+    path.write_bytes(b"NPOMAT01" + (2**31).to_bytes(8, "little") + b"\x00" * 64)
+    with pytest.raises(ValueError, match="truncated"):
+        load_npo(path)
+    path.write_bytes(b"NPOMAT01")  # header cut short
+    with pytest.raises(ValueError, match="truncated"):
+        load_npo(path)
+
+
 def test_npo_matrix_validates_shape():
     b = discretize_parametric(ShapeSpec.disk(), 32)
     with pytest.raises(ValueError):

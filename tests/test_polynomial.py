@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gptshape.errors import DegenerateInputError, OddDegreeError
 from gptshape.polynomial import (
     Boundedness,
-    FormBlocks,
     Poly2,
     boundedness_check,
     effective_degree,
@@ -184,15 +183,16 @@ def test_wrong_length_rejected():
 
 
 def test_to_forms_ellipse():
-    fb = to_forms(ELLIPSE)
-    np.testing.assert_array_equal(fb.blocks[0], [-4.0])
-    np.testing.assert_array_equal(fb.blocks[1], [0.0, 0.0])
-    np.testing.assert_array_equal(fb.blocks[2], [1.0, 0.0, 4.0])
+    forms = to_forms(ELLIPSE)
+    np.testing.assert_array_equal(forms[0], [-4.0])
+    np.testing.assert_array_equal(forms[1], [0.0, 0.0])
+    np.testing.assert_array_equal(forms[2], [1.0, 0.0, 4.0])
 
 
 def test_to_forms_zero():
-    fb = to_forms(Poly2.zero(3))
-    assert all(np.all(b == 0.0) for b in fb.blocks)
+    forms = to_forms(Poly2.zero(3))
+    assert len(forms) == 4
+    assert all(np.all(b == 0.0) for b in forms)
 
 
 @settings(max_examples=60)
@@ -206,7 +206,7 @@ def test_forms_round_trip(degree, seed):
 def test_form_block_basis_convention():
     # block j lists x1^j, x1^(j-1) x2, ..., x2^j
     p = Poly2.from_terms({(3, 0): 7.0, (0, 3): -2.0, (2, 1): 1.0})
-    b3 = to_forms(p).blocks[3]
+    b3 = to_forms(p)[3]
     np.testing.assert_array_equal(b3, [7.0, 1.0, 0.0, -2.0])
 
 
@@ -325,6 +325,6 @@ def test_laplacian_of_ellipse():
     assert lap(np.zeros(2)) == pytest.approx(10.0)  # 2*1 + 2*4
 
 
-def test_form_blocks_validation():
+def test_from_forms_rejects_misshapen_blocks():
     with pytest.raises(ValueError):
-        FormBlocks(1, (np.array([1.0]),))
+        from_forms([np.array([1.0, 2.0]), np.array([3.0])])

@@ -158,11 +158,9 @@ def test_underdegreed_lemniscate_is_detectable():
     g_true = lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2)
     b = trace_implicit(g_true, n=256)
     npo = assemble(b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        shallow = recover(assemble_gpt(b, npo, 1.5, 2))
-        true_depth = recover(assemble_gpt(b, npo, 1.5, 4))
-        other = recover(assemble_gpt(b, npo, 3.0, 2))
+    shallow = recover(assemble_gpt(b, npo, 1.5, 2))
+    true_depth = recover(assemble_gpt(b, npo, 1.5, 4))
+    other = recover(assemble_gpt(b, npo, 3.0, 2))
     assert shallow.residual >= 1e-4
     assert shallow.residual >= 1e8 * true_depth.residual
     drift = np.max(np.abs(shallow.g_hat.coeffs - other.g_hat.coeffs))
@@ -204,9 +202,7 @@ def test_crossvalidated_underdegreed_is_flagged():
     g_true = lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2)
     b = trace_implicit(g_true, n=256)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = recover_crossvalidated(b, 2, 1.5, 3.0)
+        out = recover_crossvalidated(b, 2, 1.5, 3.0)
     except AmbiguousKernelError:
         return
     assert "LambdaSuspect" in out.flags
@@ -235,15 +231,28 @@ def test_minimal_degree_recovers_triangle_edge_lines():
     verts = [(np.cos(a), np.sin(a))
              for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)]
     _, M = gpt_of(ShapeSpec.polygon(verts), 256, 1.5, 4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        plain = recover(M)
+    plain = recover(M)
     assert "AmbiguousKernel" in plain.flags
     out = recover_minimal_degree(M)
     assert out.flags == ("DegreeReduced",)
     assert out.g_hat.degree == 3
     np.testing.assert_allclose(out.g_hat.coeffs, triangle_edge_product().coeffs,
                                atol=1e-10)
+
+
+def test_ambiguous_kernel_is_a_flag_not_a_warning():
+    # the triangle's degree-4 kernel is 3-dim; the verdict lives in the
+    # flags alone, so recovery must not emit any warning
+    verts = [(np.cos(a), np.sin(a))
+             for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)]
+    _, M = gpt_of(ShapeSpec.polygon(verts), 128, 1.5, 4)
+    _, M_flower = gpt_of(ShapeSpec.flower(), 64, 1.5, 4)  # no degree <= 4 fits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = recover(M)
+        unresolved = recover_minimal_degree(M_flower)
+    assert plain.flags == ("AmbiguousKernel",)
+    assert unresolved.flags == ("AmbiguousKernel",)
 
 
 def test_minimal_degree_passthrough_when_unambiguous():
@@ -266,9 +275,7 @@ def test_scan_rows_are_leading_block_recoveries():
     _, M = gpt_of(ShapeSpec.ellipse(2.0, 1.0), 128, 1.5, 3)
     rows = scan(M)
     assert [row["d"] for row in rows] == [1, 2, 3]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert rows[0]["residual"] == recover(M.truncate(1)).residual
+    assert rows[0]["residual"] == recover(M.truncate(1)).residual
     assert rows[1]["residual"] < 1e-10 < rows[0]["residual"]
     with pytest.raises(ValueError):
         scan(M.truncate(3, 5))

@@ -39,6 +39,15 @@ def test_similarity_matrix_and_inverse():
     assert Similarity(1.0, 2 * math.pi + 0.25).theta == pytest.approx(0.25)
 
 
+def test_reflected_similarity_matrix_and_inverse():
+    T = Similarity(2.0, 0.7, reflected=True)
+    c, sn = math.cos(0.7), math.sin(0.7)
+    np.testing.assert_allclose(T.matrix, 2.0 * np.array([[c, sn], [sn, -c]]), atol=1e-15)
+    Ti = T.inverse()
+    assert Ti.reflected and Ti.s == 0.5 and Ti.theta == T.theta
+    np.testing.assert_allclose(Ti.matrix @ T.matrix, np.eye(2), atol=1e-15)
+
+
 def test_similarity_rejects_bad_scale():
     with pytest.raises(ValueError):
         Similarity(0.0, 0.0)
@@ -89,7 +98,7 @@ def test_lift_brute_force_expansion_oracle():
                 prod = prod * top
             for _ in range(h):
                 prod = prod * bot
-            want = to_forms(prod.padded(d)).blocks[d]
+            want = to_forms(prod.padded(d))[d]
             np.testing.assert_allclose(
                 L[h], want, atol=1e-12 * (1 + np.max(np.abs(want))))
 
@@ -278,3 +287,26 @@ def test_match_result_json():
         assert set(alt) == {"s", "theta", "eps"}
     assert isinstance(MatchResult(Similarity(1.0, 0.0), 0.0, 1), MatchResult)
 
+
+
+def test_match_alternates_carry_their_branch():
+    # a two-pole lemniscate is mirror-symmetric, so with reflections allowed
+    # the mirror map reaches the observation at the best (s, theta) too
+    g_ref = lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2)
+    out = match(g_ref, push_forward(g_ref, Similarity(1.3, 0.7)), allow_reflection=True)
+    assert not out.reflected
+    assert out.best.s == pytest.approx(1.3) and out.best.theta == pytest.approx(0.7)
+    assert any(t.reflected for t, _ in out.alternates)
+    for t, _ in out.alternates:
+        assert (t.s, t.theta, t.reflected) != (out.best.s, out.best.theta, out.best.reflected)
+    alts = out.to_json()["alternates"]
+    for (t, _), alt in zip(out.alternates, alts):
+        assert alt.get("reflected", False) is t.reflected
+        assert set(alt) == ({"s", "theta", "eps", "reflected"} if t.reflected
+                            else {"s", "theta", "eps"})
+    assert {alt.get("reflected", False) for alt in alts} == {False, True}
+    for t, _ in out.alternates:  # each alternate is an exact image map
+        pushed = push_forward(g_ref, t).coeffs
+        obs = push_forward(g_ref, Similarity(1.3, 0.7)).coeffs
+        cos = abs(pushed @ obs) / (np.linalg.norm(pushed) * np.linalg.norm(obs))
+        assert cos == pytest.approx(1.0, abs=1e-9)
