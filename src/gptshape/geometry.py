@@ -246,6 +246,8 @@ def discretize_parametric(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
         ddxfun = make(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t))
     elif spec.kind in ("disk", "flower"):
         r0, amp, m = p["base"], p["amplitude"], p["petals"]
+        if n < 4 * m:
+            raise TooCoarseError(f"a {m}-petal flower needs at least {4 * m} nodes, got {n}")
         if p.get("missing_petal", False):
             # suppress the petal at t = 0 with the smooth window (1 - cos t)/2
             rfun = lambda t: r0 + amp * np.cos(m * t) * (1.0 - np.cos(t)) / 2.0
@@ -268,13 +270,21 @@ def discretize_parametric(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
 # polygons ---------------------------------------------------------------
 
 
-def _segments_properly_intersect(p1, p2, p3, p4):
+def _segments_intersect(p1, p2, p3, p4):
+    """True when segments p1p2 and p3p4 share a point; touching counts."""
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
+    def on_segment(a, b, c):  # c collinear with ab: is it between a and b?
+        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
     d1, d2 = orient(p3, p4, p1), orient(p3, p4, p2)
     d3, d4 = orient(p1, p2, p3), orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return ((d1 == 0 and on_segment(p3, p4, p1)) or (d2 == 0 and on_segment(p3, p4, p2))
+            or (d3 == 0 and on_segment(p1, p2, p3)) or (d4 == 0 and on_segment(p1, p2, p4)))
 
 
 def discretize_polygon(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
@@ -304,11 +314,14 @@ def discretize_polygon(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
         for j in range(i + 1, m):
             if j == i or (j + 1) % m == i or (i + 1) % m == j:
                 continue  # adjacent edges share a vertex, skip
-            if _segments_properly_intersect(verts[i], verts[(i + 1) % m],
-                                            verts[j], verts[(j + 1) % m]):
+            if _segments_intersect(verts[i], verts[(i + 1) % m],
+                                   verts[j], verts[(j + 1) % m]):
                 raise InvalidPolygonError("polygon edges intersect")
     signed_area = 0.5 * np.sum(verts[:, 0] * np.roll(verts[:, 1], -1)
                                - np.roll(verts[:, 0], -1) * verts[:, 1])
+    diag2 = float(np.sum(np.ptp(verts, axis=0) ** 2))
+    if abs(signed_area) <= 1e-12 * diag2:
+        raise InvalidPolygonError("polygon has zero area")
     if signed_area < 0:
         verts = verts[::-1]
 

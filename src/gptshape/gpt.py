@@ -142,6 +142,10 @@ class GptMatrix:
             raise ConfigError(
                 f"GPT entries: expected {shape[0] * shape[1]} values for d={d}, "
                 f"row_degree={row_degree}, got {entries.size}")
+        for key, want in (("row_alphas", _row_alphas(row_degree)),
+                          ("col_betas", _col_betas(d))):
+            if key in obj and obj[key] != [list(a) for a in want]:
+                raise ConfigError(f"GPT {key} do not match d={d}, row_degree={row_degree}")
         if not np.all(np.isfinite(entries)):
             raise ConfigError("GPT entries must all be finite")
         if not math.isfinite(lam):

@@ -16,7 +16,8 @@ On polygon edges the curvature is zero and the kernel vanishes for pairs
 on a common edge, which the same formulas handle without special cases.
 The spectrum of K* lies in (-1/2, 1/2], so lambda I - A is safely
 invertible for |lambda| > 1/2; :class:`Resolvent` factors it once and
-solves many right-hand sides.
+solves many right-hand sides.  It imports scipy.linalg on first use, so
+importing this module (and ``gptshape``) loads numpy but no scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateMeshError,
@@ -88,6 +88,8 @@ class Resolvent:
                 f"|lambda| = {abs(lam):.6g} <= 1/2: invertibility not guaranteed")
         self.lam = lam
         self.npo = npo
+        import scipy.linalg  # lazy: see the module docstring
+
         self._lu = scipy.linalg.lu_factor(lam * np.eye(npo.n) - npo.matrix)
         diag = np.abs(np.diag(self._lu[0]))
         cond_est = float(np.max(diag) / max(np.min(diag), 1e-300))
@@ -97,6 +99,8 @@ class Resolvent:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Solve (lambda I - A) phi = f; f may hold several columns."""
+        import scipy.linalg
+
         f = np.asarray(f)
         phi = scipy.linalg.lu_solve(self._lu, f)
         resid = np.max(np.abs(self.lam * phi - self.npo.matrix @ phi - f))

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     AmbiguousKernelError,
@@ -276,6 +275,8 @@ def estimate_lambda(
     curve flatter than 1e-12 carries no information about lambda and raises
     :class:`UninformativeError`.
     """
+    from scipy.optimize import minimize_scalar  # lazy: keeps scipy off gptshape's import path
+
     grid = [float(v) for v in lam_grid]
     if not grid:
         raise ValueError("lambda grid must be nonempty")

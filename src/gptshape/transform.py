@@ -22,6 +22,8 @@ rescaling of either polynomial; the sign branch absorbs the direction
 ambiguity a singular-vector recovery leaves behind.  Shapes with discrete
 rotational symmetry produce several equally good minima; all grid minima
 within a factor of the best are refined and reported as alternates.
+scipy.optimize is imported by the refinement step, so only :func:`match`
+pays for it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegreeMismatchError, UnboundedInputError, ZeroPolynomialError
 from .polynomial import Boundedness, Poly2, boundedness_check, from_forms, to_forms
@@ -193,6 +194,8 @@ def _objective(ref: Poly2, obs_unit: np.ndarray, logs: float, theta: float,
 
 
 def _refine(ref, obs_unit, logs0, theta0, reflected):
+    from scipy.optimize import minimize  # lazy: see the module docstring
+
     res = minimize(
         lambda x: _objective(ref, obs_unit, x[0], x[1], reflected),
         x0=[logs0, theta0],

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +141,18 @@ def test_flower_petals_must_be_a_positive_integer(tmp_path, capsys, petals):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape, message", [
+    ("polygon:0,0,1,0,2,0", "polygon has zero area"),
+    ("flower:1,0.3,1e9", "needs at least 4000000000 nodes"),
+], ids=["collinear-polygon", "unresolved-flower"])
+def test_unresolvable_shape_is_config_error(tmp_path, capsys, shape, message):
+    assert cli.main(["gpt", "--shape", shape, "--n", "64", "--d", "1",
+                     "--out", str(tmp_path / "M.json")]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("source, message", [
     (["--shape", "ellipse:nan,1"], "ellipse a must be finite"),
     (["--shape", "disk:inf"], "disk radius must be finite"),
@@ -227,9 +241,10 @@ def _edit(change):  # edit the JSON object in place, then serialize it
     (lambda obj: json.dumps([obj]), "TypeError"),
     (lambda obj: json.dumps(obj)[:-20], "not valid JSON"),
     (_edit(lambda obj: obj.__setitem__("lambda", math.nan)), "lambda must be finite"),
+    (_edit(lambda obj: obj["col_betas"].reverse()), "col_betas do not match"),
 ], ids=["nan-entry", "short-entries", "zero-degree", "no-d", "no-lambda",
         "no-entries", "ragged-entries", "text-degree", "top-level-list",
-        "truncated-file", "nan-lambda"])
+        "truncated-file", "nan-lambda", "reordered-col-betas"])
 def test_recover_malformed_gpt_is_config_error(tmp_path, capsys, corrupt, message):
     b = discretize(ShapeSpec.disk(), 64)
     path = tmp_path / "M.json"
@@ -458,6 +473,46 @@ def test_verify_corruption_hook_is_caught(monkeypatch, capsys):
     assert out.rstrip().endswith("check(s) failed")
 
 
+# import graph --------------------------------------------------------------------
+# This process has imported scipy already, so each check runs in a fresh interpreter.
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def scipy_modules_after(code):
+    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after("import gptshape, gptshape.cli") == []
+
+
+@pytest.mark.parametrize("command", ["recover", "render"])
+def test_recover_and_render_load_no_scipy(tmp_path, command):
+    M, g = tmp_path / "M.json", tmp_path / "g.json"
+    b = discretize(ShapeSpec.disk(), 64)
+    M.write_text(json.dumps(assemble_gpt(b, assemble(b), 1.5, 2).to_json()))
+    write_poly(g, Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}))
+    argv = {"recover": ["recover", "--gpt", str(M), "--out", str(tmp_path / "r.json")],
+            "render": ["render", "--poly", str(g), "--out", str(tmp_path / "c.svg")]}[command]
+    code = f"from gptshape import cli\nassert cli.main({argv!r}) == 0"
+    assert scipy_modules_after(code) == []
+
+
+def test_gpt_loads_no_scipy_optimize(tmp_path):
+    argv = ["gpt", "--shape", "disk", "--n", "64", "--d", "2",
+            "--out", str(tmp_path / "M.json")]
+    loaded = scipy_modules_after(f"from gptshape import cli\nassert cli.main({argv!r}) == 0")
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+
+
 # top level -----------------------------------------------------------------------
 
 
@@ -468,7 +523,7 @@ def test_no_subcommand_shows_help():
 
 
 def test_version_flag():
-    # the one subprocess test: it covers the ``python -m gptshape`` entry point
+    # it covers the ``python -m gptshape`` entry point
     r = subprocess.run([sys.executable, "-m", "gptshape", "--version"],
                        capture_output=True, text=True)
     assert r.returncode == 0

@@ -95,6 +95,12 @@ def test_too_coarse_rejected():
         discretize_parametric(ShapeSpec.disk(), 8)
 
 
+def test_flower_needs_four_nodes_per_petal():
+    assert discretize_parametric(ShapeSpec.flower(1.0, 0.3, 16), 64).n == 64
+    with pytest.raises(TooCoarseError, match="17-petal flower needs at least 68 nodes"):
+        discretize_parametric(ShapeSpec.flower(1.0, 0.3, 17), 64)
+
+
 def test_parametric_spectral_perimeter_convergence():
     # periodic trapezoid rule on a smooth curve: errors collapse fast
     ref = discretize_parametric(ShapeSpec.flower(1.0, 0.3, 5), 4096).perimeter()
@@ -144,6 +150,16 @@ def test_self_intersecting_polygon_rejected():
     bowtie = ShapeSpec.polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
     with pytest.raises(InvalidPolygonError):
         discretize_polygon(bowtie, 32)
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([(0, 0), (1, 0), (2, 0)], "zero area"),
+    ([(1, 1), (1, 0), (2, 0), (0, 0)], "edges intersect"),
+    ([(0, 4), (2, 0), (4, 4), (4, 0), (0, 0)], "edges intersect"),
+], ids=["collinear", "fold-back", "vertex-on-edge"])
+def test_flat_and_touching_polygons_rejected(vertices, message):
+    with pytest.raises(InvalidPolygonError, match=message):
+        discretize_polygon(ShapeSpec.polygon(vertices), 32)
 
 
 def test_degenerate_polygon_rejected():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from oracles import disk_gpt_oracle, first_order_block
 
 from gptshape.acceptance import ellipse_first_order_pt
-from gptshape.errors import NoContrastError, NotHarmonicError, TooCloseError
+from gptshape.errors import ConfigError, NoContrastError, NotHarmonicError, TooCloseError
 from gptshape.geometry import ShapeSpec, discretize, discretize_parametric
 from gptshape.gpt import (
     FarFieldResult,
@@ -251,10 +252,20 @@ def test_gpt_json_round_trip():
     obj = M.to_json()
     assert obj["schema"] == 1
     assert obj["row_alphas"][0] == [0, 1]
-    back = GptMatrix.from_json(obj)
+    back = GptMatrix.from_json(json.loads(json.dumps(obj)))
     assert back.lam == M.lam
     assert back.d == M.d
     np.testing.assert_allclose(back.entries, M.entries, atol=0)
+    assert json.dumps(back.to_json()) == json.dumps(obj)
+
+
+@pytest.mark.parametrize("key", ["row_alphas", "col_betas"])
+def test_gpt_json_index_lists_must_match_degrees(key):
+    _, M = build(ShapeSpec.ellipse(2.0, 1.0), 64, 1.5, 2, 3)
+    obj = M.to_json()
+    obj[key][0], obj[key][1] = obj[key][1], obj[key][0]
+    with pytest.raises(ConfigError, match=f"{key} do not match d=2, row_degree=3"):
+        GptMatrix.from_json(obj)
 
 
 def test_complex_lambda_entries():
