@@ -27,7 +27,7 @@ import pathlib
 
 import numpy as np
 
-from gptshape.errors import EmptyLevelSetError
+from gptshape.errors import NumericError
 from gptshape.geometry import ShapeSpec, discretize
 from gptshape.gpt import assemble_gpt
 from gptshape.npo import assemble
@@ -83,7 +83,7 @@ def main():
                 curves = extract(res.g_hat, box=margin_box(b.nodes),
                                  grid=args.grid)
                 h = float(hausdorff(curves.points(), b.nodes))
-            except EmptyLevelSetError:
+            except NumericError:
                 curves, h = None, float("nan")
             print(f"{name:>22} {d:>2} {res.g_hat.degree:>4} "
                   f"{res.residual:>10.2e} {res.kernel_gap:>10.2e} "

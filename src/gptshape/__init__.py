@@ -52,7 +52,6 @@ from .gpt import (
     assemble_gpt,
     far_field,
     harmonic_combination,
-    k_of_lambda,
     lambda_of_k,
 )
 from .recovery import (
@@ -115,7 +114,6 @@ __all__ = [
     "harmonic_combination",
     "harmonic_monomial",
     "hausdorff",
-    "k_of_lambda",
     "kernel_residual",
     "lambda_of_k",
     "laplacian",

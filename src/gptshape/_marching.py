@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 # cell edges are keyed globally so shared edges join segments across cells:
 #   ("h", i, j): from (xs[i], ys[j]) to (xs[i+1], ys[j])
 #   ("v", i, j): from (xs[i], ys[j]) to (xs[i], ys[j+1])
@@ -30,7 +32,7 @@ def marching_squares(values, xs, ys, level, center_value):
     """
     nx, ny = values.shape
     if nx != len(xs) or ny != len(ys):
-        raise ValueError("values shape must match sample coordinates")
+        raise ConfigError("values shape must match sample coordinates")
     s = values - level
     pos = s >= 0.0
 

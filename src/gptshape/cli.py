@@ -116,11 +116,14 @@ def _shape_boundary(obj, n) -> tuple[ShapeSpec, DiscretizedBoundary]:
     """Shape JSON and a node count, read from a file, to the spec and its boundary.
 
     A file may hold any JSON, so a missing or ill-typed field is a
-    configuration error here rather than a traceback from the discretizer.
+    configuration error here rather than a traceback from the discretizer;
+    the package's own checks keep their message.
     """
     try:
         spec = ShapeSpec.from_json(obj)
         return spec, discretize(spec, int(n))
+    except ConfigError:
+        raise
     except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(
             f"malformed shape or node count ({type(exc).__name__}: {exc})") from exc
@@ -203,7 +206,7 @@ def _boundary_from_meta(M: GptMatrix) -> DiscretizedBoundary:
 
 def cmd_recover(args) -> int:
     M = GptMatrix.from_json(_read_json(args.gpt))
-    if args.scan_degrees:
+    if args.scan_degrees is not None:
         return _scan(_boundary_from_meta(M), M.lam, args.scan_degrees,
                      None if args.out == "-" else args.out)
     if args.cross_lambda is not None:
@@ -331,13 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="recover the boundary polynomial")
     p.add_argument("--gpt", required=True, help="GptMatrix JSON from `gpt`")
-    p.add_argument("--cross-lambda", type=float, default=None,
-                   help="cross-validate at a second lambda (needs shape metadata)")
-    p.add_argument("--scan-degrees", type=int, default=None, metavar="DMAX",
-                   help="scan degrees 1..DMAX instead of recovering once")
-    p.add_argument("--reduce-degree", action="store_true",
-                   help="on an ambiguous kernel, drop to the smallest column "
-                        "degree that still has one (e.g. polygons)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--cross-lambda", type=float, default=None,
+                      help="cross-validate at a second lambda (needs shape metadata)")
+    mode.add_argument("--scan-degrees", type=int, default=None, metavar="DMAX",
+                      help="scan degrees 1..DMAX instead of recovering once")
+    mode.add_argument("--reduce-degree", action="store_true",
+                      help="on an ambiguous kernel, drop to the smallest column "
+                           "degree that still has one (e.g. polygons)")
     p.add_argument("--force", action="store_true",
                    help="write the result even if the kernel is ambiguous")
     p.add_argument("--out", default="-", help="output JSON path (default stdout)")

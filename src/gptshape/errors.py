@@ -1,8 +1,11 @@
-"""Exception types, grouped by how the command line maps them to exit codes.
+"""Exception types, one per exit code of the command line.
 
-``ConfigError`` covers invalid inputs and arguments (exit code 1),
-``NumericError`` covers failures detected during computation (exit code 2).
-I/O problems are left to the builtin ``OSError`` (exit code 3).
+Every error the package raises is one of two classes, and each raise site
+states its exit code by the class it picks: ``ConfigError`` for invalid
+inputs and arguments (exit code 1), ``NumericError`` for failures
+detected during computation (exit code 2).  ``ConfigError`` is also a
+``ValueError``, so library callers may catch either.  I/O problems are
+left to the builtin ``OSError`` (exit code 3).
 """
 
 
@@ -10,95 +13,9 @@ class GptShapeError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ConfigError(GptShapeError):
+class ConfigError(GptShapeError, ValueError):
     """Invalid inputs, arguments or file contents."""
 
 
 class NumericError(GptShapeError):
     """A computation failed or produced an unusable result."""
-
-
-# polynomial -----------------------------------------------------------
-
-class OddDegreeError(ConfigError):
-    """A quadratic-form representation was requested for an odd-degree form."""
-
-
-class DegenerateInputError(ConfigError):
-    """The zero polynomial was passed where a nonzero one is required."""
-
-
-# geometry -------------------------------------------------------------
-
-class TooCoarseError(ConfigError):
-    """Requested node count is below the minimum for a usable quadrature."""
-
-
-class InvalidPolygonError(ConfigError):
-    """Polygon is self-intersecting or otherwise degenerate."""
-
-
-class NoCurveFoundError(NumericError):
-    """No closed zero-level component inside the tracing box."""
-
-
-# npo ------------------------------------------------------------------
-
-class DegenerateMeshError(ConfigError):
-    """Coincident quadrature nodes make the layer-potential kernel blow up."""
-
-
-class OutsideResolventBoundError(ConfigError):
-    """Spectral parameter with |lambda| <= 1/2 where invertibility is not guaranteed."""
-
-
-class NearSingularError(NumericError):
-    """Resolvent system is numerically singular."""
-
-
-# gpt ------------------------------------------------------------------
-
-class NoContrastError(ConfigError):
-    """Conductivity contrast k = 1 carries no information (lambda undefined)."""
-
-
-class NotHarmonicError(ConfigError):
-    """Polynomial fails the coefficient-level Laplace equation check."""
-
-
-class TooCloseError(ConfigError):
-    """Evaluation point too close to the boundary for the multipole expansion."""
-
-
-# recovery -------------------------------------------------------------
-
-class ZeroPolynomialError(ConfigError):
-    """All coefficients below the negligibility threshold."""
-
-
-class AmbiguousKernelError(NumericError):
-    """Numerical kernel is not one-dimensional at every tested spectral parameter."""
-
-
-class UninformativeError(NumericError):
-    """Misfit curve is flat; the data does not constrain the parameter."""
-
-
-# transform ------------------------------------------------------------
-
-class DegreeMismatchError(ConfigError):
-    """Operands carry different degree bounds."""
-
-
-class UnboundedInputError(ConfigError):
-    """Observed polynomial certifiably has an unbounded zero set."""
-
-
-# render ---------------------------------------------------------------
-
-class EmptyLevelSetError(NumericError):
-    """No level crossings inside the rendering box."""
-
-
-class EmptyInputError(ConfigError):
-    """An empty point set where a nonempty one is required."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._marching import marching_squares
-from .errors import ConfigError, InvalidPolygonError, NoCurveFoundError, TooCoarseError
+from .errors import ConfigError, NumericError
 from .polynomial import Poly2, partial
 
 MIN_NODES = 16
@@ -50,9 +50,9 @@ class DiscretizedBoundary:
             object.__setattr__(self, name, arr)
         n = self.nodes.shape[0]
         if self.nodes.shape != (n, 2) or self.normals.shape != (n, 2):
-            raise ValueError("nodes and normals must be (N, 2) arrays")
+            raise ConfigError("nodes and normals must be (N, 2) arrays")
         if self.weights.shape != (n,) or self.curvatures.shape != (n,):
-            raise ValueError("weights and curvatures must be (N,) arrays")
+            raise ConfigError("weights and curvatures must be (N,) arrays")
 
     @property
     def n(self) -> int:
@@ -83,14 +83,14 @@ class DiscretizedBoundary:
 
     @classmethod
     def load_csv(cls, path) -> "DiscretizedBoundary":
-        """Read a file written by :meth:`save_csv`; ValueError if it is not one."""
+        """Read a file written by :meth:`save_csv`; ConfigError if it is not one."""
         with open(path) as fh:
             rows = fh.read().splitlines()[1:]
         if not rows:
-            raise ValueError("no node rows")
+            raise ConfigError("no node rows")
         data = np.loadtxt(rows, delimiter=",", ndmin=2)
         if data.shape[1] != 7:
-            raise ValueError(f"expected 7 columns, got {data.shape[1]}")
+            raise ConfigError(f"expected 7 columns, got {data.shape[1]}")
         return cls(data[:, 0:2], data[:, 2:4], data[:, 4], data[:, 5],
                    data[:, 6].astype(int))
 
@@ -172,7 +172,7 @@ class ShapeSpec:
             return cls.lemniscate(obj["poles"], obj["level"])
         if kind == "implicit":
             return cls.implicit(Poly2.from_json(obj["poly"]), obj.get("box", DEFAULT_BOX))
-        raise ValueError(f"unknown shape kind {kind!r}")
+        raise ConfigError(f"unknown shape kind {kind!r}")
 
 
 def lemniscate_poly(poles, level) -> Poly2:
@@ -227,7 +227,7 @@ def _polar_parametrization(rfun, drfun, ddrfun, center):
 def discretize_parametric(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     """Sample a smooth catalog shape at n equispaced parameter values."""
     if n < MIN_NODES:
-        raise TooCoarseError(f"need at least {MIN_NODES} nodes, got {n}")
+        raise ConfigError(f"need at least {MIN_NODES} nodes, got {n}")
     p = spec.params
     if spec.kind == "disk":  # the one-petal flower of amplitude 0, bit for bit
         p = {"base": p["radius"], "amplitude": 0.0, "petals": 1, "center": p["center"]}
@@ -247,7 +247,7 @@ def discretize_parametric(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     elif spec.kind in ("disk", "flower"):
         r0, amp, m = p["base"], p["amplitude"], p["petals"]
         if n < 4 * m:
-            raise TooCoarseError(f"a {m}-petal flower needs at least {4 * m} nodes, got {n}")
+            raise ConfigError(f"a {m}-petal flower needs at least {4 * m} nodes, got {n}")
         if p.get("missing_petal", False):
             # suppress the petal at t = 0 with the smooth window (1 - cos t)/2
             rfun = lambda t: r0 + amp * np.cos(m * t) * (1.0 - np.cos(t)) / 2.0
@@ -263,7 +263,7 @@ def discretize_parametric(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
         xfun, dxfun, ddxfun = _polar_parametrization(rfun, drfun, ddrfun,
                                                      p.get("center", (0.0, 0.0)))
     else:
-        raise ValueError(f"no parametrization for shape kind {spec.kind!r}")
+        raise ConfigError(f"no parametrization for shape kind {spec.kind!r}")
     return _from_parametrization(xfun, dxfun, ddxfun, n)
 
 
@@ -303,25 +303,25 @@ def discretize_polygon(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     edge normal; curvature is zero along straight edges.
     """
     if n < MIN_NODES:
-        raise TooCoarseError(f"need at least {MIN_NODES} nodes per edge, got {n}")
+        raise ConfigError(f"need at least {MIN_NODES} nodes per edge, got {n}")
     verts = np.asarray(spec.params["vertices"], dtype=float)
     m = verts.shape[0]
     if m < 3:
-        raise InvalidPolygonError("a polygon needs at least 3 vertices")
+        raise ConfigError("a polygon needs at least 3 vertices")
     if np.min([np.linalg.norm(verts[i] - verts[(i + 1) % m]) for i in range(m)]) < 1e-14:
-        raise InvalidPolygonError("repeated consecutive vertices")
+        raise ConfigError("repeated consecutive vertices")
     for i in range(m):
         for j in range(i + 1, m):
             if j == i or (j + 1) % m == i or (i + 1) % m == j:
                 continue  # adjacent edges share a vertex, skip
             if _segments_intersect(verts[i], verts[(i + 1) % m],
                                    verts[j], verts[(j + 1) % m]):
-                raise InvalidPolygonError("polygon edges intersect")
+                raise ConfigError("polygon edges intersect")
     signed_area = 0.5 * np.sum(verts[:, 0] * np.roll(verts[:, 1], -1)
                                - np.roll(verts[:, 0], -1) * verts[:, 1])
     diag2 = float(np.sum(np.ptp(verts, axis=0) ** 2))
     if abs(signed_area) <= 1e-12 * diag2:
-        raise InvalidPolygonError("polygon has zero area")
+        raise ConfigError("polygon has zero area")
     if signed_area < 0:
         verts = verts[::-1]
 
@@ -409,7 +409,7 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     follows the same sign convention.
     """
     if n < MIN_NODES:
-        raise TooCoarseError(f"need at least {MIN_NODES} nodes, got {n}")
+        raise ConfigError(f"need at least {MIN_NODES} nodes, got {n}")
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid + 1)
     ys = np.linspace(ymin, ymax, grid + 1)
@@ -422,7 +422,7 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
         warnings.warn(f"excluded {open_count} unbounded (open) polyline(s) "
                       "leaving the tracing box", RuntimeWarning, stacklevel=2)
     if not closed_lines:
-        raise NoCurveFoundError("no closed zero-level component inside the box")
+        raise NumericError("no closed zero-level component inside the box")
 
     px, py = partial(p, 0), partial(p, 1)
     pxx, pxy, pyy = partial(px, 0), partial(px, 1), partial(py, 1)
@@ -482,4 +482,4 @@ def discretize(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     if spec.kind == "implicit":
         box = spec.params.get("box", DEFAULT_BOX)
         return trace_implicit(spec.params["poly"], box=box, n=n)
-    raise ValueError(f"unknown shape kind {spec.kind!r}")
+    raise ConfigError(f"unknown shape kind {spec.kind!r}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NoContrastError, NotHarmonicError, TooCloseError
+from .errors import ConfigError
 from .geometry import DiscretizedBoundary
 from .npo import NpoMatrix, Resolvent, neumann_data
 from .polynomial import Poly2, laplacian, multiindex_at, ordinal, poly_dim
@@ -40,15 +40,8 @@ def lambda_of_k(k) -> float:
     if k == math.inf:
         return 0.5
     if k == 1:
-        raise NoContrastError("contrast k = 1 is the background itself")
+        raise ConfigError("contrast k = 1 is the background itself")
     return (k + 1.0) / (2.0 * (k - 1.0))
-
-
-def k_of_lambda(lam) -> float:
-    """Inverse of :func:`lambda_of_k`; lambda = 1/2 maps back to infinity."""
-    if lam == 0.5:
-        return math.inf
-    return (2.0 * lam + 1.0) / (2.0 * lam - 1.0)
 
 
 def _row_alphas(row_degree: int):
@@ -76,11 +69,10 @@ class GptMatrix:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        e = np.asarray(self.entries)
-        e = e.astype(complex if np.iscomplexobj(e) else float)
+        e = np.array(self.entries, dtype=float)  # a copy: the caller's array stays writable
         want = (poly_dim(self.row_degree) - 1, poly_dim(self.d))
         if e.shape != want:
-            raise ValueError(f"entries must have shape {want}, got {e.shape}")
+            raise ConfigError(f"entries must have shape {want}, got {e.shape}")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -103,14 +95,12 @@ class GptMatrix:
         """
         row_degree = 2 * d if row_degree is None else row_degree
         if not (1 <= d <= self.d and 1 <= row_degree <= self.row_degree):
-            raise ValueError(f"block degrees ({d}, {row_degree}) must lie in "
-                             f"1..{self.d} and 1..{self.row_degree}")
+            raise ConfigError(f"block degrees ({d}, {row_degree}) must lie in "
+                              f"1..{self.d} and 1..{self.row_degree}")
         return GptMatrix(self.lam, d, row_degree,
                          self.entries[: poly_dim(row_degree) - 1, : poly_dim(d)])
 
     def to_json(self) -> dict:
-        if np.iscomplexobj(self.entries):
-            raise ValueError("complex-lambda matrices are not JSON-serializable")
         obj = {
             "schema": 1,
             "lambda": float(self.lam),
@@ -162,11 +152,11 @@ def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
     columns span 0 <= |beta| <= d including the constant.
     """
     if d < 1:
-        raise ValueError(f"column degree must be >= 1, got {d}")
+        raise ConfigError(f"column degree must be >= 1, got {d}")
     if row_degree is None:
         row_degree = 2 * d
     if row_degree < 1:
-        raise ValueError(f"row degree must be >= 1, got {row_degree}")
+        raise ConfigError(f"row degree must be >= 1, got {row_degree}")
     return _assemble(b, Resolvent(npo, lam), d, row_degree)
 
 
@@ -186,22 +176,21 @@ def harmonic_combination(M: GptMatrix, a: Poly2, b: Poly2) -> float:
     """Contract the GPT matrix with two harmonic polynomials.
 
     ``a`` runs over the rows (its constant term has zero Neumann data and
-    contributes nothing), ``b`` over the columns.  Raises NotHarmonic when
+    contributes nothing), ``b`` over the columns.  Raises ConfigError when
     either polynomial fails the coefficient Laplacian test.
     """
     for name, p, bound in (("a", a, M.row_degree), ("b", b, M.d)):
         lap = laplacian(p)
         scale = max(1.0, float(np.max(np.abs(p.coeffs))))
         if np.max(np.abs(lap.coeffs)) > _HARMONIC_TOL * scale:
-            raise NotHarmonicError(f"polynomial {name} is not harmonic")
+            raise ConfigError(f"polynomial {name} is not harmonic")
         if p.degree > bound:
-            raise ValueError(f"degree of {name} exceeds the matrix index range")
+            raise ConfigError(f"degree of {name} exceeds the matrix index range")
     avec = np.zeros(poly_dim(M.row_degree))
     avec[: a.coeffs.size] = a.coeffs
     bvec = np.zeros(poly_dim(M.d))
     bvec[: b.coeffs.size] = b.coeffs
-    total = avec[1:] @ M.entries @ bvec
-    return complex(total) if np.iscomplexobj(M.entries) else float(total)
+    return float(avec[1:] @ M.entries @ bvec)
 
 
 @dataclass(frozen=True)
@@ -233,11 +222,11 @@ def far_field(b: DiscretizedBoundary, npo: NpoMatrix, lam, h: Poly2, x,
     """
     lap = laplacian(h)
     if np.max(np.abs(lap.coeffs)) > _HARMONIC_TOL * max(1.0, float(np.max(np.abs(h.coeffs)))):
-        raise NotHarmonicError("background field h must be harmonic")
+        raise ConfigError("background field h must be harmonic")
     x = np.asarray(x, dtype=float)
     radius = float(np.max(np.hypot(b.nodes[:, 0], b.nodes[:, 1])))
     if np.hypot(*x) < 3.0 * radius:
-        raise TooCloseError(
+        raise ConfigError(
             f"|x| = {np.hypot(*x):.3g} is inside 3x the boundary radius {radius:.3g}")
 
     res = Resolvent(npo, lam)

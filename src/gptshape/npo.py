@@ -22,16 +22,13 @@ importing this module (and ``gptshape``) loads numpy but no scipy.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateMeshError,
-    NearSingularError,
-    OutsideResolventBoundError,
-)
+from .errors import ConfigError, NumericError
 from .geometry import DiscretizedBoundary
 from .polynomial import ordinal
 
@@ -51,7 +48,7 @@ class NpoMatrix:
         m = np.asarray(self.matrix, dtype=float)
         n = self.boundary.n
         if m.shape != (n, n):
-            raise ValueError(f"matrix must be ({n}, {n}) for this boundary")
+            raise ConfigError(f"matrix must be ({n}, {n}) for this boundary")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -68,7 +65,7 @@ def assemble(b: DiscretizedBoundary) -> NpoMatrix:
     r2 = dx0 * dx0 + dx1 * dx1
     off_diag = ~np.eye(b.n, dtype=bool)
     if np.any(r2[off_diag] < 1e-28):
-        raise DegenerateMeshError("coincident quadrature nodes")
+        raise ConfigError("coincident quadrature nodes")
     np.fill_diagonal(r2, 1.0)
     kern = (dx0 * b.normals[:, 0][:, None] + dx1 * b.normals[:, 1][:, None]) / r2
     kern /= 2.0 * np.pi
@@ -79,12 +76,12 @@ def assemble(b: DiscretizedBoundary) -> NpoMatrix:
 class Resolvent:
     """LU-factored (lambda I - A), reusable across right-hand sides."""
 
-    def __init__(self, npo: NpoMatrix, lam):
-        lam = complex(lam)
-        if lam.imag == 0.0:
-            lam = lam.real
+    def __init__(self, npo: NpoMatrix, lam: float):
+        lam = float(lam)
+        if not math.isfinite(lam):
+            raise ConfigError(f"lambda must be finite, got {lam}")
         if abs(lam) <= 0.5:
-            raise OutsideResolventBoundError(
+            raise ConfigError(
                 f"|lambda| = {abs(lam):.6g} <= 1/2: invertibility not guaranteed")
         self.lam = lam
         self.npo = npo
@@ -94,7 +91,7 @@ class Resolvent:
         diag = np.abs(np.diag(self._lu[0]))
         cond_est = float(np.max(diag) / max(np.min(diag), 1e-300))
         if cond_est > _COND_LIMIT:
-            raise NearSingularError(
+            raise NumericError(
                 f"resolvent system nearly singular (condition estimate {cond_est:.3g})")
 
     def apply(self, f: np.ndarray) -> np.ndarray:
@@ -106,7 +103,7 @@ class Resolvent:
         resid = np.max(np.abs(self.lam * phi - self.npo.matrix @ phi - f))
         scale = max(float(np.max(np.abs(f))), 1e-300)
         if resid > _RESIDUAL_TOL * scale:
-            raise NearSingularError(
+            raise NumericError(
                 f"resolvent residual {resid:.3g} exceeds {_RESIDUAL_TOL:g} * |f|")
         return phi
 
@@ -134,14 +131,14 @@ def load_npo(path) -> np.ndarray:
     """Read back a matrix written by :func:`dump_npo` (matrix only).
 
     The file size is checked against the header's n before any data is
-    read, so a corrupt header raises ValueError instead of allocating.
+    read, so a corrupt header raises ConfigError instead of allocating.
     """
     with open(path, "rb") as fh:
         head = fh.read(16)
         if head[:8] != _MAGIC:
-            raise ValueError(f"not an NPO dump (magic {head[:8]!r})")
+            raise ConfigError(f"not an NPO dump (magic {head[:8]!r})")
         n = int.from_bytes(head[8:], "little")
         if len(head) < 16 or os.fstat(fh.fileno()).st_size < 16 + 8 * n * n:
-            raise ValueError("truncated NPO dump")
+            raise ConfigError("truncated NPO dump")
         data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
         return data.reshape(n, n).copy()

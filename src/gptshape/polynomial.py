@@ -27,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, OddDegreeError
+from .errors import ConfigError
 
 
 def poly_dim(d: int) -> int:
     """Number of bivariate monomials of total degree <= d."""
     if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+        raise ConfigError(f"degree must be >= 0, got {d}")
     return (d + 1) * (d + 2) // 2
 
 
@@ -41,7 +41,7 @@ def ordinal(alpha) -> int:
     """Position of a multi-index in the graded lex sequence."""
     a1, a2 = alpha
     if a1 < 0 or a2 < 0 or a1 != int(a1) or a2 != int(a2):
-        raise ValueError(f"multi-index must be a pair of nonnegative ints, got {alpha!r}")
+        raise ConfigError(f"multi-index must be a pair of nonnegative ints, got {alpha!r}")
     n = a1 + a2
     return n * (n + 1) // 2 + a1
 
@@ -49,7 +49,7 @@ def ordinal(alpha) -> int:
 def multiindex_at(i: int) -> tuple[int, int]:
     """Inverse of :func:`ordinal`."""
     if i < 0:
-        raise ValueError(f"ordinal must be >= 0, got {i}")
+        raise ConfigError(f"ordinal must be >= 0, got {i}")
     n = (math.isqrt(8 * i + 1) - 1) // 2
     a1 = i - n * (n + 1) // 2
     return (a1, n - a1)
@@ -65,13 +65,13 @@ class Poly2:
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float, copy=True).reshape(-1)
         if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+            raise ConfigError(f"degree must be >= 0, got {self.degree}")
         if c.size != poly_dim(self.degree):
-            raise ValueError(
+            raise ConfigError(
                 f"degree {self.degree} needs {poly_dim(self.degree)} coefficients, got {c.size}"
             )
         if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
+            raise ConfigError("coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -115,7 +115,7 @@ class Poly2:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or ys.ndim != 1:
-            raise ValueError("grid axes must be 1-D")
+            raise ConfigError("grid axes must be 1-D")
         out = np.zeros((xs.size, ys.size))
         term = np.empty_like(out)
         for (a1, a2), c in self.term_items():
@@ -134,7 +134,7 @@ class Poly2:
     def padded(self, degree: int) -> "Poly2":
         """Same polynomial with a larger declared degree bound."""
         if degree < self.degree:
-            raise ValueError(f"cannot pad degree {self.degree} down to {degree}")
+            raise ConfigError(f"cannot pad degree {self.degree} down to {degree}")
         c = np.zeros(poly_dim(degree))
         c[: self.coeffs.size] = self.coeffs
         return Poly2(degree, c)
@@ -183,7 +183,7 @@ class Poly2:
 def partial(p: Poly2, axis: int) -> Poly2:
     """Partial derivative along x1 (axis=0) or x2 (axis=1)."""
     if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
+        raise ConfigError(f"axis must be 0 or 1, got {axis}")
     d = max(p.degree - 1, 0)
     c = np.zeros(poly_dim(d))
     for (a1, a2), val in p.term_items():
@@ -205,7 +205,7 @@ def harmonic_monomial(m: int, kind: str = "re") -> Poly2:
     constant 1 for kind 're' and zero for kind 'im'.
     """
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise ConfigError(f"m must be >= 0, got {m}")
     terms = {}
     for j in range(m + 1):
         # i**j contributes to the real part for even j, imaginary for odd j
@@ -214,7 +214,7 @@ def harmonic_monomial(m: int, kind: str = "re") -> Poly2:
         elif kind == "im" and j % 2 == 1:
             terms[(m - j, j)] = math.comb(m, j) * (-1) ** ((j - 1) // 2)
         elif kind not in ("re", "im"):
-            raise ValueError(f"kind must be 're' or 'im', got {kind!r}")
+            raise ConfigError(f"kind must be 're' or 'im', got {kind!r}")
     if not terms:
         return Poly2.zero(max(m, 0))
     return Poly2.from_terms(terms, degree=m)
@@ -237,7 +237,7 @@ def to_forms(p: Poly2) -> list:
 def from_forms(blocks) -> Poly2:
     """Inverse of :func:`to_forms`: one block per degree 0..d."""
     if any(len(b) != j + 1 for j, b in enumerate(blocks)):
-        raise ValueError("block j must have length j + 1")
+        raise ConfigError("block j must have length j + 1")
     return Poly2(len(blocks) - 1, np.concatenate([np.asarray(b, dtype=float)[::-1]
                                                   for b in blocks]))
 
@@ -254,9 +254,9 @@ def quad_form_matrix(form) -> np.ndarray:
     form = np.asarray(form, dtype=float).reshape(-1)
     m = form.size - 1
     if m < 0:
-        raise ValueError("form must be nonempty")
+        raise ConfigError("form must be nonempty")
     if m % 2 != 0:
-        raise OddDegreeError(f"degree {m} form has no square representation")
+        raise ConfigError(f"degree {m} form has no square representation")
     k = m // 2
     Q = np.zeros((k + 1, k + 1))
     for g in range(m + 1):
@@ -310,7 +310,7 @@ def boundedness_check(p: Poly2) -> Boundedness:
     """
     deg = effective_degree(p)
     if deg < 0:
-        raise DegenerateInputError("zero polynomial has no meaningful zero set")
+        raise ConfigError("zero polynomial has no meaningful zero set")
     if deg % 2 != 0:
         return Boundedness.ODD_DEGREE_UNBOUNDED
     form = to_forms(p)[deg]

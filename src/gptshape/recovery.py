@@ -35,11 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    AmbiguousKernelError,
-    UninformativeError,
-    ZeroPolynomialError,
-)
+from .errors import ConfigError, NumericError
 from .gpt import GptMatrix, assemble_gpt
 from .npo import assemble
 from .polynomial import Poly2
@@ -64,11 +60,11 @@ class RecoveryResult:
     def __post_init__(self):
         s = np.array(self.singular_values, dtype=float, copy=True).reshape(-1)
         if np.any(s < 0) or np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be nonnegative and descending")
+            raise ConfigError("singular values must be nonnegative and descending")
         s.setflags(write=False)
         object.__setattr__(self, "singular_values", s)
         if self.residual < 0:
-            raise ValueError("residual must be >= 0")
+            raise ConfigError("residual must be >= 0")
 
     def to_json(self) -> dict:
         return {
@@ -81,17 +77,6 @@ class RecoveryResult:
             "flags": list(self.flags),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RecoveryResult":
-        return cls(
-            g_hat=Poly2.from_json(obj["g"]),
-            singular_values=np.asarray(obj["singular_values"], dtype=float),
-            kernel_gap=float(obj["kernel_gap"]),
-            residual=float(obj["residual"]),
-            lambda_used=float(obj["lambda"]),
-            flags=tuple(obj.get("flags", [])),
-        )
-
 
 def normalize(p: Poly2, eps_nz: float = DEFAULT_EPS_NZ) -> Poly2:
     """Divide by the coefficient of the graded-lex largest nonzero index.
@@ -103,7 +88,7 @@ def normalize(p: Poly2, eps_nz: float = DEFAULT_EPS_NZ) -> Poly2:
     c = p.coeffs
     top = float(np.max(np.abs(c)))
     if top == 0.0:
-        raise ZeroPolynomialError("cannot normalize the zero polynomial")
+        raise ConfigError("cannot normalize the zero polynomial")
     keep = np.abs(c) > eps_nz * top
     astar = int(np.max(np.nonzero(keep)[0]))
     return Poly2(p.degree, c / c[astar])
@@ -112,13 +97,13 @@ def normalize(p: Poly2, eps_nz: float = DEFAULT_EPS_NZ) -> Poly2:
 def kernel_residual(M: GptMatrix, p: Poly2) -> float:
     """Scale-free misfit ``||M p||_2 / (||M||_F ||p||_2)``."""
     if p.degree > M.d:
-        raise ValueError(
+        raise ConfigError(
             f"polynomial degree {p.degree} exceeds matrix column degree {M.d}"
         )
     v = p.padded(M.d).coeffs
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
-        raise ZeroPolynomialError("kernel residual of the zero polynomial is undefined")
+        raise ConfigError("kernel residual of the zero polynomial is undefined")
     return float(np.linalg.norm(M.entries @ v) / (np.linalg.norm(M.entries) * nv))
 
 
@@ -132,26 +117,20 @@ def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
     """
     entries = M.entries
     if entries.shape[0] <= entries.shape[1]:
-        raise ValueError(
+        raise ConfigError(
             f"matrix must have more rows than columns, got {entries.shape}"
         )
     _, s, vh = np.linalg.svd(entries)
-    v = np.conj(vh[-1])
-    if np.iscomplexobj(v):
-        pivot = int(np.argmax(np.abs(v)))
-        v = v / v[pivot]
-        v = v.real
-    g_hat = normalize(Poly2(M.d, v), eps_nz)
+    g_hat = normalize(Poly2(M.d, vh[-1]), eps_nz)
     gap = float(s[-1] / s[-2]) if s[-2] > 0 else np.inf
     residual = float(s[-1] / np.linalg.norm(entries))
     flags = ("AmbiguousKernel",) if gap > AMBIGUOUS_GAP else ()
-    lam = M.lam.real if isinstance(M.lam, complex) else M.lam
     return RecoveryResult(
         g_hat=g_hat,
         singular_values=s,
         kernel_gap=gap,
         residual=residual,
-        lambda_used=float(lam),
+        lambda_used=float(M.lam),
         flags=flags,
     )
 
@@ -161,7 +140,7 @@ def scan(M: GptMatrix) -> list:
 
     Row d recovers from the leading block ``M.truncate(d)``, so one
     assembly at the top degree serves the whole ladder; ``truncate``
-    raises ValueError unless ``M.row_degree >= 2 M.d``.
+    raises ConfigError unless ``M.row_degree >= 2 M.d``.
     """
     rows = []
     for d in range(1, M.d + 1):
@@ -170,7 +149,7 @@ def scan(M: GptMatrix) -> list:
     return rows
 
 
-def recover_minimal_degree(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
+def recover_minimal_degree(M: GptMatrix) -> RecoveryResult:
     """Recovery that drops to the smallest column degree holding a kernel.
 
     When the declared degree exceeds the degree of the minimal vanishing
@@ -190,11 +169,11 @@ def recover_minimal_degree(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> Reco
     restriction resolves the ambiguity the full-matrix recovery is
     returned unchanged, ``AmbiguousKernel`` flag included.
     """
-    full = recover(M, eps_nz)
+    full = recover(M)
     if "AmbiguousKernel" not in full.flags:
         return full
     for dprime in range(1, M.d):
-        out = recover(M.truncate(dprime, M.row_degree), eps_nz)
+        out = recover(M.truncate(dprime, M.row_degree))
         if out.residual <= REDUCED_RESIDUAL_TOL and "AmbiguousKernel" not in out.flags:
             return replace(out, flags=("DegreeReduced",))
     return full
@@ -207,7 +186,6 @@ def recover_crossvalidated(
     lam2: float = 3.0,
     row_degree: int | None = None,
     npo=None,
-    eps_nz: float = DEFAULT_EPS_NZ,
 ) -> RecoveryResult:
     """Run the recovery at two spectral parameters and compare.
 
@@ -218,15 +196,15 @@ def recover_crossvalidated(
     recovery fails outright.
     """
     if lam1 == lam2:
-        raise ValueError("cross-validation needs two distinct lambda values")
+        raise ConfigError("cross-validation needs two distinct lambda values")
     if npo is None:
         npo = assemble(boundary)
-    results = [recover(assemble_gpt(boundary, npo, lam, d, row_degree), eps_nz)
+    results = [recover(assemble_gpt(boundary, npo, lam, d, row_degree))
                for lam in (lam1, lam2)]
     r1, r2 = results
     ambiguous = ["AmbiguousKernel" in r.flags for r in results]
     if all(ambiguous):
-        raise AmbiguousKernelError(
+        raise NumericError(
             "kernel is ambiguous at both lambda values "
             f"(gaps {r1.kernel_gap:.3g} and {r2.kernel_gap:.3g}, residuals "
             f"{r1.residual:.3g} and {r2.residual:.3g}); the degree bound "
@@ -273,15 +251,15 @@ def estimate_lambda(
     neighbour when the argmin is an end point of the grid or its bracket
     crosses [-1/2, 1/2] (then the neighbour of the same sign).  A misfit
     curve flatter than 1e-12 carries no information about lambda and raises
-    :class:`UninformativeError`.
+    :class:`NumericError`.
     """
     from scipy.optimize import minimize_scalar  # lazy: keeps scipy off gptshape's import path
 
     grid = [float(v) for v in lam_grid]
     if not grid:
-        raise ValueError("lambda grid must be nonempty")
+        raise ConfigError("lambda grid must be nonempty")
     if any(abs(v) <= 0.5 for v in grid):
-        raise ValueError("lambda grid must stay outside [-1/2, 1/2]")
+        raise ConfigError("lambda grid must stay outside [-1/2, 1/2]")
     if npo is None:
         npo = assemble(b_candidate)
 
@@ -291,7 +269,7 @@ def estimate_lambda(
 
     values = [misfit(v) for v in grid]
     if max(values) - min(values) < 1e-12:
-        raise UninformativeError(
+        raise NumericError(
             "misfit curve is flat over the lambda grid; the target matrix "
             "does not constrain lambda on this candidate shape"
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._marching import marching_squares
-from .errors import ConfigError, EmptyInputError, EmptyLevelSetError, TooCoarseError
+from .errors import ConfigError, NumericError
 from .geometry import DEFAULT_BOX, DEFAULT_GRID
 from .polynomial import Poly2
 
@@ -34,12 +34,12 @@ class LevelSetCurves:
 
     def __post_init__(self):
         if len(self.polylines) != len(self.closed):
-            raise ValueError("need one closed flag per polyline")
+            raise ConfigError("need one closed flag per polyline")
         frozen = []
         for pl in self.polylines:
             pl = np.array(pl, dtype=float, copy=True)
             if pl.ndim != 2 or pl.shape[1] != 2 or pl.shape[0] < 2:
-                raise ValueError("each polyline must be an (m>=2, 2) array")
+                raise ConfigError("each polyline must be an (m>=2, 2) array")
             pl.setflags(write=False)
             frozen.append(pl)
         object.__setattr__(self, "polylines", tuple(frozen))
@@ -73,16 +73,16 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     component is unbounded or clipped).
     """
     if grid < MIN_GRID:
-        raise TooCoarseError(f"grid must be at least {MIN_GRID}, got {grid}")
+        raise ConfigError(f"grid must be at least {MIN_GRID}, got {grid}")
     xmin, xmax, ymin, ymax = map(float, box)
     if not (xmin < xmax and ymin < ymax):
-        raise ValueError(f"degenerate box {box}")
+        raise ConfigError(f"degenerate box {box}")
     xs = np.linspace(xmin, xmax, grid)
     ys = np.linspace(ymin, ymax, grid)
     chains = marching_squares(p.on_grid(xs, ys), xs, ys, level,
                               lambda cx, cy: float(p(np.array([cx, cy]))))
     if not chains:
-        raise EmptyLevelSetError(
+        raise NumericError(
             f"level set {{p = {level}}} does not cross the box {box} "
             f"at grid {grid}"
         )
@@ -95,7 +95,7 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
 def _point_set(pts, name):
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
-        raise EmptyInputError("hausdorff distance needs two nonempty point sets")
+        raise ConfigError("hausdorff distance needs two nonempty point sets")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ConfigError(f"hausdorff: {name} must be an (m, 2) array, "
                           f"got shape {pts.shape}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeMismatchError, UnboundedInputError, ZeroPolynomialError
+from .errors import ConfigError
 from .polynomial import Boundedness, Poly2, boundedness_check, from_forms, to_forms
 
 TWO_PI = 2.0 * math.pi
@@ -58,7 +58,7 @@ class Similarity:
 
     def __post_init__(self):
         if not (self.s > 0 and np.isfinite(self.s)):
-            raise ValueError(f"scale must be positive and finite, got {self.s}")
+            raise ConfigError(f"scale must be positive and finite, got {self.s}")
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
         object.__setattr__(self, "reflected", bool(self.reflected))
 
@@ -84,10 +84,10 @@ def lift(A, d: int) -> np.ndarray:
     the row in the basis ``x1^d, x1^{d-1} x2, ..., x2^d``.
     """
     if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+        raise ConfigError(f"degree must be >= 0, got {d}")
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {A.shape}")
+        raise ConfigError(f"expected a 2x2 matrix, got shape {A.shape}")
     rows = np.empty((d + 1, d + 1))
     for h in range(d + 1):
         top = np.array([
@@ -161,7 +161,7 @@ def _blocks_unit(p: Poly2):
     forms = to_forms(p)
     norm = math.sqrt(sum(float(b @ b) for b in forms))
     if norm == 0.0:
-        raise ZeroPolynomialError("cannot match the zero polynomial")
+        raise ConfigError("cannot match the zero polynomial")
     return [b / norm for b in forms]
 
 
@@ -235,18 +235,21 @@ def match(g_ref: Poly2, g_obs: Poly2, threshold: float = 0.01,
     (plus reflections when ``allow_reflection``), coarse grid first, then
     simplex refinement; ``epsilon_match`` is the square root of the final
     objective, and the result counts as matched when it is at most
-    ``threshold``.  Grid minima within ``ALTERNATES_FACTOR`` of the best are
-    refined too and reported as alternates, which is how a shape's
-    rotational symmetry group shows up in the output.
+    ``threshold``, which must be finite and >= 0.  Grid minima within
+    ``ALTERNATES_FACTOR`` of the best are refined too and reported as
+    alternates, which is how a shape's rotational symmetry group shows up
+    in the output.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ConfigError(f"match threshold must be finite and >= 0, got {threshold}")
     if g_ref.degree != g_obs.degree:
-        raise DegreeMismatchError(
+        raise ConfigError(
             f"degree bounds differ: reference {g_ref.degree}, observed "
             f"{g_obs.degree}; pad the lower one first"
         )
     verdict = boundedness_check(g_obs)
     if verdict is Boundedness.ODD_DEGREE_UNBOUNDED:
-        raise UnboundedInputError(
+        raise ConfigError(
             "observed polynomial has odd effective degree, so its zero set "
             "is unbounded and cannot be a shape boundary"
         )

@@ -118,20 +118,20 @@ def test_gpt_shape_file(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
-@pytest.mark.parametrize("shape, message", [
-    ({"kind": "ellipse"}, "KeyError: 'a'"),
-    ({"a": 1}, "KeyError: 'kind'"),
-    ([1, 2], "TypeError"),
-    ({"kind": "pentagon"}, "unknown shape kind"),
+@pytest.mark.parametrize("shape, line", [
+    ({"kind": "ellipse"}, "error: malformed shape or node count (KeyError: 'a')"),
+    ({"a": 1}, "error: malformed shape or node count (KeyError: 'kind')"),
+    ([1, 2], "error: malformed shape or node count "
+             "(TypeError: list indices must be integers or slices, not str)"),
+    # the package's own check keeps its message, without the "malformed" wrapper
+    ({"kind": "pentagon"}, "error: unknown shape kind 'pentagon'"),
 ], ids=["ellipse-no-axes", "no-kind", "list", "unknown-kind"])
-def test_gpt_malformed_shape_file_is_config_error(tmp_path, capsys, shape, message):
+def test_gpt_malformed_shape_file_is_config_error(tmp_path, capsys, shape, line):
     sf = tmp_path / "shape.json"
     sf.write_text(json.dumps(shape))
     assert cli.main(["gpt", "--shape-file", str(sf), "--n", "64", "--d", "1",
                      "--out", str(tmp_path / "M.json")]) == 1
-    err = capsys.readouterr().err
-    assert "malformed shape" in err and message in err
-    assert len(err.splitlines()) == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize("petals", ["2.5", "-5", "0"])
@@ -215,6 +215,60 @@ def test_recover_reduce_degree_on_triangle(tmp_path):
     obj = json.loads(g.read_text())
     assert obj["flags"] == ["DegreeReduced"]
     assert obj["g"]["degree"] == 3
+
+
+@pytest.fixture(scope="module")
+def probe_files(tmp_path_factory):
+    """A disk GPT file at lambda = 1.5, a triangle GPT file at d = 4 and a circle."""
+    tmp = tmp_path_factory.mktemp("probes")
+    files = {"out": str(tmp / "out"), "disk": str(tmp / "disk.json"),
+             "triangle": str(tmp / "triangle.json"), "circle": str(tmp / "circle.json")}
+    assert run("gpt", "--shape", "disk", "--n", "64", "--d", "2",
+               "--out", files["disk"]).returncode == 0
+    assert run("gpt", "--shape", "triangle", "--n", "128", "--d", "4",
+               "--out", files["triangle"]).returncode == 0
+    write_poly(Path(files["circle"]), Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}))
+    return files
+
+
+GPT_DISK = ["gpt", "--shape", "disk", "--n", "64", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (GPT_DISK + ["--d", "0"], "column degree must be >= 1"),
+    (GPT_DISK + ["--d", "1", "--row-degree", "0"], "row degree must be >= 1"),
+    (GPT_DISK + ["--d", "1", "--lambda", "nan"], "lambda must be finite"),
+    (GPT_DISK + ["--d", "1", "--lambda", "inf"], "lambda must be finite"),
+    (GPT_DISK + ["--d", "1", "--k", "nan"], "lambda must be finite"),
+    (["scan-degrees", "--shape", "disk", "--n", "64", "--dmax", "2", "--lambda", "nan"],
+     "lambda must be finite"),
+    (["recover", "--gpt", "{disk}", "--cross-lambda", "1.5"], "two distinct lambda values"),
+    (["recover", "--gpt", "{disk}", "--cross-lambda", "nan"], "lambda must be finite"),
+    (["recover", "--gpt", "{disk}", "--cross-lambda", "inf"], "lambda must be finite"),
+    (["recover", "--gpt", "{disk}", "--scan-degrees", "0"], "DMAX >= 1"),
+    (["render", "--poly", "{circle}", "--box=1,0,0,1", "--out", "{out}"], "degenerate box"),
+    (["match", "--ref", "{circle}", "--obs", "{circle}", "--threshold", "nan"],
+     "threshold must be finite and >= 0"),
+    (["match", "--ref", "{circle}", "--obs", "{circle}", "--threshold", "-1"],
+     "threshold must be finite and >= 0"),
+    # the recover modes exclude each other (argparse: usage line plus error line)
+    (["recover", "--gpt", "{triangle}", "--reduce-degree", "--cross-lambda", "3"],
+     "not allowed with argument"),
+    (["recover", "--gpt", "{disk}", "--scan-degrees", "2", "--reduce-degree"],
+     "not allowed with argument"),
+    (["recover", "--gpt", "{disk}", "--scan-degrees", "2", "--cross-lambda", "3"],
+     "not allowed with argument"),
+], ids=["gpt-d-0", "gpt-row-degree-0", "gpt-lambda-nan", "gpt-lambda-inf", "gpt-k-nan",
+        "scan-lambda-nan", "cross-lambda-equal", "cross-lambda-nan", "cross-lambda-inf",
+        "scan-degrees-0", "render-empty-box", "match-threshold-nan",
+        "match-threshold-negative", "reduce-and-cross", "scan-and-reduce",
+        "scan-and-cross"])
+def test_invalid_arguments_exit_1_without_traceback(probe_files, argv, message):
+    r = run(*[a.format(**probe_files) for a in argv])  # an escaping exception fails here
+    assert r.returncode == 1, r.stderr
+    assert message in r.stderr
+    if message != "not allowed with argument":
+        assert len(r.stderr.splitlines()) == 1, r.stderr
 
 
 def test_recover_missing_file_is_io_error(tmp_path):

@@ -4,12 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from gptshape.errors import (
-    ConfigError,
-    InvalidPolygonError,
-    NoCurveFoundError,
-    TooCoarseError,
-)
+from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import (
     DiscretizedBoundary,
     ShapeSpec,
@@ -91,13 +86,13 @@ def test_flower_missing_petal():
 
 
 def test_too_coarse_rejected():
-    with pytest.raises(TooCoarseError):
+    with pytest.raises(ConfigError, match="need at least 16 nodes, got 8"):
         discretize_parametric(ShapeSpec.disk(), 8)
 
 
 def test_flower_needs_four_nodes_per_petal():
     assert discretize_parametric(ShapeSpec.flower(1.0, 0.3, 16), 64).n == 64
-    with pytest.raises(TooCoarseError, match="17-petal flower needs at least 68 nodes"):
+    with pytest.raises(ConfigError, match="17-petal flower needs at least 68 nodes"):
         discretize_parametric(ShapeSpec.flower(1.0, 0.3, 17), 64)
 
 
@@ -148,7 +143,7 @@ def test_polygon_nodes_avoid_corners():
 
 def test_self_intersecting_polygon_rejected():
     bowtie = ShapeSpec.polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
-    with pytest.raises(InvalidPolygonError):
+    with pytest.raises(ConfigError, match="polygon edges intersect"):
         discretize_polygon(bowtie, 32)
 
 
@@ -158,12 +153,12 @@ def test_self_intersecting_polygon_rejected():
     ([(0, 4), (2, 0), (4, 4), (4, 0), (0, 0)], "edges intersect"),
 ], ids=["collinear", "fold-back", "vertex-on-edge"])
 def test_flat_and_touching_polygons_rejected(vertices, message):
-    with pytest.raises(InvalidPolygonError, match=message):
+    with pytest.raises(ConfigError, match=message):
         discretize_polygon(ShapeSpec.polygon(vertices), 32)
 
 
 def test_degenerate_polygon_rejected():
-    with pytest.raises(InvalidPolygonError):
+    with pytest.raises(ConfigError, match="repeated consecutive vertices"):
         discretize_polygon(ShapeSpec.polygon([(0, 0), (0, 0), (1, 0)]), 32)
 
 
@@ -214,11 +209,11 @@ def test_trace_lemniscate_components():
 
 def test_trace_open_curves_warn_and_empty_raises():
     hyperbola = Poly2.from_terms({(1, 1): 1.0, (0, 0): -0.1})
-    with pytest.raises(NoCurveFoundError):
+    with pytest.raises(NumericError, match="no closed zero-level component"):
         with pytest.warns(RuntimeWarning):
             trace_implicit(hyperbola, box=(-2, 2, -2, 2), grid=64, n=32)
     no_zero = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0})
-    with pytest.raises(NoCurveFoundError):
+    with pytest.raises(NumericError, match="no closed zero-level component"):
         trace_implicit(no_zero, box=(-2, 2, -2, 2), grid=64, n=32)
 
 

@@ -6,7 +6,7 @@ import pytest
 from oracles import disk_gpt_oracle, first_order_block
 
 from gptshape.acceptance import ellipse_first_order_pt
-from gptshape.errors import ConfigError, NoContrastError, NotHarmonicError, TooCloseError
+from gptshape.errors import ConfigError
 from gptshape.geometry import ShapeSpec, discretize, discretize_parametric
 from gptshape.gpt import (
     FarFieldResult,
@@ -14,7 +14,6 @@ from gptshape.gpt import (
     assemble_gpt,
     far_field,
     harmonic_combination,
-    k_of_lambda,
     lambda_of_k,
 )
 from gptshape.npo import assemble
@@ -33,14 +32,8 @@ def test_lambda_of_k_values():
     assert lambda_of_k(2.0) == pytest.approx(1.5)
     assert lambda_of_k(0.0) == pytest.approx(-0.5)
     assert lambda_of_k(math.inf) == 0.5
-    with pytest.raises(NoContrastError):
+    with pytest.raises(ConfigError, match="contrast k = 1"):
         lambda_of_k(1.0)
-
-
-def test_k_lambda_round_trip():
-    for k in (0.25, 2.0, 5.0, 100.0):
-        assert k_of_lambda(lambda_of_k(k)) == pytest.approx(k)
-    assert k_of_lambda(0.5) == math.inf
 
 
 # disk oracle -----------------------------------------------------------------
@@ -150,7 +143,7 @@ def test_disk_harmonic_cross_terms_vanish():
 def test_harmonic_combination_rejects_nonharmonic():
     _, M = build(ShapeSpec.disk(), 64, 1.5, 2)
     x1sq = Poly2.from_terms({(2, 0): 1.0})
-    with pytest.raises(NotHarmonicError):
+    with pytest.raises(ConfigError, match="polynomial a is not harmonic"):
         harmonic_combination(M, x1sq, Poly2.from_terms({(1, 0): 1.0}))
 
 
@@ -202,14 +195,14 @@ def test_far_field_too_close_rejected():
     b = discretize_parametric(ShapeSpec.disk(), 64)
     npo = assemble(b)
     h = Poly2.from_terms({(1, 0): 1.0})
-    with pytest.raises(TooCloseError):
+    with pytest.raises(ConfigError, match="inside 3x the boundary radius"):
         far_field(b, npo, 1.5, h, (1.5, 0.0))
 
 
 def test_far_field_requires_harmonic_background():
     b = discretize_parametric(ShapeSpec.disk(), 64)
     npo = assemble(b)
-    with pytest.raises(NotHarmonicError):
+    with pytest.raises(ConfigError, match="background field h must be harmonic"):
         far_field(b, npo, 1.5, Poly2.from_terms({(2, 0): 1.0}), (8.0, 0.0))
 
 
@@ -266,16 +259,6 @@ def test_gpt_json_index_lists_must_match_degrees(key):
     obj[key][0], obj[key][1] = obj[key][1], obj[key][0]
     with pytest.raises(ConfigError, match=f"{key} do not match d=2, row_degree=3"):
         GptMatrix.from_json(obj)
-
-
-def test_complex_lambda_entries():
-    b = discretize_parametric(ShapeSpec.disk(), 128)
-    M = assemble_gpt(b, assemble(b), 1.5 + 0.5j, 2)
-    lam = 1.5 + 0.5j
-    got = M.entry((1, 0), (1, 0))
-    assert abs(got - np.pi / lam) <= 1e-8
-    with pytest.raises(ValueError):
-        M.to_json()
 
 
 def test_constant_column_nonzero_for_second_order():

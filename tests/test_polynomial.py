@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptshape.errors import DegenerateInputError, OddDegreeError
+from gptshape.errors import ConfigError
 from gptshape.polynomial import (
     Boundedness,
     Poly2,
@@ -242,7 +242,7 @@ def test_quad_form_cross_term_splitting():
 
 
 def test_quad_form_rejects_odd_degree():
-    with pytest.raises(OddDegreeError):
+    with pytest.raises(ConfigError, match="degree 1 form has no square representation"):
         quad_form_matrix([1.0, 2.0])
 
 
@@ -282,7 +282,7 @@ def test_boundedness_product_cubic_inconclusive():
 
 
 def test_boundedness_zero_rejected():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ConfigError, match="zero polynomial has no meaningful zero set"):
         boundedness_check(Poly2.zero(4))
 
 

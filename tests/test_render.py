@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gptshape.errors import ConfigError, EmptyInputError, EmptyLevelSetError, TooCoarseError
+from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import discretize, ShapeSpec
 from gptshape.polynomial import Poly2
 from gptshape.render import LevelSetCurves, export_svg, extract, hausdorff
@@ -72,12 +72,12 @@ def test_extract_saddle_uses_center_sign_at_nonzero_level():
 
 
 def test_extract_empty_level_set():
-    with pytest.raises(EmptyLevelSetError):
+    with pytest.raises(NumericError, match="does not cross the box"):
         extract(CIRCLE, box=(-2, 2, -2, 2), grid=64, level=-2.0)
 
 
 def test_extract_grid_floor():
-    with pytest.raises(TooCoarseError):
+    with pytest.raises(ConfigError, match="grid must be at least 32, got 16"):
         extract(CIRCLE, grid=16)
 
 
@@ -112,7 +112,7 @@ def test_hausdorff_is_symmetric_and_matches_brute_force():
 
 
 def test_hausdorff_empty_rejected():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ConfigError, match="needs two nonempty point sets"):
         hausdorff(np.empty((0, 2)), circle_points(10))
 
 
