@@ -207,6 +207,8 @@ def _boundary_from_meta(M: GptMatrix) -> DiscretizedBoundary:
 def cmd_recover(args) -> int:
     M = GptMatrix.from_json(_read_json(args.gpt))
     if args.scan_degrees is not None:
+        if args.force:
+            raise ConfigError("--force has no effect with --scan-degrees")
         return _scan(_boundary_from_meta(M), M.lam, args.scan_degrees,
                      None if args.out == "-" else args.out)
     if args.cross_lambda is not None:

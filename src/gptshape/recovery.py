@@ -94,6 +94,21 @@ def normalize(p: Poly2, eps_nz: float = DEFAULT_EPS_NZ) -> Poly2:
     return Poly2(p.degree, c / c[astar])
 
 
+def _norm(a: np.ndarray) -> np.float64:
+    """2-norm (Frobenius for a matrix) that survives squares which underflow.
+
+    The plain norm is kept whenever it is a positive finite number, so
+    ordinary inputs keep its bits; otherwise ``a`` is first rescaled by
+    its largest entry.
+    """
+    n = np.linalg.norm(a)
+    if n == 0.0 or not np.isfinite(n):
+        big = np.max(np.abs(a))
+        if 0.0 < big < np.inf:
+            n = big * np.linalg.norm(a / big)
+    return n
+
+
 def kernel_residual(M: GptMatrix, p: Poly2) -> float:
     """Scale-free misfit ``||M p||_2 / (||M||_F ||p||_2)``."""
     if p.degree > M.d:
@@ -104,7 +119,7 @@ def kernel_residual(M: GptMatrix, p: Poly2) -> float:
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         raise ConfigError("kernel residual of the zero polynomial is undefined")
-    return float(np.linalg.norm(M.entries @ v) / (np.linalg.norm(M.entries) * nv))
+    return float(_norm(M.entries @ v) / (_norm(M.entries) * nv))
 
 
 def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
@@ -123,7 +138,7 @@ def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
     _, s, vh = np.linalg.svd(entries)
     g_hat = normalize(Poly2(M.d, vh[-1]), eps_nz)
     gap = float(s[-1] / s[-2]) if s[-2] > 0 else np.inf
-    residual = float(s[-1] / np.linalg.norm(entries))
+    residual = float(s[-1] / _norm(entries))
     flags = ("AmbiguousKernel",) if gap > AMBIGUOUS_GAP else ()
     return RecoveryResult(
         g_hat=g_hat,

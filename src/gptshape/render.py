@@ -75,8 +75,12 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     if grid < MIN_GRID:
         raise ConfigError(f"grid must be at least {MIN_GRID}, got {grid}")
     xmin, xmax, ymin, ymax = map(float, box)
+    if not np.all(np.isfinite([xmin, xmax, ymin, ymax])):
+        raise ConfigError(f"box edges must be finite, got {box}")
     if not (xmin < xmax and ymin < ymax):
         raise ConfigError(f"degenerate box {box}")
+    if not np.isfinite(level):
+        raise ConfigError(f"level must be finite, got {level}")
     xs = np.linspace(xmin, xmax, grid)
     ys = np.linspace(ymin, ymax, grid)
     chains = marching_squares(p.on_grid(xs, ys), xs, ys, level,

@@ -246,7 +246,13 @@ GPT_DISK = ["gpt", "--shape", "disk", "--n", "64", "--out", "{out}"]
     (["recover", "--gpt", "{disk}", "--cross-lambda", "nan"], "lambda must be finite"),
     (["recover", "--gpt", "{disk}", "--cross-lambda", "inf"], "lambda must be finite"),
     (["recover", "--gpt", "{disk}", "--scan-degrees", "0"], "DMAX >= 1"),
+    (["recover", "--gpt", "{disk}", "--scan-degrees", "2", "--force"],
+     "--force has no effect with --scan-degrees"),
     (["render", "--poly", "{circle}", "--box=1,0,0,1", "--out", "{out}"], "degenerate box"),
+    (["render", "--poly", "{circle}", "--box=-4,4,-4,inf", "--out", "{out}"],
+     "box edges must be finite"),
+    (["render", "--poly", "{circle}", "--level", "nan", "--out", "{out}"],
+     "level must be finite"),
     (["match", "--ref", "{circle}", "--obs", "{circle}", "--threshold", "nan"],
      "threshold must be finite and >= 0"),
     (["match", "--ref", "{circle}", "--obs", "{circle}", "--threshold", "-1"],
@@ -260,7 +266,8 @@ GPT_DISK = ["gpt", "--shape", "disk", "--n", "64", "--out", "{out}"]
      "not allowed with argument"),
 ], ids=["gpt-d-0", "gpt-row-degree-0", "gpt-lambda-nan", "gpt-lambda-inf", "gpt-k-nan",
         "scan-lambda-nan", "cross-lambda-equal", "cross-lambda-nan", "cross-lambda-inf",
-        "scan-degrees-0", "render-empty-box", "match-threshold-nan",
+        "scan-degrees-0", "scan-and-force", "render-empty-box", "render-box-inf",
+        "render-level-nan", "match-threshold-nan",
         "match-threshold-negative", "reduce-and-cross", "scan-and-reduce",
         "scan-and-cross"])
 def test_invalid_arguments_exit_1_without_traceback(probe_files, argv, message):

@@ -118,6 +118,16 @@ def test_near_singular_detected():
         Resolvent(npo, 0.5 + 1e-15).apply(np.ones(32))
 
 
+@pytest.mark.parametrize("shape", [(32,), (32, 3)], ids=["vector", "columns"])
+def test_corrupt_factors_fail_the_residual_check(shape):
+    res = Resolvent(disk_npo(32), 1.5)
+    lu, piv = res._lu
+    res._lu = (lu * 1.01, piv)  # no longer the factors of lambda I - A
+    f = np.random.default_rng(0).standard_normal(shape)
+    with pytest.raises(NumericError, match="resolvent residual"):
+        res.apply(f)
+
+
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
 def test_lambda_must_be_finite(lam):
     with pytest.raises(ConfigError, match="lambda must be finite"):

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,20 @@ def test_residual_of_recovered_matches_sigma_min():
     # sigma_min here sits below machine epsilon, so recomputing ||M g||
     # adds an unavoidable eps-level rounding term on top of the SVD bound
     assert kernel_residual(M, out.g_hat) <= bound * (1 + 1e-12) + 1e-15
+
+
+def test_tiny_entries_keep_a_finite_residual():
+    # squared entries near 1e-300 underflow, so the plain Frobenius norm is 0
+    _, M = gpt_of(ShapeSpec.ellipse(2.0, 1.0), 128, 1.5, 2)
+    tiny = replace(M, entries=M.entries * 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = recover(tiny)
+        kres = kernel_residual(tiny, out.g_hat)
+    assert 0.0 <= out.residual <= 1e-12
+    assert 0.0 <= kres <= 1e-12
+    np.testing.assert_allclose(out.g_hat.coeffs, recover(M).g_hat.coeffs, atol=1e-10)
+    assert json.loads(json.dumps(out.to_json(), allow_nan=False))["residual"] == out.residual
 
 
 def test_kernel_membership_exact_at_every_resolution():
