@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _floats(text, what):
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"could not parse {what} value list {text!r}") from None
 
@@ -131,20 +131,14 @@ def _shape_boundary(obj, n) -> tuple[ShapeSpec, DiscretizedBoundary]:
 
 def _load_shape(args) -> tuple[ShapeSpec, DiscretizedBoundary]:
     """The shape given by --shape or --shape-file and its boundary at --n nodes."""
-    if getattr(args, "shape_file", None):
+    if args.shape_file is not None:
         return _shape_boundary(_read_json(args.shape_file), args.n)
-    if getattr(args, "shape", None):
-        spec = parse_shape(args.shape)
-        return spec, discretize(spec, args.n)
-    raise ConfigError("one of --shape or --shape-file is required")
+    spec = parse_shape(args.shape)
+    return spec, discretize(spec, args.n)
 
 
 def _lambda(args) -> float:
-    if args.k is not None:
-        if args.lam is not None:
-            raise ConfigError("--lambda and --k are mutually exclusive")
-        return lambda_of_k(args.k)
-    return args.lam if args.lam is not None else 1.5
+    return args.lam if args.k is None else lambda_of_k(args.k)
 
 
 def _write_json(obj, path) -> None:
@@ -306,14 +300,16 @@ def cmd_verify(args) -> int:
 
 
 def _add_shape_args(sub):
-    sub.add_argument("--shape", help="shape DSL, e.g. disk, ellipse:2,1, "
-                     "flower:1,0.3,5, triangle, lemniscate:1,0,-1,0,0.2")
-    sub.add_argument("--shape-file", help="path to a ShapeSpec JSON file")
+    shape = sub.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--shape", help="shape DSL, e.g. disk, ellipse:2,1, "
+                       "flower:1,0.3,5, triangle, lemniscate:1,0,-1,0,0.2")
+    shape.add_argument("--shape-file", help="path to a ShapeSpec JSON file")
     sub.add_argument("--n", type=int, default=512,
                      help="boundary nodes (default 512)")
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
+    lam = sub.add_mutually_exclusive_group()
+    lam.add_argument("--lambda", dest="lam", type=float, default=1.5,
                      help="spectral parameter, |lambda| > 1/2 (default 1.5)")
-    sub.add_argument("--k", type=float, default=None,
+    lam.add_argument("--k", type=float, default=None,
                      help="conductivity contrast instead of --lambda")
 
 

@@ -185,6 +185,17 @@ def lemniscate_poly(poles, level) -> Poly2:
     return prod - Poly2.from_terms({(0, 0): float(level)}, degree=prod.degree)
 
 
+def _outward(nodes, normals, weights, kappa):
+    """Normals and curvatures of one closed curve, flipped to point outward.
+
+    The divergence identity sum <x, nu> w = 2 area is positive exactly
+    when the normals point out of the curve, whatever its size or shape.
+    """
+    if np.sum(np.sum(nodes * normals, axis=1) * weights) > 0:
+        return normals, kappa
+    return -normals, -kappa
+
+
 # parametric shapes ------------------------------------------------------
 
 
@@ -197,10 +208,8 @@ def _from_parametrization(xfun, dxfun, ddxfun, n):
     normals = np.column_stack([dx[:, 1], -dx[:, 0]]) / speed[:, None]
     kappa = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
     weights = speed * (2.0 * np.pi / n)
-    b = DiscretizedBoundary(x, normals, weights, kappa, np.zeros(n, dtype=int))
-    if b.area() < 0:  # clockwise parametrization: flip to outward
-        b = DiscretizedBoundary(x, -normals, weights, -kappa, b.component_id)
-    return b
+    normals, kappa = _outward(x, normals, weights, kappa)
+    return DiscretizedBoundary(x, normals, weights, kappa, np.zeros(n, dtype=int))
 
 
 def _polar_parametrization(rfun, drfun, ddrfun, center):
@@ -384,17 +393,6 @@ def _resample_closed(pts, arcs, m):
     return pts[seg] + frac[:, None] * (nxt[seg] - pts[seg])
 
 
-def _point_in_polygon(poly_pts, q):
-    x, y = q
-    xs, ys = poly_pts[:, 0], poly_pts[:, 1]
-    x2, y2 = np.roll(xs, -1), np.roll(ys, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (ys > y) != (y2 > y)
-        xint = xs + (y - ys) / (y2 - ys) * (x2 - xs)
-    hits = cross & (xint > x)
-    return int(np.count_nonzero(hits)) % 2 == 1
-
-
 def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
                    n: int = 256) -> DiscretizedBoundary:
     """Discretize the zero set of a polynomial inside a box.
@@ -404,9 +402,12 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     equidistributed in arc length (chords corrected by local curvature), so
     the final trapezoid weights behave like a smooth periodic rule.  Open
     polylines leave the box and are excluded with a warning.  Normals are
-    grad p / |grad p| with the sign fixed so they point out of each closed
-    component; curvature comes from the standard implicit formula and
-    follows the same sign convention.
+    grad p / |grad p|, and curvature comes from the standard implicit
+    formula; both are flipped where needed so that each closed component
+    has sum <x, nu> w > 0, i.e. its normals point out of it.  The sign of
+    ``p`` therefore does not matter: ``p`` and ``-p`` give the same boundary,
+    unless a grid vertex lies exactly on the curve (marching squares counts
+    a sample of exactly 0 as positive, so the two start from other polylines).
     """
     if n < MIN_NODES:
         raise ConfigError(f"need at least {MIN_NODES} nodes, got {n}")
@@ -446,15 +447,9 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
         norm = np.hypot(g1, g2)
         normals = np.column_stack([g1, g2]) / norm[:, None]
         kappa = curvature(pts)
-        # orient outward: probe from the flattest node along its normal
-        anchor = int(np.argmin(np.abs(kappa)))
         arcs = _corrected_arcs(pts, np.abs(kappa))
-        delta = min(0.5 * float(np.median(arcs)),
-                    0.1 / (1.0 + abs(float(kappa[anchor]))))
-        probe = pts[anchor] + delta * normals[anchor]
-        if _point_in_polygon(pts, probe):
-            normals, kappa = -normals, -kappa
         weights = 0.5 * (arcs + np.roll(arcs, 1))
+        normals, kappa = _outward(pts, normals, weights, kappa)
         components.append((pts, normals, weights, kappa))
 
     components.sort(key=lambda c: float(np.min(c[0][:, 0])))

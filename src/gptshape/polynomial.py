@@ -98,10 +98,8 @@ class Poly2:
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
         out = np.zeros(np.broadcast(x1, x2).shape)
-        for i, c in enumerate(self.coeffs):
-            if c != 0.0:
-                a1, a2 = multiindex_at(i)
-                out += c * x1**a1 * x2**a2
+        for (a1, a2), c in self.term_items():
+            out += c * x1**a1 * x2**a2
         return out
 
     def on_grid(self, xs, ys) -> np.ndarray:

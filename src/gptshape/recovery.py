@@ -11,7 +11,8 @@ Two diagnostics guard the answer:
 * ``kernel_gap = sigma_last / sigma_{last-1}`` — small means the kernel is
   numerically one-dimensional; a large value means either the degree bound
   is wrong or the spectral parameter sits near an exceptional value, and
-  the result is flagged ``AmbiguousKernel``.
+  the result is flagged ``AmbiguousKernel``.  When ``sigma_{last-1}`` is 0
+  the kernel has two or more dimensions and the gap is set to 1.
 * ``residual = ||M g|| / (||M||_F ||g||)`` — scale-free misfit of the
   recovered (or any candidate) polynomial.
 
@@ -109,6 +110,11 @@ def _norm(a: np.ndarray) -> np.float64:
     return n
 
 
+def _require_nonzero(entries: np.ndarray) -> None:
+    if not np.any(entries):
+        raise ConfigError("the GPT matrix has no nonzero entry")
+
+
 def kernel_residual(M: GptMatrix, p: Poly2) -> float:
     """Scale-free misfit ``||M p||_2 / (||M||_F ||p||_2)``."""
     if p.degree > M.d:
@@ -119,6 +125,7 @@ def kernel_residual(M: GptMatrix, p: Poly2) -> float:
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         raise ConfigError("kernel residual of the zero polynomial is undefined")
+    _require_nonzero(M.entries)
     return float(_norm(M.entries @ v) / (_norm(M.entries) * nv))
 
 
@@ -135,9 +142,10 @@ def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
         raise ConfigError(
             f"matrix must have more rows than columns, got {entries.shape}"
         )
+    _require_nonzero(entries)
     _, s, vh = np.linalg.svd(entries)
     g_hat = normalize(Poly2(M.d, vh[-1]), eps_nz)
-    gap = float(s[-1] / s[-2]) if s[-2] > 0 else np.inf
+    gap = float(s[-1] / s[-2]) if s[-2] > 0 else 1.0
     residual = float(s[-1] / _norm(entries))
     flags = ("AmbiguousKernel",) if gap > AMBIGUOUS_GAP else ()
     return RecoveryResult(

@@ -264,18 +264,30 @@ GPT_DISK = ["gpt", "--shape", "disk", "--n", "64", "--out", "{out}"]
      "not allowed with argument"),
     (["recover", "--gpt", "{disk}", "--scan-degrees", "2", "--cross-lambda", "3"],
      "not allowed with argument"),
+    # so do the two shape sources and the two spectral parameters
+    (GPT_DISK + ["--d", "1", "--shape-file", "{out}"], "not allowed with argument"),
+    (GPT_DISK + ["--d", "1", "--lambda", "2", "--k", "3"], "not allowed with argument"),
+    (["gpt", "--n", "64", "--d", "1"], "--shape --shape-file is required"),
+    # an empty field is a parse error, not a dropped value
+    (["gpt", "--shape", "ellipse:2,1,,0.5,0.3", "--d", "1"],
+     "could not parse ellipse value list"),
+    (["gpt", "--shape", "disk:1,", "--d", "1"], "could not parse disk value list"),
+    (["render", "--poly", "{circle}", "--box=-4,4,,-4,4", "--out", "{out}"],
+     "could not parse box value list"),
 ], ids=["gpt-d-0", "gpt-row-degree-0", "gpt-lambda-nan", "gpt-lambda-inf", "gpt-k-nan",
         "scan-lambda-nan", "cross-lambda-equal", "cross-lambda-nan", "cross-lambda-inf",
         "scan-degrees-0", "scan-and-force", "render-empty-box", "render-box-inf",
         "render-level-nan", "match-threshold-nan",
         "match-threshold-negative", "reduce-and-cross", "scan-and-reduce",
-        "scan-and-cross"])
+        "scan-and-cross", "shape-and-shape-file", "lambda-and-k", "no-shape",
+        "dsl-empty-field", "dsl-trailing-comma", "box-empty-field"])
 def test_invalid_arguments_exit_1_without_traceback(probe_files, argv, message):
     r = run(*[a.format(**probe_files) for a in argv])  # an escaping exception fails here
     assert r.returncode == 1, r.stderr
-    assert message in r.stderr
-    if message != "not allowed with argument":
-        assert len(r.stderr.splitlines()) == 1, r.stderr
+    lines = r.stderr.splitlines()
+    assert message in lines[-1]
+    if not r.stderr.startswith("usage:"):  # argparse prints its usage line(s) first
+        assert len(lines) == 1, r.stderr
 
 
 def test_recover_missing_file_is_io_error(tmp_path):
@@ -314,6 +326,35 @@ def test_recover_malformed_gpt_is_config_error(tmp_path, capsys, corrupt, messag
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("keep_largest, plain, forced", [
+    (False, 1, 1),  # no nonzero entry: refused whatever the mode
+    (True, 2, 0),   # one nonzero entry: sigma_{k-1} = 0, an ambiguous kernel
+], ids=["all-zero", "one-entry"])
+def test_recover_degenerate_gpt_matrix(tmp_path, keep_largest, plain, forced):
+    b = discretize(ShapeSpec.disk(), 64)
+    obj = assemble_gpt(b, assemble(b), 1.5, 2).to_json()
+    entries = obj["entries"]
+    top = max(range(len(entries)), key=lambda i: abs(entries[i])) if keep_largest else -1
+    obj["entries"] = [v if i == top else 0.0 for i, v in enumerate(entries)]
+    path, out = tmp_path / "M.json", tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    r = run("recover", "--gpt", str(path))
+    assert r.returncode == plain, r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    r = run("recover", "--gpt", str(path), "--force", "--out", str(out))
+    assert r.returncode == forced, r.stderr
+    if forced:
+        assert r.stderr == "error: the GPT matrix has no nonzero entry\n"
+    else:
+        result = json.loads(out.read_text(), parse_constant=_raise_on_constant)
+        assert result["kernel_gap"] == 1.0 and result["residual"] == 0.0
+        assert result["flags"] == ["AmbiguousKernel"]
 
 
 @pytest.mark.parametrize("option, meta, message", [

@@ -189,6 +189,28 @@ def test_trace_orientation_with_flipped_sign():
     np.testing.assert_allclose(b.curvatures, 1.0, atol=1e-4)
 
 
+THIN_ELLIPSE = Poly2.from_terms({(2, 0): 1.0 / 9.0, (0, 2): 1e4, (0, 0): -1.0})
+
+
+@pytest.mark.parametrize("p, box, grid, n", [
+    # no grid vertex lies on the curve, where p = 0 = -p would split the tie
+    (UNIT_CIRCLE, (-3, 3, -3, 3), 128, 64),
+    (lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2), (-2, 2, -2, 2), 256, 128),
+    # 0.02 thick: a fixed step along the normal would cross it whole
+    (THIN_ELLIPSE, (-3.5, 3.5, -3.5, 3.5), 2048, 256),
+], ids=["circle", "lemniscate", "thin-ellipse"])
+def test_trace_does_not_depend_on_the_sign_of_p(p, box, grid, n):
+    plus = trace_implicit(p, box=box, grid=grid, n=n)
+    minus = trace_implicit(-1.0 * p, box=box, grid=grid, n=n)
+    for name in ("nodes", "normals", "weights", "curvatures", "component_id"):
+        np.testing.assert_array_equal(getattr(minus, name), getattr(plus, name), name)
+    for cid in range(plus.n_components):
+        mask = plus.component_id == cid
+        flux = np.sum(np.sum(plus.nodes[mask] * plus.normals[mask], axis=1)
+                      * plus.weights[mask])
+        assert flux > 0
+
+
 def test_trace_lemniscate_components():
     poles = [(1.0, 0.0), (-1.0, 0.0)]
     two = trace_implicit(lemniscate_poly(poles, 0.2), box=(-2, 2, -2, 2), grid=256, n=128)

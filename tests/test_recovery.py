@@ -187,6 +187,15 @@ def test_recover_requires_tall_matrix():
         recover(squat)
 
 
+def test_zero_matrix_is_refused():
+    _, M = gpt_of(ShapeSpec.disk(), 64, 1.5, 2)
+    zero = replace(M, entries=np.zeros_like(M.entries))
+    with pytest.raises(ConfigError, match="no nonzero entry"):
+        recover(zero)
+    with pytest.raises(ConfigError, match="no nonzero entry"):
+        kernel_residual(zero, Poly2.from_terms({(0, 0): 1.0}, degree=2))
+
+
 # cross-validation ------------------------------------------------------------
 
 
