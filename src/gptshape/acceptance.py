@@ -278,8 +278,8 @@ def _traced_circle():
     b = trace_implicit(p, box=(-2, 2, -2, 2), n=256)
     ea = abs(b.area() - np.pi)
     ep = abs(b.perimeter() - 2 * np.pi)
-    return (ea <= 1e-4 and ep <= 1e-4,
-            f"area err {ea:.2e} (<=1e-4), perimeter err {ep:.2e} (<=1e-4)")
+    return (ea <= 1e-12 and ep <= 1e-12,
+            f"area err {ea:.2e} (<=1e-12), perimeter err {ep:.2e} (<=1e-12)")
 
 
 @_check("lambda-estimate", 2.0)

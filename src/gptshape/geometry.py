@@ -1,15 +1,14 @@
 """Discretized planar boundaries: nodes, outward normals, weights, curvature.
 
-Three discretization routes produce the same :class:`DiscretizedBoundary`
-structure:
+Two builders produce the same :class:`DiscretizedBoundary` structure:
 
-* smooth parametric shapes (disk, ellipse, cosine flower) sampled at
-  equispaced parameters, which makes the periodic trapezoid rule spectrally
-  accurate;
-* implicit algebraic curves traced by marching squares, Newton-projected
-  onto the zero set and equidistributed in arc length;
-* polygons with per-edge Gauss nodes pushed toward the corners by a
-  polynomial grading, corners themselves excluded.
+* every smooth closed curve goes through one periodic trapezoid rule,
+  spectrally accurate at equispaced parameters.  Parametric shapes (disk,
+  ellipse, cosine flower) supply exact derivatives; implicit algebraic
+  curves are traced by marching squares, Newton-projected onto the zero
+  set, resampled equispaced in chord length, and differentiated by FFT;
+* polygons get graded composite-midpoint nodes on each edge, pushed toward
+  the corners by a polynomial grading, corners themselves excluded.
 
 All arrays are plain float64; boundaries are value objects and never
 mutated after construction.
@@ -185,15 +184,22 @@ def lemniscate_poly(poles, level) -> Poly2:
     return prod - Poly2.from_terms({(0, 0): float(level)}, degree=prod.degree)
 
 
-def _outward(nodes, normals, weights, kappa):
-    """Normals and curvatures of one closed curve, flipped to point outward.
+def _smooth_curve(x, dx, ddx):
+    """Outward normals, trapezoid weights and curvatures of one closed curve.
 
-    The divergence identity sum <x, nu> w = 2 area is positive exactly
-    when the normals point out of the curve, whatever its size or shape.
+    ``x``, ``dx`` and ``ddx`` sample a smooth periodic curve and its first
+    two derivatives at t_j = 2 pi j / m.  The weights |x'| 2 pi / m are the
+    periodic trapezoid rule.  Normals and curvatures are flipped unless the
+    divergence identity sum <x, nu> w = 2 area is positive, which holds
+    exactly when the normals point out of the curve.
     """
-    if np.sum(np.sum(nodes * normals, axis=1) * weights) > 0:
-        return normals, kappa
-    return -normals, -kappa
+    speed = np.hypot(dx[:, 0], dx[:, 1])
+    normals = np.column_stack([dx[:, 1], -dx[:, 0]]) / speed[:, None]
+    kappa = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
+    weights = speed * (2.0 * np.pi / len(x))
+    if np.sum(np.sum(x * normals, axis=1) * weights) > 0:
+        return normals, weights, kappa
+    return -normals, weights, -kappa
 
 
 # parametric shapes ------------------------------------------------------
@@ -202,13 +208,7 @@ def _outward(nodes, normals, weights, kappa):
 def _from_parametrization(xfun, dxfun, ddxfun, n):
     t = 2.0 * np.pi * np.arange(n) / n
     x = xfun(t)
-    dx = dxfun(t)
-    ddx = ddxfun(t)
-    speed = np.hypot(dx[:, 0], dx[:, 1])
-    normals = np.column_stack([dx[:, 1], -dx[:, 0]]) / speed[:, None]
-    kappa = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
-    weights = speed * (2.0 * np.pi / n)
-    normals, kappa = _outward(x, normals, weights, kappa)
+    normals, weights, kappa = _smooth_curve(x, dxfun(t), ddxfun(t))
     return DiscretizedBoundary(x, normals, weights, kappa, np.zeros(n, dtype=int))
 
 
@@ -374,43 +374,49 @@ def _newton_project(p, gx, gy, pts, tol, max_iter=20):
     return pts
 
 
-def _corrected_arcs(pts, kappa_abs):
-    """Per-segment arc lengths: chord plus the circular-arc correction."""
+def _resample_closed(pts, m):
+    """Place m points equispaced in chord length along a closed polyline."""
     nxt = np.roll(pts, -1, axis=0)
-    chord = np.hypot(*(nxt - pts).T)
-    kmid = 0.5 * (kappa_abs + np.roll(kappa_abs, -1))
-    return chord * (1.0 + (kmid * chord) ** 2 / 24.0)
-
-
-def _resample_closed(pts, arcs, m):
-    """Place m points equispaced in (approximate) arc length along a loop."""
-    s = np.concatenate([[0.0], np.cumsum(arcs)])
-    total = s[-1]
-    targets = total * np.arange(m) / m
-    seg = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(arcs) - 1)
-    frac = (targets - s[seg]) / arcs[seg]
-    nxt = np.roll(pts, -1, axis=0)
+    chords = np.hypot(*(nxt - pts).T)
+    s = np.concatenate([[0.0], np.cumsum(chords)])
+    targets = s[-1] * np.arange(m) / m
+    seg = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(chords) - 1)
+    frac = (targets - s[seg]) / chords[seg]
     return pts[seg] + frac[:, None] * (nxt[seg] - pts[seg])
+
+
+def _spectral_derivatives(pts):
+    """First and second t-derivatives of a closed curve sampled at t_j = 2 pi j / m.
+
+    Differentiates the trigonometric interpolant of x + iy by FFT.  For even
+    m the unpaired Nyquist mode is dropped, so both derivatives stay real.
+    """
+    m = len(pts)
+    c = np.fft.fft(pts[:, 0] + 1j * pts[:, 1])
+    k = np.fft.fftfreq(m, 1.0 / m)
+    if m % 2 == 0:
+        k[m // 2] = 0.0
+    d1, d2 = np.fft.ifft(1j * k * c), np.fft.ifft(-k * k * c)
+    return np.column_stack([d1.real, d1.imag]), np.column_stack([d2.real, d2.imag])
 
 
 def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
                    n: int = 256) -> DiscretizedBoundary:
     """Discretize the zero set of a polynomial inside a box.
 
-    Marching squares provides starting polylines; every node is then
-    Newton-projected onto {p = 0} and the closed components are iteratively
-    equidistributed in arc length (chords corrected by local curvature), so
-    the final trapezoid weights behave like a smooth periodic rule.  Open
-    polylines leave the box and are excluded with a warning.  Normals are
-    grad p / |grad p|, and curvature comes from the standard implicit
-    formula; both are flipped where needed so that each closed component
-    has sum <x, nu> w > 0, i.e. its normals point out of it.  The sign of
-    ``p`` therefore does not matter: ``p`` and ``-p`` give the same boundary,
-    unless a grid vertex lies exactly on the curve (marching squares counts
-    a sample of exactly 0 as positive, so the two start from other polylines).
+    Marching squares provides starting polylines, and open ones, which
+    leave the box, are excluded with a warning.  Each closed component is
+    Newton-projected onto {p = 0} and resampled twice, fine and then at n
+    nodes, equispaced in chord length and projected again.  The nodes then
+    sample a smooth periodic curve, so the trapezoid rule with FFT
+    derivatives gives its weights, normals and curvatures, oriented
+    outward.  ``p`` and ``-p`` give the same boundary bit for bit.
     """
     if n < MIN_NODES:
         raise ConfigError(f"need at least {MIN_NODES} nodes, got {n}")
+    nonzero = np.flatnonzero(p.coeffs)
+    if nonzero.size and p.coeffs[nonzero[-1]] < 0:
+        p = -p  # one sign for p and -p, so a sample of exactly 0 splits ties alike
     xmin, xmax, ymin, ymax = box
     xs = np.linspace(xmin, xmax, grid + 1)
     ys = np.linspace(ymin, ymax, grid + 1)
@@ -418,7 +424,7 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
                                  lambda cx, cy: float(p(np.array([cx, cy]))))
 
     open_count = sum(1 for _, closed in polylines if not closed)
-    closed_lines = [pts for pts, closed in polylines if closed and len(pts) >= 8]
+    closed_lines = [pts for pts, closed in polylines if closed]
     if open_count:
         warnings.warn(f"excluded {open_count} unbounded (open) polyline(s) "
                       "leaving the tracing box", RuntimeWarning, stacklevel=2)
@@ -426,31 +432,13 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
         raise NumericError("no closed zero-level component inside the box")
 
     px, py = partial(p, 0), partial(p, 1)
-    pxx, pxy, pyy = partial(px, 0), partial(px, 1), partial(py, 1)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(p.coeffs))))
-
-    def curvature(pts):
-        g1, g2 = px(pts), py(pts)
-        h11, h12, h22 = pxx(pts), pxy(pts), pyy(pts)
-        norm = np.hypot(g1, g2)
-        return (h11 * g2 * g2 - 2.0 * h12 * g1 * g2 + h22 * g1 * g1) / norm**3
-
     components = []
     for pts in closed_lines:
         pts = _newton_project(p, px, py, pts, tol)
-        fine = max(8 * n, 512)
-        for m in (fine, fine, n):
-            arcs = _corrected_arcs(pts, np.abs(curvature(pts)))
-            pts = _resample_closed(pts, arcs, m)
-            pts = _newton_project(p, px, py, pts, tol)
-        g1, g2 = px(pts), py(pts)
-        norm = np.hypot(g1, g2)
-        normals = np.column_stack([g1, g2]) / norm[:, None]
-        kappa = curvature(pts)
-        arcs = _corrected_arcs(pts, np.abs(kappa))
-        weights = 0.5 * (arcs + np.roll(arcs, 1))
-        normals, kappa = _outward(pts, normals, weights, kappa)
-        components.append((pts, normals, weights, kappa))
+        for m in (max(8 * n, 512), n):
+            pts = _newton_project(p, px, py, _resample_closed(pts, m), tol)
+        components.append((pts, *_smooth_curve(pts, *_spectral_derivatives(pts))))
 
     components.sort(key=lambda c: float(np.min(c[0][:, 0])))
     nodes = np.vstack([c[0] for c in components])

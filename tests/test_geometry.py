@@ -6,6 +6,7 @@ import pytest
 
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import (
+    DEFAULT_BOX,
     DiscretizedBoundary,
     ShapeSpec,
     _from_parametrization,
@@ -15,6 +16,8 @@ from gptshape.geometry import (
     lemniscate_poly,
     trace_implicit,
 )
+from gptshape.gpt import assemble_gpt
+from gptshape.npo import assemble
 from gptshape.polynomial import Poly2
 
 UNIT_CIRCLE = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
@@ -180,7 +183,7 @@ def test_trace_circle_accuracy():
 
 
 def test_trace_orientation_with_flipped_sign():
-    # interior is where p > 0 here, so grad p points inward and must be flipped
+    # interior is where p > 0 here, so grad p points inward; normals still point out
     inside_pos = Poly2.from_terms({(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
     b = trace_implicit(inside_pos, box=(-2, 2, -2, 2), grid=128, n=64)
     radial = np.sum(b.nodes * b.normals, axis=1)
@@ -193,12 +196,13 @@ THIN_ELLIPSE = Poly2.from_terms({(2, 0): 1.0 / 9.0, (0, 2): 1e4, (0, 0): -1.0})
 
 
 @pytest.mark.parametrize("p, box, grid, n", [
-    # no grid vertex lies on the curve, where p = 0 = -p would split the tie
     (UNIT_CIRCLE, (-3, 3, -3, 3), 128, 64),
     (lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2), (-2, 2, -2, 2), 256, 128),
     # 0.02 thick: a fixed step along the normal would cross it whole
     (THIN_ELLIPSE, (-3.5, 3.5, -3.5, 3.5), 2048, 256),
-], ids=["circle", "lemniscate", "thin-ellipse"])
+    # grid vertices (+-1, 0) lie on the curve, where p = 0 = -p must split the tie alike
+    (UNIT_CIRCLE, DEFAULT_BOX, 512, 256),
+], ids=["circle", "lemniscate", "thin-ellipse", "default-box-circle"])
 def test_trace_does_not_depend_on_the_sign_of_p(p, box, grid, n):
     plus = trace_implicit(p, box=box, grid=grid, n=n)
     minus = trace_implicit(-1.0 * p, box=box, grid=grid, n=n)
@@ -227,6 +231,35 @@ def test_trace_lemniscate_components():
 
     one = trace_implicit(lemniscate_poly(poles, 1.5), box=(-3, 3, -3, 3), grid=256, n=128)
     assert one.n_components == 1
+
+
+def test_trace_keeps_a_small_closed_component():
+    r = 0.01  # a 4-point loop on the default grid, beside the unit circle at (-1.5, 0)
+    small = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (1, 0): -2.0, (0, 0): 1.0 - r * r})
+    big = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (1, 0): 3.0, (0, 0): 1.25})
+    b = trace_implicit(small * big, n=64)
+    assert b.n_components == 2
+    oval = b.component_id == 1  # components are sorted by leftmost node
+    area = 0.5 * np.sum(np.sum(b.nodes[oval] * b.normals[oval], axis=1) * b.weights[oval])
+    assert area == pytest.approx(np.pi * r * r, rel=1e-8)
+
+
+def _gpt(b, d):
+    return assemble_gpt(b, assemble(b), 1.5, d).entries
+
+
+@pytest.mark.parametrize("a, b, n, tol", [(2.0, 1.0, 128, 1e-12), (3.0, 0.3, 512, 1e-5)])
+def test_traced_ellipse_gpt_matches_its_parametric_twin(a, b, n, tol):
+    p = Poly2.from_terms({(2, 0): 1.0 / a**2, (0, 2): 1.0 / b**2, (0, 0): -1.0})
+    traced = _gpt(trace_implicit(p, n=n), 3)
+    exact = _gpt(discretize_parametric(ShapeSpec.ellipse(a, b), n), 3)
+    assert np.max(np.abs(traced - exact)) <= tol * np.max(np.abs(exact))
+
+
+def test_traced_lemniscate_gpt_converges_spectrally():
+    p = lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2)
+    coarse, fine = (_gpt(trace_implicit(p, box=(-2, 2, -2, 2), n=n), 4) for n in (256, 512))
+    assert np.linalg.norm(coarse - fine) <= 1e-12 * np.linalg.norm(fine)
 
 
 def test_trace_open_curves_warn_and_empty_raises():
