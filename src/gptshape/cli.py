@@ -26,7 +26,7 @@ from . import __version__, acceptance
 from .errors import ConfigError, NumericError
 from .geometry import DiscretizedBoundary, ShapeSpec, discretize
 from .gpt import GptMatrix, assemble_gpt, lambda_of_k
-from .npo import assemble, dump_npo
+from .npo import assemble, check_memory, dump_npo
 from .polynomial import Poly2
 from .recovery import recover, recover_crossvalidated, recover_minimal_degree, scan
 from .render import export_svg, extract
@@ -120,20 +120,26 @@ def _shape_boundary(obj, n) -> tuple[ShapeSpec, DiscretizedBoundary]:
     the package's own checks keep their message.
     """
     try:
-        spec = ShapeSpec.from_json(obj)
-        return spec, discretize(spec, int(n))
+        spec, n = ShapeSpec.from_json(obj), int(n)
+        check_memory(n)
+        return spec, discretize(spec, n)
     except ConfigError:
         raise
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"malformed shape or node count ({type(exc).__name__}: {exc})") from exc
 
 
 def _load_shape(args) -> tuple[ShapeSpec, DiscretizedBoundary]:
-    """The shape given by --shape or --shape-file and its boundary at --n nodes."""
+    """The shape given by --shape or --shape-file and its boundary at --n nodes.
+
+    A boundary has at least n nodes, so the memory budget of its NPO
+    matrix is checked on n before any node is placed.
+    """
     if args.shape_file is not None:
         return _shape_boundary(_read_json(args.shape_file), args.n)
     spec = parse_shape(args.shape)
+    check_memory(args.n)
     return spec, discretize(spec, args.n)
 
 

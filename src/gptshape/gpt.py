@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import DiscretizedBoundary
-from .npo import NpoMatrix, Resolvent, neumann_data
+from .npo import NpoMatrix, Resolvent, monomial_powers, neumann_data
 from .polynomial import Poly2, laplacian, multiindex_at, ordinal, poly_dim
 
 _HARMONIC_TOL = 1e-10
@@ -162,12 +162,9 @@ def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
 
 def _assemble(b: DiscretizedBoundary, res: Resolvent, d: int,
               row_degree: int) -> GptMatrix:
-    alphas = _row_alphas(row_degree)
-    betas = _col_betas(d)
-    rhs = np.column_stack([neumann_data(b, a) for a in alphas])
-    densities = res.apply(rhs)  # one column per alpha
-    x1, x2 = b.nodes[:, 0], b.nodes[:, 1]
-    moments = np.stack([b.weights * x1**b1 * x2**b2 for b1, b2 in betas])
+    p1, p2 = powers = monomial_powers(b, max(row_degree, d))
+    densities = res.apply(neumann_data(b, _row_alphas(row_degree), powers))
+    moments = np.stack([b.weights * p1[b1] * p2[b2] for b1, b2 in _col_betas(d)])
     entries = (moments @ densities).T  # (rows, cols)
     return GptMatrix(res.lam, d, row_degree, entries)
 

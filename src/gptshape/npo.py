@@ -19,6 +19,19 @@ invertible for |lambda| > 1/2; :class:`Resolvent` factors it once and
 solves many right-hand sides.  It imports scipy.linalg on first use, so
 importing this module (and ``gptshape``) loads numpy but no scipy.
 
+The assembly fills A in blocks of max(1, 2**15 // n) rows.  Each block
+passes through three scratch buffers of that shape, in place and in the
+operation order of the whole-matrix formulas, so A gets the same bits as
+from full n x n temporaries while the assembly allocates little beyond A
+itself (1.1 x 8 n^2 bytes at n = 1024).  The coincident-node test puts
+inf on each block's diagonal and then asks whether any squared distance
+is below 1e-28; taking the minimum instead would let a NaN hide a
+coincident pair.  :class:`Resolvent` writes lambda I - A once, in Fortran
+order, and LAPACK factors that array in place (1.1 x 8 n^2 bytes above
+A).  A and its LU thus pin 2 x 8 n^2 bytes, and :func:`check_memory`
+refuses a node count whose pair would not fit in physical memory, before
+any n x n array is allocated.
+
 numpy's and scipy's wheels each bundle their own OpenBLAS, and each
 library keeps its own pool of worker threads.  Handing a solve's data
 from one pool to the other costs about 8 ms per hand-off on a 2-core host
@@ -38,11 +51,11 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .geometry import DiscretizedBoundary
-from .polynomial import ordinal
 
 _MAGIC = b"NPOMAT01"
 _RESIDUAL_TOL = 1e-10
 _COND_LIMIT = 1e13
+_BLOCK_ENTRIES = 2**15  # entries per row block of the assembly, 256 KiB per buffer
 
 
 @dataclass(frozen=True)
@@ -65,20 +78,50 @@ class NpoMatrix:
         return self.matrix.shape[0]
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_memory(n: int) -> None:
+    """Refuse n nodes when the matrix and its LU, 2 x 8 n^2 bytes, exceed physical memory."""
+    need, have = 16 * n * n, _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"{n} nodes need {need} bytes for the NPO matrix and its LU, "
+            f"but this machine has {have} bytes of memory")
+
+
 def assemble(b: DiscretizedBoundary) -> NpoMatrix:
-    """Build the dense NPO collocation matrix for a discretized boundary."""
-    x = b.nodes
-    dx0 = x[:, 0][:, None] - x[:, 0][None, :]
-    dx1 = x[:, 1][:, None] - x[:, 1][None, :]
-    r2 = dx0 * dx0 + dx1 * dx1
-    off_diag = ~np.eye(b.n, dtype=bool)
-    if np.any(r2[off_diag] < 1e-28):
-        raise ConfigError("coincident quadrature nodes")
-    np.fill_diagonal(r2, 1.0)
-    kern = (dx0 * b.normals[:, 0][:, None] + dx1 * b.normals[:, 1][:, None]) / r2
-    kern /= 2.0 * np.pi
-    np.fill_diagonal(kern, b.curvatures / (4.0 * np.pi))
-    return NpoMatrix(kern * b.weights[None, :], b)
+    """Build the dense NPO collocation matrix for a discretized boundary.
+
+    Rows are filled in blocks through three scratch buffers; see the
+    module docstring.
+    """
+    n = b.n
+    check_memory(n)
+    x0, x1 = b.nodes[:, 0], b.nodes[:, 1]
+    out = np.empty((n, n))
+    rows = max(1, _BLOCK_ENTRIES // n)
+    scratch = [np.empty((min(rows, n), n)) for _ in range(3)]
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        dx0, dx1, r2 = (buf[: j - i] for buf in scratch)
+        block = out[i:j]
+        np.subtract.outer(x0[i:j], x0, out=dx0)
+        np.subtract.outer(x1[i:j], x1, out=dx1)
+        np.multiply(dx0, dx0, out=r2)
+        r2 += np.multiply(dx1, dx1, out=block)  # the output block as scratch
+        r2.reshape(-1)[i::n + 1] = np.inf  # entries (k, i + k): the block's diagonal
+        if (r2 < 1e-28).any():
+            raise ConfigError("coincident quadrature nodes")
+        dx0 *= b.normals[i:j, 0:1]
+        dx1 *= b.normals[i:j, 1:2]
+        dx0 += dx1
+        dx0 /= r2
+        dx0 /= 2.0 * np.pi
+        dx0.reshape(-1)[i::n + 1] = b.curvatures[i:j] / (4.0 * np.pi)
+        np.multiply(dx0, b.weights, out=block)
+    return NpoMatrix(out, b)
 
 
 class Resolvent:
@@ -95,7 +138,12 @@ class Resolvent:
         self.npo = npo
         import scipy.linalg  # lazy: see the module docstring
 
-        self._lu = scipy.linalg.lu_factor(lam * np.eye(npo.n) - npo.matrix)
+        # lambda I - A, bit for bit: off the diagonal (lam * 0.0) - a keeps
+        # the sign of a zero, where -a alone would not.
+        a = npo.matrix
+        s = np.subtract(lam * 0.0, a, order="F")
+        np.fill_diagonal(s, lam - np.diagonal(a))
+        self._lu = scipy.linalg.lu_factor(s, overwrite_a=True)
         diag = np.abs(np.diag(self._lu[0]))
         cond_est = float(np.max(diag) / max(np.min(diag), 1e-300))
         if cond_est > _COND_LIMIT:
@@ -121,15 +169,28 @@ class Resolvent:
         return phi
 
 
-def neumann_data(b: DiscretizedBoundary, alpha) -> np.ndarray:
-    """Normal derivative of the monomial x^alpha sampled at the nodes."""
-    a1, a2 = alpha
-    if ordinal(alpha) == 0:
-        return np.zeros(b.n)
+def monomial_powers(b: DiscretizedBoundary, degree: int):
+    """x1**k and x2**k at the nodes for k = 0..degree, as two lists."""
     x1, x2 = b.nodes[:, 0], b.nodes[:, 1]
-    g1 = a1 * x1 ** (a1 - 1) * x2**a2 if a1 > 0 else np.zeros(b.n)
-    g2 = a2 * x1**a1 * x2 ** (a2 - 1) if a2 > 0 else np.zeros(b.n)
-    return b.normals[:, 0] * g1 + b.normals[:, 1] * g2
+    return [x1**k for k in range(degree + 1)], [x2**k for k in range(degree + 1)]
+
+
+def neumann_data(b: DiscretizedBoundary, alphas, powers=None) -> np.ndarray:
+    """Normal derivatives of the monomials x^alpha at the nodes, one column per alpha.
+
+    ``powers`` is a :func:`monomial_powers` table of at least the largest
+    degree in ``alphas``; it is built here when not given.
+    """
+    alphas = list(alphas)
+    if powers is None:
+        powers = monomial_powers(b, max((a1 + a2 for a1, a2 in alphas), default=0))
+    p1, p2 = powers
+    out = np.empty((b.n, len(alphas)))
+    for j, (a1, a2) in enumerate(alphas):
+        g1 = a1 * p1[a1 - 1] * p2[a2] if a1 > 0 else np.zeros(b.n)
+        g2 = a2 * p1[a1] * p2[a2 - 1] if a2 > 0 else np.zeros(b.n)
+        out[:, j] = b.normals[:, 0] * g1 + b.normals[:, 1] * g2
+    return out
 
 
 def dump_npo(npo: NpoMatrix, path) -> None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptshape import acceptance, cli
+from gptshape import acceptance, cli, npo
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly
 from gptshape.gpt import assemble_gpt
 from gptshape.npo import NpoMatrix, assemble, load_npo
@@ -116,6 +116,23 @@ def test_gpt_shape_file(tmp_path):
     r = run("gpt", "--shape-file", str(sf), "--n", "64", "--d", "1",
             "--out", str(out))
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("source", ["shape", "shape-file"])
+def test_gpt_refuses_a_matrix_beyond_memory_before_discretizing(
+        tmp_path, monkeypatch, source):
+    # a mocked 1 MiB machine: 2048 nodes would pin 2 x 8 x 2048^2 bytes
+    monkeypatch.setattr(npo, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(cli, "discretize", lambda *a: pytest.fail("discretized"))
+    sf = tmp_path / "shape.json"
+    sf.write_text(json.dumps(ShapeSpec.disk().to_json()))
+    shape = ["--shape", "disk:1"] if source == "shape" else ["--shape-file", str(sf)]
+    out = tmp_path / "M.json"
+    r = run("gpt", *shape, "--n", "2048", "--d", "2", "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr == ("error: 2048 nodes need 67108864 bytes for the NPO matrix "
+                        "and its LU, but this machine has 1048576 bytes of memory\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("shape, line", [
@@ -361,7 +378,9 @@ def test_recover_degenerate_gpt_matrix(tmp_path, keep_largest, plain, forced):
     (["--scan-degrees", "2"], {"shape": {"kind": "disk"}, "n": 64}, "KeyError: 'radius'"),
     (["--cross-lambda", "3"], {"shape": ShapeSpec.disk().to_json(), "n": "abc"},
      "ValueError"),
-], ids=["scan-degrees-no-radius", "cross-lambda-text-n"])
+    (["--cross-lambda", "3"], {"shape": ShapeSpec.disk().to_json(), "n": math.inf},
+     "OverflowError"),
+], ids=["scan-degrees-no-radius", "cross-lambda-text-n", "cross-lambda-infinite-n"])
 def test_recover_malformed_meta_is_config_error(tmp_path, capsys, option, meta, message):
     b = discretize(ShapeSpec.disk(), 64)
     path = tmp_path / "M.json"
@@ -371,6 +390,16 @@ def test_recover_malformed_meta_is_config_error(tmp_path, capsys, option, meta, 
     err = capsys.readouterr().err
     assert "malformed shape" in err and message in err
     assert len(err.splitlines()) == 1
+
+
+def test_recover_refuses_a_meta_node_count_beyond_memory(tmp_path, capsys, monkeypatch):
+    b = discretize(ShapeSpec.disk(), 64)
+    path = tmp_path / "M.json"
+    path.write_text(json.dumps(dict(assemble_gpt(b, assemble(b), 1.5, 2).to_json(),
+                                    meta={"shape": ShapeSpec.disk().to_json(), "n": 2048})))
+    monkeypatch.setattr(npo, "_physical_memory", lambda: 2**20)
+    assert cli.main(["recover", "--gpt", str(path), "--cross-lambda", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: 2048 nodes need 67108864 bytes")
 
 
 def test_recover_scan_degrees_table(tmp_path):

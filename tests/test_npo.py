@@ -1,15 +1,35 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gptshape import npo as npo_module
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import (
     DiscretizedBoundary,
     ShapeSpec,
+    discretize,
     discretize_parametric,
     lemniscate_poly,
     trace_implicit,
 )
-from gptshape.npo import NpoMatrix, Resolvent, assemble, dump_npo, load_npo, neumann_data
+from gptshape.gpt import _col_betas, _row_alphas, assemble_gpt
+from gptshape.npo import (
+    NpoMatrix,
+    Resolvent,
+    assemble,
+    check_memory,
+    dump_npo,
+    load_npo,
+    monomial_powers,
+    neumann_data,
+)
+from oracles import (
+    moment_rows_oracle,
+    neumann_oracle,
+    npo_matrix_oracle,
+    resolvent_lu_oracle,
+)
 
 
 def disk_npo(n=128):
@@ -62,12 +82,19 @@ def test_spectral_bound_on_mean_zero_subspace():
 
 
 def test_degenerate_mesh_rejected():
-    b = discretize_parametric(ShapeSpec.disk(), 32)
-    nodes = b.nodes.copy()
-    nodes[5] = nodes[4]
-    bad = DiscretizedBoundary(nodes, b.normals, b.weights, b.curvatures, b.component_id)
-    with pytest.raises(ConfigError, match="coincident quadrature nodes"):
-        assemble(bad)
+    # (n, i, j): a pair inside the one block of n = 32; pairs straddling a
+    # block edge at n = 255 (128-row blocks) and n = 2049 (15-row blocks);
+    # and the pair (0, n - 1) at both
+    for n, pairs in ((32, [(4, 5)]), (255, [(127, 128), (0, 254)]),
+                     (2049, [(14, 15), (1844, 1845), (0, 2048)])):
+        b = discretize_parametric(ShapeSpec.disk(), n)
+        for i, j in pairs:
+            nodes = b.nodes.copy()
+            nodes[j] = nodes[i]
+            bad = DiscretizedBoundary(nodes, b.normals, b.weights, b.curvatures,
+                                      b.component_id)
+            with pytest.raises(ConfigError, match="coincident quadrature nodes"):
+                assemble(bad)
 
 
 # resolvent -------------------------------------------------------------------
@@ -137,7 +164,7 @@ def test_lambda_must_be_finite(lam):
 def test_neumann_series_agrees_with_direct_solve():
     b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 128)
     npo = assemble(b)
-    f = neumann_data(b, (1, 0))
+    f = neumann_data(b, [(1, 0)])[:, 0]
     mu = 0.3  # (I - mu A)^{-1} f = (1/mu) ((1/mu) I - A)^{-1} f
     direct = Resolvent(npo, 1.0 / mu).apply(f) / mu
     series = np.zeros_like(f)
@@ -153,22 +180,119 @@ def test_neumann_series_agrees_with_direct_solve():
 
 def test_neumann_data_first_order_is_normal_component():
     b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 64)
-    np.testing.assert_allclose(neumann_data(b, (1, 0)), b.normals[:, 0], atol=1e-14)
-    np.testing.assert_allclose(neumann_data(b, (0, 1)), b.normals[:, 1], atol=1e-14)
+    f = neumann_data(b, [(1, 0), (0, 1)])
+    np.testing.assert_allclose(f[:, 0], b.normals[:, 0], atol=1e-14)
+    np.testing.assert_allclose(f[:, 1], b.normals[:, 1], atol=1e-14)
 
 
 def test_neumann_data_zero_index():
     b = discretize_parametric(ShapeSpec.disk(), 32)
-    np.testing.assert_array_equal(neumann_data(b, (0, 0)), np.zeros(32))
+    np.testing.assert_array_equal(neumann_data(b, [(0, 0)]), np.zeros((32, 1)))
 
 
 def test_neumann_data_divergence_identity():
     # sum w nu . grad(x^alpha) = integral of Laplacian(x^alpha) over the domain
     b = discretize_parametric(ShapeSpec.disk(), 256)
-    total = np.sum(b.weights * neumann_data(b, (2, 0)))
-    assert total == pytest.approx(2 * np.pi, abs=1e-10)  # Laplacian = 2, |D| = pi
-    total = np.sum(b.weights * neumann_data(b, (1, 1)))
-    assert total == pytest.approx(0.0, abs=1e-10)
+    total_20, total_11 = b.weights @ neumann_data(b, [(2, 0), (1, 1)])
+    assert total_20 == pytest.approx(2 * np.pi, abs=1e-10)  # Laplacian = 2, |D| = pi
+    assert total_11 == pytest.approx(0.0, abs=1e-10)
+
+
+# the kernels against their whole-matrix formulas, bit for bit -------------------
+
+# Node counts N = 16 and 17 fit in one row block, 255 ends on a partial
+# block, 1024 is 32 full blocks and 2049 ends on a partial one.  Polygons
+# take n nodes per edge and lemniscates n per component, so they get the
+# smallest n that reaches each N (at least 16).  That lands on N itself or
+# on a neighbour with block edges of its own, such as 1026 in blocks of 31
+# or 2050 and 2052 in blocks of 15.
+SHAPES = {  # spec, edges or components
+    "disk": (ShapeSpec.disk(), 1),
+    "ellipse": (ShapeSpec.ellipse(2.0, 1.0, center=(0.3, -0.2), tilt=0.4), 1),
+    "flower": (ShapeSpec.flower(1.0, 0.3, 3), 1),
+    "triangle": (ShapeSpec.polygon([(0.0, 1.0), (-0.866, -0.5), (0.866, -0.5)]), 3),
+    "diamond": (ShapeSpec.polygon([(1.5, 0.0), (0.0, 1.0), (-1.5, 0.0), (0.0, -1.0)]), 4),
+    "lemniscate2": (ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2), 2),
+    "lemniscate3": (ShapeSpec.lemniscate(
+        [(1.0, 0.0), (-0.5, 0.866), (-0.5, -0.866)], 0.5), 3),
+}
+CASES = sorted({(kind, max(16, -(-N // parts))) for kind, (_, parts) in SHAPES.items()
+                for N in (16, 17, 255, 1024, 2049)})
+LAMBDAS = (0.75, 1.5, -0.8, -3.0)
+
+
+@pytest.fixture(scope="module", params=CASES, ids=[f"{k}-{n}" for k, n in CASES])
+def case(request):
+    kind, n = request.param
+    b = discretize(SHAPES[kind][0], n)
+    return b, assemble(b)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_assemble_matches_the_whole_matrix_formula(case):
+    b, npo = case
+    assert_same_bits(npo.matrix, npo_matrix_oracle(b))
+
+
+def test_resolvent_lu_matches_the_identity_formula(case):
+    _, npo = case
+    for lam in LAMBDAS:
+        lu, piv = Resolvent(npo, lam)._lu
+        want_lu, want_piv = resolvent_lu_oracle(npo.matrix, lam)
+        assert_same_bits(lu, want_lu)
+        assert np.array_equal(piv, want_piv), lam
+
+
+def test_neumann_block_and_moment_rows_match_per_monomial_powers(case):
+    b, npo = case
+    d, row_degree = 4, 8
+    alphas, betas = _row_alphas(row_degree), _col_betas(d)
+    rhs = np.column_stack([neumann_oracle(b, a) for a in alphas])
+    assert_same_bits(neumann_data(b, alphas), rhs)
+    assert_same_bits(neumann_data(b, alphas, monomial_powers(b, 9)), rhs)
+    res = Resolvent(npo, 1.5)
+    want = (moment_rows_oracle(b, betas) @ res.apply(rhs)).T
+    assert_same_bits(assemble_gpt(b, npo, 1.5, d, row_degree).entries, want)
+    # columns of higher degree than the rows share the one power table
+    want = (moment_rows_oracle(b, _col_betas(3)) @ res.apply(rhs[:, :2])).T
+    assert_same_bits(assemble_gpt(b, npo, 1.5, 3, 1).entries, want)
+
+
+# memory ----------------------------------------------------------------------------
+
+
+def test_kernels_allocate_little_beyond_the_matrix():
+    # check_memory counts 8 n^2 bytes for the matrix and 8 n^2 for its LU,
+    # so neither kernel may allocate much beyond its result
+    b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 1024)
+    Resolvent(assemble(discretize_parametric(ShapeSpec.disk(), 32)), 1.5)  # warm up
+    matrix_bytes = 8 * b.n**2
+    tracemalloc.start()
+    try:
+        npo = assemble(b)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak <= 1.2 * matrix_bytes
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        Resolvent(npo, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak - before <= 1.2 * matrix_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_budget_counts_the_matrix_and_its_lu(monkeypatch):
+    monkeypatch.setattr(npo_module, "_physical_memory", lambda: 2**20)
+    check_memory(256)  # 2 x 8 x 256^2 bytes is exactly 1 MiB
+    with pytest.raises(ConfigError, match="257 nodes need 1056784 bytes .* has 1048576 bytes"):
+        check_memory(257)
+    with pytest.raises(ConfigError, match="512 nodes need 4194304 bytes"):
+        assemble(discretize_parametric(ShapeSpec.disk(), 512))
 
 
 # binary dump ----------------------------------------------------------------------
