@@ -18,6 +18,15 @@ perturbation of a harmonic background field h outside D is a multipole
 series in derivatives of the log kernel weighted by GPT entries, which
 :func:`far_field` evaluates and cross-checks against a direct single-layer
 computation.
+
+Only the resolvent depends on lambda.  :func:`moment_problem` builds the
+rest once per boundary and degree pair: the Neumann data nu . grad x^alpha
+of the row monomials and the weighted column monomials w x^beta, both
+read off one table of node powers x1**k, x2**k.  Its ``solve`` applies a
+resolvent to the Neumann block and contracts the densities with the
+moment rows.  :func:`assemble_gpt` and :func:`far_field` are that pair of
+calls, and ``recovery.estimate_lambda`` builds one problem and solves it
+at every lambda it tries.
 """
 
 from __future__ import annotations
@@ -143,6 +152,45 @@ class GptMatrix:
         return cls(lam, d, row_degree, entries.reshape(shape), meta)
 
 
+@dataclass(frozen=True, eq=False)
+class MomentProblem:
+    """The lambda-independent half of a GPT matrix on one boundary.
+
+    ``rhs`` holds the Neumann data of the row monomials, one column per
+    alpha; ``moments`` the weighted column monomials, one row per beta.
+    """
+
+    d: int
+    row_degree: int
+    rhs: np.ndarray
+    moments: np.ndarray
+
+    def solve(self, res: Resolvent) -> GptMatrix:
+        """The GPT matrix at the resolvent's lambda."""
+        entries = (self.moments @ res.apply(self.rhs)).T  # (rows, cols)
+        return GptMatrix(res.lam, self.d, self.row_degree, entries)
+
+
+def moment_problem(b: DiscretizedBoundary, d: int,
+                   row_degree: int | None = None) -> MomentProblem:
+    """Neumann data and moment rows for column degree d and row degree row_degree.
+
+    Both are read off one table of node powers; see the module docstring.
+    """
+    if d < 1:
+        raise ConfigError(f"column degree must be >= 1, got {d}")
+    if row_degree is None:
+        row_degree = 2 * d
+    if row_degree < 1:
+        raise ConfigError(f"row degree must be >= 1, got {row_degree}")
+    p1, p2 = powers = monomial_powers(b, max(row_degree, d))
+    rhs = neumann_data(b, _row_alphas(row_degree), powers)
+    moments = np.stack([b.weights * p1[b1] * p2[b2] for b1, b2 in _col_betas(d)])
+    rhs.setflags(write=False)
+    moments.setflags(write=False)
+    return MomentProblem(d, row_degree, rhs, moments)
+
+
 def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
                  row_degree: int | None = None) -> GptMatrix:
     """Compute the GPT matrix of a boundary at one spectral parameter.
@@ -151,22 +199,7 @@ def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
     polynomial vanishing on the boundary a null vector of the matrix);
     columns span 0 <= |beta| <= d including the constant.
     """
-    if d < 1:
-        raise ConfigError(f"column degree must be >= 1, got {d}")
-    if row_degree is None:
-        row_degree = 2 * d
-    if row_degree < 1:
-        raise ConfigError(f"row degree must be >= 1, got {row_degree}")
-    return _assemble(b, Resolvent(npo, lam), d, row_degree)
-
-
-def _assemble(b: DiscretizedBoundary, res: Resolvent, d: int,
-              row_degree: int) -> GptMatrix:
-    p1, p2 = powers = monomial_powers(b, max(row_degree, d))
-    densities = res.apply(neumann_data(b, _row_alphas(row_degree), powers))
-    moments = np.stack([b.weights * p1[b1] * p2[b2] for b1, b2 in _col_betas(d)])
-    entries = (moments @ densities).T  # (rows, cols)
-    return GptMatrix(res.lam, d, row_degree, entries)
+    return moment_problem(b, d, row_degree).solve(npo.resolvent(lam))
 
 
 def harmonic_combination(M: GptMatrix, a: Poly2, b: Poly2) -> float:
@@ -226,8 +259,8 @@ def far_field(b: DiscretizedBoundary, npo: NpoMatrix, lam, h: Poly2, x,
         raise ConfigError(
             f"|x| = {np.hypot(*x):.3g} is inside 3x the boundary radius {radius:.3g}")
 
-    res = Resolvent(npo, lam)
-    M = _assemble(b, res, max(h.degree, 1), max(truncation, 1))
+    res = npo.resolvent(lam)
+    M = moment_problem(b, max(h.degree, 1), max(truncation, 1)).solve(res)
     expansion = 0.0
     for r, alpha in enumerate(M.row_alphas):
         a1, a2 = alpha

@@ -32,6 +32,16 @@ A).  A and its LU thus pin 2 x 8 n^2 bytes, and :func:`check_memory`
 refuses a node count whose pair would not fit in physical memory, before
 any n x n array is allocated.
 
+:meth:`NpoMatrix.resolvent` keeps the last :class:`Resolvent` built on
+the matrix and hands it out again while lambda stays the same, so a
+degree ladder, a far field and a lambda fit factor each lambda once.  A
+new lambda drops the held LU before it factors its own, so the matrix
+holds at most one LU for as long as it lives, inside the same
+2 x 8 n^2 bytes.  The Resolvent keeps the matrix array, not the
+NpoMatrix: the pair would otherwise form a reference cycle, and each
+dropped matrix would wait with its LU for the cyclic garbage collector
+instead of being freed at once.
+
 numpy's and scipy's wheels each bundle their own OpenBLAS, and each
 library keeps its own pool of worker threads.  Handing a solve's data
 from one pool to the other costs about 8 ms per hand-off on a 2-core host
@@ -45,7 +55,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +74,8 @@ class NpoMatrix:
 
     matrix: np.ndarray
     boundary: DiscretizedBoundary
+    _resolvent: Resolvent | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -76,6 +88,22 @@ class NpoMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    def resolvent(self, lam) -> Resolvent:
+        """The factored lambda I - A, reused while lambda stays the same.
+
+        A new lambda drops the held LU before factoring its own, so this
+        matrix holds at most one; see the module docstring.
+        """
+        lam = float(lam)
+        held = self._resolvent
+        if held is not None and held.lam == lam:
+            return held
+        del held  # so that the next line frees the old LU before the new one
+        object.__setattr__(self, "_resolvent", None)
+        res = Resolvent(self, lam)
+        object.__setattr__(self, "_resolvent", res)
+        return res
 
 
 def _physical_memory() -> int:
@@ -135,12 +163,12 @@ class Resolvent:
             raise ConfigError(
                 f"|lambda| = {abs(lam):.6g} <= 1/2: invertibility not guaranteed")
         self.lam = lam
-        self.npo = npo
+        self.matrix = npo.matrix  # the array, not npo: npo.resolvent holds self
         import scipy.linalg  # lazy: see the module docstring
 
         # lambda I - A, bit for bit: off the diagonal (lam * 0.0) - a keeps
         # the sign of a zero, where -a alone would not.
-        a = npo.matrix
+        a = self.matrix
         s = np.subtract(lam * 0.0, a, order="F")
         np.fill_diagonal(s, lam - np.diagonal(a))
         self._lu = scipy.linalg.lu_factor(s, overwrite_a=True)
@@ -160,7 +188,7 @@ class Resolvent:
         # matrix.T is Fortran-ordered, so trans_a=1 multiplies by the matrix
         # without copying it.
         a_phi = scipy.linalg.blas.dgemm(
-            1.0, self.npo.matrix.T, phi.reshape(len(phi), -1), trans_a=1)
+            1.0, self.matrix.T, phi.reshape(len(phi), -1), trans_a=1)
         resid = np.max(np.abs(self.lam * phi - a_phi.reshape(phi.shape) - f))
         scale = max(float(np.max(np.abs(f))), 1e-300)
         if resid > _RESIDUAL_TOL * scale:

@@ -98,8 +98,11 @@ class Poly2:
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
         out = np.zeros(np.broadcast(x1, x2).shape)
-        for (a1, a2), c in self.term_items():
-            out += c * x1**a1 * x2**a2
+        terms = list(self.term_items())
+        p1 = {k: x1**k for k in {a1 for (a1, _), _ in terms}}  # each power once
+        p2 = {k: x2**k for k in {a2 for (_, a2), _ in terms}}
+        for (a1, a2), c in terms:
+            out += c * p1[a1] * p2[a2]
         return out
 
     def on_grid(self, xs, ys) -> np.ndarray:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .gpt import GptMatrix, assemble_gpt
+from .gpt import GptMatrix, assemble_gpt, moment_problem
 from .npo import assemble
 from .polynomial import Poly2
 
@@ -275,6 +275,11 @@ def estimate_lambda(
     crosses [-1/2, 1/2] (then the neighbour of the same sign).  A misfit
     curve flatter than 1e-12 carries no information about lambda and raises
     :class:`NumericError`.
+
+    The candidate's moment problem does not depend on lambda and is built
+    once; each lambda costs one resolvent.  Misfits are memoized per
+    lambda, because golden-section search evaluates its bracket, the grid
+    points around the argmin, again.
     """
     from scipy.optimize import minimize_scalar  # lazy: keeps scipy off gptshape's import path
 
@@ -286,9 +291,14 @@ def estimate_lambda(
     if npo is None:
         npo = assemble(b_candidate)
 
+    problem = moment_problem(b_candidate, M_target.d, M_target.row_degree)
+    memo = {}
+
     def misfit(lam: float) -> float:
-        M = assemble_gpt(b_candidate, npo, lam, M_target.d, M_target.row_degree)
-        return float(np.linalg.norm(M.entries - M_target.entries))
+        if lam not in memo:
+            M = problem.solve(npo.resolvent(lam))
+            memo[lam] = float(np.linalg.norm(M.entries - M_target.entries))
+        return memo[lam]
 
     values = [misfit(v) for v in grid]
     if max(values) - min(values) < 1e-12:

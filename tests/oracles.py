@@ -38,6 +38,13 @@ def first_order_block(M):
     ])
 
 
+def assert_same_bits(got, want):
+    """Equal shapes, equal values and equal signs, zeros included."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # The per-boundary kernels as plain whole-matrix formulas.  The package
 # builds the same numbers in row blocks, in place and from one power
 # table; these give the reference bits, signed zeros included.
@@ -78,3 +85,94 @@ def moment_rows_oracle(b, betas):
     """Rows w * x^beta, one per beta, each with its own powers."""
     x1, x2 = b.nodes[:, 0], b.nodes[:, 1]
     return np.stack([b.weights * x1**b1 * x2**b2 for b1, b2 in betas])
+
+
+def gpt_entries_oracle(b, res, d, row_degree):
+    """GPT entries from per-monomial Neumann data and moment rows, one resolvent solve."""
+    from gptshape.gpt import _col_betas, _row_alphas
+
+    rhs = np.column_stack([neumann_oracle(b, a) for a in _row_alphas(row_degree)])
+    return (moment_rows_oracle(b, _col_betas(d)) @ res.apply(rhs)).T
+
+
+def far_field_oracle(b, npo, lam, h, x, truncation=4):
+    """far_field's expansion and direct values with a fresh resolvent and the entries above."""
+    import math
+
+    from gptshape.gpt import _col_betas, _log_kernel_derivative, _row_alphas
+    from gptshape.npo import Resolvent
+    from gptshape.polynomial import ordinal
+
+    res = Resolvent(npo, lam)
+    d, row_degree = max(h.degree, 1), max(truncation, 1)
+    entries = np.array(gpt_entries_oracle(b, res, d, row_degree))
+    expansion = 0.0
+    for r, alpha in enumerate(_row_alphas(row_degree)):
+        a1, a2 = alpha
+        dgamma = _log_kernel_derivative(alpha, x)
+        sign = (-1.0) ** (a1 + a2)
+        for c, beta in enumerate(_col_betas(d)):
+            b1, b2 = beta
+            if b1 + b2 == 0 or b1 + b2 > h.degree:
+                continue
+            coeff = h.coeffs[ordinal(beta)]
+            if coeff == 0.0:
+                continue
+            dh0 = coeff * math.factorial(b1) * math.factorial(b2)
+            expansion += (sign / (math.factorial(a1) * math.factorial(a2)
+                                  * math.factorial(b1) * math.factorial(b2))
+                          * dgamma * entries[r, c] * dh0)
+    phi = res.apply(np.sum(b.normals * h.gradient(b.nodes), axis=1))
+    dist = np.hypot(b.nodes[:, 0] - x[0], b.nodes[:, 1] - x[1])
+    direct = float(np.sum(b.weights * np.log(dist) * phi) / (2.0 * np.pi))
+    return float(expansion), direct
+
+
+def poly_eval_oracle(p, pts):
+    """Poly2.__call__ with each term taking its own powers."""
+    pts = np.asarray(pts, dtype=float)
+    x1, x2 = pts[..., 0], pts[..., 1]
+    out = np.zeros(np.broadcast(x1, x2).shape)
+    for (a1, a2), c in p.term_items():
+        out += c * x1**a1 * x2**a2
+    return out
+
+
+# The lambda fit with one full GPT assembly per misfit evaluation: building
+# the moment problem once and memoizing misfits must not move a bit of it.
+
+
+def estimate_lambda_oracle(M_target, b_candidate, lam_grid, npo=None):
+    """estimate_lambda as one assemble_gpt per misfit evaluation, without a memo."""
+    from scipy.optimize import minimize_scalar
+
+    from gptshape.gpt import assemble_gpt
+    from gptshape.npo import assemble
+    from gptshape.recovery import LambdaEstimate
+
+    grid = [float(v) for v in lam_grid]
+    if npo is None:
+        npo = assemble(b_candidate)
+
+    def misfit(lam):
+        M = assemble_gpt(b_candidate, npo, lam, M_target.d, M_target.row_degree)
+        return float(np.linalg.norm(M.entries - M_target.entries))
+
+    values = [misfit(v) for v in grid]
+    i = int(np.argmin(values))
+    best_lam, best_val = grid[i], values[i]
+    near = [j for j in (i - 1, i + 1)
+            if 0 <= j < len(grid) and grid[j] * grid[i] > 0]
+    if 0 < i < len(grid) - 1 and not values[i] < min(values[i - 1], values[i + 1]):
+        near = []
+    res = None
+    if len(near) == 2:
+        res = minimize_scalar(misfit, bracket=(grid[i - 1], grid[i], grid[i + 1]),
+                              method="golden", options={"xtol": 1e-10})
+    elif near:
+        res = minimize_scalar(misfit, bounds=sorted((grid[i], grid[near[0]])),
+                              method="bounded", options={"xatol": 1e-10})
+    if res is not None and res.fun <= best_val:
+        best_lam, best_val = float(res.x), float(res.fun)
+    return LambdaEstimate(lam=best_lam, misfit=best_val, grid=tuple(grid),
+                          misfits=tuple(values))

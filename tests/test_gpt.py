@@ -3,7 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import disk_gpt_oracle, first_order_block
+from oracles import (
+    assert_same_bits,
+    disk_gpt_oracle,
+    far_field_oracle,
+    first_order_block,
+    gpt_entries_oracle,
+)
 
 from gptshape.acceptance import ellipse_first_order_pt
 from gptshape.errors import ConfigError
@@ -15,8 +21,9 @@ from gptshape.gpt import (
     far_field,
     harmonic_combination,
     lambda_of_k,
+    moment_problem,
 )
-from gptshape.npo import assemble
+from gptshape.npo import Resolvent, assemble
 from gptshape.polynomial import Poly2, harmonic_monomial, multiindex_at, ordinal, poly_dim
 
 
@@ -191,6 +198,15 @@ def test_far_field_factors_once(lu_factor_calls):
     assert len(lu_factor_calls) == 1
 
 
+def test_ladder_and_far_field_at_one_lambda_factor_once(resolvent_lambdas):
+    b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 128)
+    npo = assemble(b)
+    for d in (1, 2, 3):
+        assemble_gpt(b, npo, 1.5, d)
+    far_field(b, npo, 1.5, Poly2.from_terms({(1, 0): 1.0}), (9.0, 0.0))
+    assert resolvent_lambdas == [1.5]
+
+
 def test_far_field_too_close_rejected():
     b = discretize_parametric(ShapeSpec.disk(), 64)
     npo = assemble(b)
@@ -204,6 +220,57 @@ def test_far_field_requires_harmonic_background():
     npo = assemble(b)
     with pytest.raises(ConfigError, match="background field h must be harmonic"):
         far_field(b, npo, 1.5, Poly2.from_terms({(2, 0): 1.0}), (8.0, 0.0))
+
+
+# the moment problem ----------------------------------------------------------------
+
+SHAPES = {
+    "disk": ShapeSpec.disk(),
+    "ellipse": ShapeSpec.ellipse(2.0, 1.0, (0.3, -0.2), 0.4),
+    "triangle": ShapeSpec.polygon([(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)]),
+    "lemniscate": ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2),
+}
+
+
+@pytest.mark.parametrize("n", [17, 128])
+@pytest.mark.parametrize("name", SHAPES)
+def test_moment_problem_solves_to_the_whole_formula(name, n):
+    b = discretize(SHAPES[name], n)
+    npo = assemble(b)
+    for d, row_degree in ((4, 8), (3, 1), (1, 2)):
+        problem = moment_problem(b, d, row_degree)
+        # one problem solved at several lambda, in both directions
+        for lam in (1.5, -0.8, 3.0, 1.5):
+            res = Resolvent(npo, lam)
+            M = problem.solve(res)
+            assert (M.lam, M.d, M.row_degree) == (lam, d, row_degree)
+            assert_same_bits(M.entries, gpt_entries_oracle(b, res, d, row_degree))
+            assert_same_bits(assemble_gpt(b, npo, lam, d, row_degree).entries, M.entries)
+
+
+@pytest.mark.parametrize("name", ["disk", "ellipse", "lemniscate"])
+def test_far_field_returns_the_bits_of_a_fresh_resolvent(name):
+    b = discretize(SHAPES[name], 128)
+    npo = assemble(b)
+    h = Poly2.from_terms({(1, 0): 1.0, (1, 1): 0.3})
+    x = (7.0, 4.0)
+    want = far_field_oracle(b, npo, 1.7, h, x, truncation=6)
+    got = far_field(b, npo, 1.7, h, x, truncation=6)
+    assert (got.expansion, got.direct) == want
+    assert_same_bits(npo.resolvent(1.7)._lu[0], Resolvent(npo, 1.7)._lu[0])
+    again = far_field(b, npo, 1.7, h, x, truncation=6)  # on the held resolvent
+    assert (again.expansion, again.direct) == want
+
+
+def test_moment_problem_validates_degrees():
+    b = discretize_parametric(ShapeSpec.disk(), 32)
+    with pytest.raises(ConfigError, match="column degree"):
+        moment_problem(b, 0)
+    with pytest.raises(ConfigError, match="row degree"):
+        moment_problem(b, 1, 0)
+    problem = moment_problem(b, 2)
+    assert problem.row_degree == 4
+    assert not problem.rhs.flags.writeable and not problem.moments.flags.writeable
 
 
 # truncation ----------------------------------------------------------------------

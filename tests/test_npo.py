@@ -1,4 +1,7 @@
+import gc
+import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from gptshape.npo import (
     neumann_data,
 )
 from oracles import (
+    assert_same_bits,
     moment_rows_oracle,
     neumann_oracle,
     npo_matrix_oracle,
@@ -228,12 +232,6 @@ def case(request):
     return b, assemble(b)
 
 
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 def test_assemble_matches_the_whole_matrix_formula(case):
     b, npo = case
     assert_same_bits(npo.matrix, npo_matrix_oracle(b))
@@ -284,6 +282,51 @@ def test_kernels_allocate_little_beyond_the_matrix():
         assert peak - before <= 1.2 * matrix_bytes
     finally:
         tracemalloc.stop()
+
+
+def test_resolvent_sweep_holds_one_lu_at_a_time():
+    # a new lambda frees the held LU before factoring its own, so a sweep
+    # peaks at one LU above A, as a single Resolvent does
+    b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 1024)
+    disk_npo(32).resolvent(1.5)  # warm up
+    npo = assemble(b)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for lam in (0.75, 1.0, 1.25, 1.5, 2.0, 3.0):
+            assert npo.resolvent(lam).lam == lam
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak - before <= 1.2 * 8 * b.n**2
+    finally:
+        tracemalloc.stop()
+
+
+def test_dropped_matrix_and_its_lu_are_freed_without_the_cycle_collector():
+    npo = disk_npo(32)
+    res = npo.resolvent(1.5)
+    res.apply(np.ones(32))
+    refs = weakref.ref(npo), weakref.ref(res)
+    gc.disable()
+    try:
+        del npo, res
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_resolvent_is_reused_only_for_an_equal_lambda(resolvent_lambdas):
+    npo = disk_npo(32)
+    res = npo.resolvent(1.5)
+    assert npo.resolvent(1.5) is res
+    assert npo.resolvent(np.float64(1.5)) is res
+    other = npo.resolvent(-2.0)
+    assert other is not res and other.lam == -2.0
+    assert npo.resolvent(-2.0) is other
+    assert resolvent_lambdas == [1.5, -2.0]
+    for lam in (math.nan, 0.5, -0.4):
+        with pytest.raises(ConfigError, match="lambda"):
+            npo.resolvent(lam)
+    assert len(resolvent_lambdas) == 5  # each refused lambda went to Resolvent
 
 
 def test_memory_budget_counts_the_matrix_and_its_lu(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import assert_same_bits, poly_eval_oracle
 
 from gptshape.errors import ConfigError
 from gptshape.polynomial import (
@@ -112,6 +113,23 @@ def test_on_grid_equals_pointwise_bit_for_bit(degree, seed, xs, ys):
     p = Poly2(degree, c)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     assert np.array_equal(p.on_grid(xs, ys), p(np.stack([X, Y], axis=-1)))
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 8), st.integers(0, 10**6),
+       st.sampled_from([(), (1,), (7,), (4, 3)]))
+def test_eval_takes_each_power_once_bit_for_bit(degree, seed, shape):
+    # shape () is a single point as a 0-d pair, as marching squares passes it
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-3.0, 3.0, size=poly_dim(degree))
+    c[rng.random(c.size) < 0.3] = 0.0
+    p = Poly2(degree, c)
+    pts = rng.uniform(-3.0, 3.0, size=shape + (2,))
+    pts[rng.random(pts.shape) < 0.2] = 0.0
+    pts[rng.random(pts.shape) < 0.2] = -0.0
+    got, want = p(pts), poly_eval_oracle(p, pts)
+    assert type(got) is type(want) and got.shape == shape
+    assert_same_bits(got, want)
 
 
 def test_on_grid_rejects_non_vector_axes():

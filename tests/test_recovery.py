@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import estimate_lambda_oracle
 
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly, trace_implicit
@@ -338,6 +339,33 @@ def test_estimate_lambda_refines_on_the_argmin_side(lam):
     b, M = gpt_of(ShapeSpec.ellipse(2.0, 1.0), 64, lam, 2)
     est = estimate_lambda(M, b, [-3.0, -1.0, 1.0, 3.0])
     assert est.lam == pytest.approx(np.copysign(max(abs(lam), 1.0), lam), abs=1e-6)
+
+
+FIT_GRID = (0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
+FIT_TARGETS = {
+    # golden-section refinement between grid neighbours
+    "disk": (ShapeSpec.disk(1.0, (0.2, -0.1)), 256, 1.37, 2),
+    # the argmin is the end point 3.0: bounded refinement
+    "ellipse": (ShapeSpec.ellipse(2.0, 1.0, (0.1, 0.0), 0.3), 128, 2.6, 2),
+    "lemniscate": (ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2), 128, 1.8, 4),
+}
+
+
+@pytest.mark.parametrize("name", FIT_TARGETS)
+def test_estimate_lambda_matches_one_assembly_per_evaluation(name, resolvent_lambdas):
+    spec, n, lam, d = FIT_TARGETS[name]
+    b, M = gpt_of(spec, n, lam, d)
+    resolvent_lambdas.clear()
+    got = estimate_lambda(M, b, FIT_GRID)
+    ours = list(resolvent_lambdas)
+    resolvent_lambdas.clear()
+    want = estimate_lambda_oracle(M, b, FIT_GRID)
+    assert got.to_json() == want.to_json()
+    assert got.lam == pytest.approx(lam, abs=1e-4)
+    # one factorization per distinct lambda, and the same lambdas as the oracle
+    assert len(ours) == len(set(ours))
+    assert set(ours) == set(resolvent_lambdas)
+    assert set(FIT_GRID) <= set(ours)
 
 
 def test_estimate_lambda_wrong_shape_has_positive_misfit():
