@@ -33,13 +33,7 @@ from gptshape.gpt import assemble_gpt
 from gptshape.npo import assemble
 from gptshape.polynomial import boundedness_check
 from gptshape.recovery import recover_minimal_degree
-from gptshape.render import export_svg, extract, hausdorff
-
-
-def margin_box(pts, frac=0.10):
-    (x0, y0), (x1, y1) = pts.min(axis=0), pts.max(axis=0)
-    mx, my = frac * (x1 - x0), frac * (y1 - y0)
-    return (x0 - mx, x1 + mx, y0 - my, y1 + my)
+from gptshape.render import export_svg, extract, hausdorff, margin_box
 
 
 def triangle_spec():

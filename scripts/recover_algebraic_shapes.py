@@ -24,14 +24,8 @@ from gptshape.gpt import assemble_gpt
 from gptshape.npo import assemble
 from gptshape.polynomial import Poly2
 from gptshape.recovery import normalize, recover
-from gptshape.render import export_svg, extract
+from gptshape.render import export_svg, extract, margin_box
 from gptshape.transform import match
-
-
-def margin_box(pts, frac=0.15):
-    (x0, y0), (x1, y1) = pts.min(axis=0), pts.max(axis=0)
-    mx, my = frac * (x1 - x0), frac * (y1 - y0)
-    return (x0 - mx, x1 + mx, y0 - my, y1 + my)
 
 
 def offdisk_poly():
@@ -76,7 +70,7 @@ def main():
         err = float(np.max(np.abs(res.g_hat.coeffs - normalize(g_true).coeffs)))
         print(f"{name:>24} {degree:>4} {res.residual:>10.2e} "
               f"{res.kernel_gap:>10.2e} {err:>10.2e}")
-        curves = extract(res.g_hat, box=margin_box(b.nodes), grid=args.grid)
+        curves = extract(res.g_hat, box=margin_box(b.nodes, 0.15), grid=args.grid)
         slug = name.replace(" ", "_")
         export_svg(curves, outdir / f"{slug}.svg",
                    overlays=[b.nodes[b.component_id == c]

@@ -6,7 +6,9 @@ into a matrix of generalized polarization tensors (gpt), read the minimal
 vanishing polynomial off that matrix's kernel (recovery), compare shapes
 modulo similarity (transform), and draw the result (render).  polynomial
 holds the shared bivariate-polynomial plumbing; cli wires everything to a
-command line.
+command line.  ``__all__`` holds what that pipeline uses; lower-level
+helpers (multi-index arithmetic, the per-kind discretizers, Neumann data)
+stay importable from their modules.
 """
 
 from .errors import (
@@ -18,23 +20,11 @@ from .polynomial import (
     Boundedness,
     Poly2,
     boundedness_check,
-    effective_degree,
-    from_forms,
-    harmonic_monomial,
-    laplacian,
-    multiindex_at,
-    ordinal,
-    partial,
-    poly_dim,
-    quad_form_matrix,
-    to_forms,
 )
 from .geometry import (
     DiscretizedBoundary,
     ShapeSpec,
     discretize,
-    discretize_parametric,
-    discretize_polygon,
     lemniscate_poly,
     trace_implicit,
 )
@@ -44,14 +34,12 @@ from .npo import (
     assemble,
     dump_npo,
     load_npo,
-    neumann_data,
 )
 from .gpt import (
     FarFieldResult,
     GptMatrix,
     assemble_gpt,
     far_field,
-    harmonic_combination,
     lambda_of_k,
 )
 from .recovery import (
@@ -102,37 +90,23 @@ __all__ = [
     "assemble_gpt",
     "boundedness_check",
     "discretize",
-    "discretize_parametric",
-    "discretize_polygon",
     "dump_npo",
-    "effective_degree",
     "estimate_lambda",
     "export_svg",
     "extract",
     "far_field",
-    "from_forms",
-    "harmonic_combination",
-    "harmonic_monomial",
     "hausdorff",
     "kernel_residual",
     "lambda_of_k",
-    "laplacian",
     "lemniscate_poly",
     "lift",
     "load_npo",
     "match",
-    "multiindex_at",
-    "neumann_data",
     "normalize",
-    "ordinal",
-    "partial",
-    "poly_dim",
     "push_forward",
-    "quad_form_matrix",
     "recover",
     "recover_crossvalidated",
     "recover_minimal_degree",
     "scan",
-    "to_forms",
     "trace_implicit",
 ]

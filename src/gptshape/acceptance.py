@@ -31,7 +31,7 @@ from .recovery import (
     recover,
     recover_minimal_degree,
 )
-from .render import extract, hausdorff
+from .render import extract, hausdorff, margin_box
 from .transform import Similarity, lift, match, push_forward
 
 
@@ -84,13 +84,6 @@ LEM_POLES, LEM_LEVEL = [(1.0, 0.0), (-1.0, 0.0)], 0.2
 def _angle_dist(a: float, b: float) -> float:
     d = abs(a - b) % (2 * math.pi)
     return min(d, 2 * math.pi - d)
-
-
-def _margin_box(pts: np.ndarray, frac: float = 0.10):
-    x0, y0 = pts.min(axis=0)
-    x1, y1 = pts.max(axis=0)
-    mx, my = frac * (x1 - x0), frac * (y1 - y0)
-    return (x0 - mx, x1 + mx, y0 - my, y1 + my)
 
 
 def _lift_draws():
@@ -152,7 +145,7 @@ def _lemniscate():
     b = discretize(ShapeSpec.lemniscate(LEM_POLES, LEM_LEVEL), 512)
     out = recover(assemble_gpt(b, assemble(b), 1.5, 4))
     src = trace_implicit(lemniscate_poly(LEM_POLES, LEM_LEVEL), n=2048)
-    curves = extract(out.g_hat, box=_margin_box(src.nodes), grid=2048)
+    curves = extract(out.g_hat, box=margin_box(src.nodes), grid=2048)
     h = hausdorff(curves.points(), src.nodes)
     return (out.residual <= 1e-5 and h <= 1e-3,
             f"residual {out.residual:.2e} (<=1e-5), Hausdorff to source {h:.2e} (<=1e-3)")
@@ -214,7 +207,7 @@ def _triangle():
     b = discretize(ShapeSpec.polygon(verts), 512)
     out = recover_minimal_degree(assemble_gpt(b, assemble(b), 1.5, 4))
     verdict = boundedness_check(out.g_hat)
-    curves = extract(out.g_hat, box=_margin_box(b.nodes), grid=512)
+    curves = extract(out.g_hat, box=margin_box(b.nodes), grid=512)
     h = hausdorff(curves.points(), b.nodes)
     bound = 0.15 * math.sqrt(3.0)  # 0.15 x the diameter at unit circumradius
     return (h <= bound,

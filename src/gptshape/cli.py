@@ -112,15 +112,18 @@ def parse_shape(text: str) -> ShapeSpec:
     raise ConfigError(f"unknown shape kind {kind!r}")
 
 
-def _shape_boundary(obj, n) -> tuple[ShapeSpec, DiscretizedBoundary]:
-    """Shape JSON and a node count, read from a file, to the spec and its boundary.
+def _shape_boundary(shape, n) -> tuple[ShapeSpec, DiscretizedBoundary]:
+    """A ShapeSpec, or shape JSON, and a node count to the spec and its boundary.
 
-    A file may hold any JSON, so a missing or ill-typed field is a
-    configuration error here rather than a traceback from the discretizer;
-    the package's own checks keep their message.
+    JSON comes from a file or GPT metadata and may hold anything, so a
+    missing or ill-typed field is a configuration error here rather than
+    a traceback from the discretizer; the package's own checks keep their
+    message.  A boundary has at least n nodes, so the memory budget of its
+    NPO matrix is checked on n before any node is placed.
     """
     try:
-        spec, n = ShapeSpec.from_json(obj), int(n)
+        spec = shape if isinstance(shape, ShapeSpec) else ShapeSpec.from_json(shape)
+        n = int(n)
         check_memory(n)
         return spec, discretize(spec, n)
     except ConfigError:
@@ -131,16 +134,9 @@ def _shape_boundary(obj, n) -> tuple[ShapeSpec, DiscretizedBoundary]:
 
 
 def _load_shape(args) -> tuple[ShapeSpec, DiscretizedBoundary]:
-    """The shape given by --shape or --shape-file and its boundary at --n nodes.
-
-    A boundary has at least n nodes, so the memory budget of its NPO
-    matrix is checked on n before any node is placed.
-    """
-    if args.shape_file is not None:
-        return _shape_boundary(_read_json(args.shape_file), args.n)
-    spec = parse_shape(args.shape)
-    check_memory(args.n)
-    return spec, discretize(spec, args.n)
+    """The shape given by --shape or --shape-file and its boundary at --n nodes."""
+    shape = parse_shape(args.shape) if args.shape_file is None else _read_json(args.shape_file)
+    return _shape_boundary(shape, args.n)
 
 
 def _lambda(args) -> float:

@@ -4,14 +4,16 @@ Two builders produce the same :class:`DiscretizedBoundary` structure:
 
 * every smooth closed curve goes through one periodic trapezoid rule,
   spectrally accurate at equispaced parameters.  Parametric shapes (disk,
-  ellipse, cosine flower) supply exact derivatives; implicit algebraic
-  curves are traced by marching squares, Newton-projected onto the zero
-  set, resampled equispaced in chord length, and differentiated by FFT;
+  ellipse, cosine flower) write x, x' and x'' out as arrays; implicit
+  algebraic curves are traced by marching squares, Newton-projected onto
+  the zero set, resampled equispaced in chord length, and differentiated
+  by FFT;
 * polygons get graded composite-midpoint nodes on each edge, pushed toward
   the corners by a polynomial grading, corners themselves excluded.
 
-All arrays are plain float64; boundaries are value objects and never
-mutated after construction.
+All arrays are plain float64 and read-only; a boundary is never mutated
+after construction, and ``==`` compares identity, since arrays have no
+single truth value.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ DEFAULT_GRID = 512
 POLYGON_GRADING = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedBoundary:
     """Quadrature-ready boundary sampling, possibly with several components."""
 
@@ -68,10 +70,6 @@ class DiscretizedBoundary:
         """Enclosed area via the divergence identity (1/2) sum <x, nu> w."""
         return float(0.5 * np.sum(np.sum(self.nodes * self.normals, axis=1) * self.weights))
 
-    def diameter(self) -> float:
-        lo, hi = self.nodes.min(axis=0), self.nodes.max(axis=0)
-        return float(np.hypot(*(hi - lo)))
-
     def save_csv(self, path) -> None:
         header = "x,y,nx,ny,w,kappa,component"
         data = np.column_stack([
@@ -82,7 +80,10 @@ class DiscretizedBoundary:
 
     @classmethod
     def load_csv(cls, path) -> "DiscretizedBoundary":
-        """Read a file written by :meth:`save_csv`; ConfigError if it is not one."""
+        """Read a file written by :meth:`save_csv`; ConfigError if it is not one.
+
+        Every value must be finite: a NaN node would be drawn as ``nan``.
+        """
         with open(path) as fh:
             rows = fh.read().splitlines()[1:]
         if not rows:
@@ -90,6 +91,8 @@ class DiscretizedBoundary:
         data = np.loadtxt(rows, delimiter=",", ndmin=2)
         if data.shape[1] != 7:
             raise ConfigError(f"expected 7 columns, got {data.shape[1]}")
+        if not np.all(np.isfinite(data)):
+            raise ConfigError("node rows must hold finite values")
         return cls(data[:, 0:2], data[:, 2:4], data[:, 4], data[:, 5],
                    data[:, 6].astype(int))
 
@@ -205,75 +208,49 @@ def _smooth_curve(x, dx, ddx):
 # parametric shapes ------------------------------------------------------
 
 
-def _from_parametrization(xfun, dxfun, ddxfun, n):
-    t = 2.0 * np.pi * np.arange(n) / n
-    x = xfun(t)
-    normals, weights, kappa = _smooth_curve(x, dxfun(t), ddxfun(t))
-    return DiscretizedBoundary(x, normals, weights, kappa, np.zeros(n, dtype=int))
-
-
-def _polar_parametrization(rfun, drfun, ddrfun, center):
-    cx, cy = center
-
-    def xfun(t):
-        r = rfun(t)
-        return np.column_stack([cx + r * np.cos(t), cy + r * np.sin(t)])
-
-    def dxfun(t):
-        r, dr = rfun(t), drfun(t)
-        return np.column_stack([dr * np.cos(t) - r * np.sin(t),
-                                dr * np.sin(t) + r * np.cos(t)])
-
-    def ddxfun(t):
-        r, dr, ddr = rfun(t), drfun(t), ddrfun(t)
-        return np.column_stack([
-            (ddr - r) * np.cos(t) - 2.0 * dr * np.sin(t),
-            (ddr - r) * np.sin(t) + 2.0 * dr * np.cos(t)])
-
-    return xfun, dxfun, ddxfun
-
-
 def discretize_parametric(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
-    """Sample a smooth catalog shape at n equispaced parameter values."""
+    """Sample a smooth catalog shape at n equispaced parameter values.
+
+    The curve x(t) and its derivatives x'(t), x''(t) are written out as
+    arrays at t_j = 2 pi j / n: an ellipse as a rotated and shifted
+    (a cos t, b sin t), a flower in polar form c + r(t) (cos t, sin t).
+    A disk is the one-petal flower of amplitude 0, bit for bit.
+    """
     if n < MIN_NODES:
         raise ConfigError(f"need at least {MIN_NODES} nodes, got {n}")
     p = spec.params
-    if spec.kind == "disk":  # the one-petal flower of amplitude 0, bit for bit
+    if spec.kind == "disk":
         p = {"base": p["radius"], "amplitude": 0.0, "petals": 1, "center": p["center"]}
+    t = 2.0 * np.pi * np.arange(n) / n
+    c, s = np.cos(t), np.sin(t)
     if spec.kind == "ellipse":
         a, b, (cx, cy), tilt = p["a"], p["b"], p["center"], p["tilt"]
         R = np.array([[np.cos(tilt), -np.sin(tilt)], [np.sin(tilt), np.cos(tilt)]])
-
-        def make(fa, fb):
-            def f(t):
-                return np.column_stack([fa(t), fb(t)]) @ R.T
-            return f
-
-        xfun0 = make(lambda t: a * np.cos(t), lambda t: b * np.sin(t))
-        xfun = lambda t: xfun0(t) + np.array([cx, cy])
-        dxfun = make(lambda t: -a * np.sin(t), lambda t: b * np.cos(t))
-        ddxfun = make(lambda t: -a * np.cos(t), lambda t: -b * np.sin(t))
+        x = np.column_stack([a * c, b * s]) @ R.T + np.array([cx, cy])
+        dx = np.column_stack([-a * s, b * c]) @ R.T
+        ddx = np.column_stack([-a * c, -b * s]) @ R.T
     elif spec.kind in ("disk", "flower"):
         r0, amp, m = p["base"], p["amplitude"], p["petals"]
         if n < 4 * m:
             raise ConfigError(f"a {m}-petal flower needs at least {4 * m} nodes, got {n}")
+        cm, sm = np.cos(m * t), np.sin(m * t)
         if p.get("missing_petal", False):
             # suppress the petal at t = 0 with the smooth window (1 - cos t)/2
-            rfun = lambda t: r0 + amp * np.cos(m * t) * (1.0 - np.cos(t)) / 2.0
-            drfun = lambda t: amp * (-m * np.sin(m * t) * (1.0 - np.cos(t)) / 2.0
-                                     + np.cos(m * t) * np.sin(t) / 2.0)
-            ddrfun = lambda t: amp * (-m * m * np.cos(m * t) * (1.0 - np.cos(t)) / 2.0
-                                      - m * np.sin(m * t) * np.sin(t)
-                                      + np.cos(m * t) * np.cos(t) / 2.0)
+            r = r0 + amp * cm * (1.0 - c) / 2.0
+            dr = amp * (-m * sm * (1.0 - c) / 2.0 + cm * s / 2.0)
+            ddr = amp * (-m * m * cm * (1.0 - c) / 2.0 - m * sm * s + cm * c / 2.0)
         else:
-            rfun = lambda t: r0 + amp * np.cos(m * t)
-            drfun = lambda t: -amp * m * np.sin(m * t)
-            ddrfun = lambda t: -amp * m * m * np.cos(m * t)
-        xfun, dxfun, ddxfun = _polar_parametrization(rfun, drfun, ddrfun,
-                                                     p.get("center", (0.0, 0.0)))
+            r = r0 + amp * cm
+            dr = -amp * m * sm
+            ddr = -amp * m * m * cm
+        cx, cy = p.get("center", (0.0, 0.0))
+        x = np.column_stack([cx + r * c, cy + r * s])
+        dx = np.column_stack([dr * c - r * s, dr * s + r * c])
+        ddx = np.column_stack([(ddr - r) * c - 2.0 * dr * s, (ddr - r) * s + 2.0 * dr * c])
     else:
         raise ConfigError(f"no parametrization for shape kind {spec.kind!r}")
-    return _from_parametrization(xfun, dxfun, ddxfun, n)
+    normals, weights, kappa = _smooth_curve(x, dx, ddx)
+    return DiscretizedBoundary(x, normals, weights, kappa, np.zeros(n, dtype=int))
 
 
 # polygons ---------------------------------------------------------------

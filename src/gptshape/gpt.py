@@ -12,8 +12,7 @@ multi-indices (alpha, beta) is
 
 The rectangular matrix with rows 1 <= |alpha| <= row_degree and columns
 0 <= |beta| <= d packs these moments; the row alpha = (0, 0) is omitted
-because its Neumann data vanishes identically.  Harmonic combinations of
-GPTs are the physically meaningful quantities, and the leading-order
+because its Neumann data vanishes identically.  The leading-order
 perturbation of a harmonic background field h outside D is a multipole
 series in derivatives of the log kernel weighted by GPT entries, which
 :func:`far_field` evaluates and cross-checks against a direct single-layer
@@ -24,9 +23,11 @@ rest once per boundary and degree pair: the Neumann data nu . grad x^alpha
 of the row monomials and the weighted column monomials w x^beta, both
 read off one table of node powers x1**k, x2**k.  Its ``solve`` applies a
 resolvent to the Neumann block and contracts the densities with the
-moment rows.  :func:`assemble_gpt` and :func:`far_field` are that pair of
-calls, and ``recovery.estimate_lambda`` builds one problem and solves it
-at every lambda it tries.
+moment rows, and refuses a matrix with a non-finite entry: a shape so
+large that its moments overflow gets NumericError, not Infinity in the
+JSON.  :func:`assemble_gpt` and :func:`far_field` are that pair of calls,
+and ``recovery.estimate_lambda`` builds one problem and solves it at
+every lambda it tries.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .geometry import DiscretizedBoundary
 from .npo import NpoMatrix, Resolvent, monomial_powers, neumann_data
 from .polynomial import Poly2, laplacian, multiindex_at, ordinal, poly_dim
@@ -61,7 +62,7 @@ def _col_betas(d: int):
     return [multiindex_at(i) for i in range(poly_dim(d))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GptMatrix:
     """GPT moments for one boundary and one spectral parameter.
 
@@ -168,6 +169,8 @@ class MomentProblem:
     def solve(self, res: Resolvent) -> GptMatrix:
         """The GPT matrix at the resolvent's lambda."""
         entries = (self.moments @ res.apply(self.rhs)).T  # (rows, cols)
+        if not np.all(np.isfinite(entries)):
+            raise NumericError("GPT entries are not finite: the shape's moments overflow")
         return GptMatrix(res.lam, self.d, self.row_degree, entries)
 
 
@@ -200,27 +203,6 @@ def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
     columns span 0 <= |beta| <= d including the constant.
     """
     return moment_problem(b, d, row_degree).solve(npo.resolvent(lam))
-
-
-def harmonic_combination(M: GptMatrix, a: Poly2, b: Poly2) -> float:
-    """Contract the GPT matrix with two harmonic polynomials.
-
-    ``a`` runs over the rows (its constant term has zero Neumann data and
-    contributes nothing), ``b`` over the columns.  Raises ConfigError when
-    either polynomial fails the coefficient Laplacian test.
-    """
-    for name, p, bound in (("a", a, M.row_degree), ("b", b, M.d)):
-        lap = laplacian(p)
-        scale = max(1.0, float(np.max(np.abs(p.coeffs))))
-        if np.max(np.abs(lap.coeffs)) > _HARMONIC_TOL * scale:
-            raise ConfigError(f"polynomial {name} is not harmonic")
-        if p.degree > bound:
-            raise ConfigError(f"degree of {name} exceeds the matrix index range")
-    avec = np.zeros(poly_dim(M.row_degree))
-    avec[: a.coeffs.size] = a.coeffs
-    bvec = np.zeros(poly_dim(M.d))
-    bvec[: b.coeffs.size] = b.coeffs
-    return float(avec[1:] @ M.entries @ bvec)
 
 
 @dataclass(frozen=True)

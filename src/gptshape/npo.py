@@ -30,7 +30,9 @@ coincident pair.  :class:`Resolvent` writes lambda I - A once, in Fortran
 order, and LAPACK factors that array in place (1.1 x 8 n^2 bytes above
 A).  A and its LU thus pin 2 x 8 n^2 bytes, and :func:`check_memory`
 refuses a node count whose pair would not fit in physical memory, before
-any n x n array is allocated.
+any n x n array is allocated.  scipy refuses infs and NaNs with a
+ValueError, which :class:`Resolvent` turns into NumericError: a shape so
+large that A or the Neumann data overflow exits 2, not with a traceback.
 
 :meth:`NpoMatrix.resolvent` keeps the last :class:`Resolvent` built on
 the matrix and hands it out again while lambda stays the same, so a
@@ -68,14 +70,13 @@ _COND_LIMIT = 1e13
 _BLOCK_ENTRIES = 2**15  # entries per row block of the assembly, 256 KiB per buffer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NpoMatrix:
     """Dense Nystrom matrix together with the boundary it was built on."""
 
     matrix: np.ndarray
     boundary: DiscretizedBoundary
-    _resolvent: Resolvent | None = field(default=None, init=False, repr=False,
-                                         compare=False)
+    _resolvent: Resolvent | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -171,7 +172,10 @@ class Resolvent:
         a = self.matrix
         s = np.subtract(lam * 0.0, a, order="F")
         np.fill_diagonal(s, lam - np.diagonal(a))
-        self._lu = scipy.linalg.lu_factor(s, overwrite_a=True)
+        try:
+            self._lu = scipy.linalg.lu_factor(s, overwrite_a=True)
+        except ValueError:  # scipy refuses infs and NaNs
+            raise NumericError("lambda I - A has non-finite entries") from None
         diag = np.abs(np.diag(self._lu[0]))
         cond_est = float(np.max(diag) / max(np.min(diag), 1e-300))
         if cond_est > _COND_LIMIT:
@@ -183,7 +187,10 @@ class Resolvent:
         import scipy.linalg
 
         f = np.asarray(f)
-        phi = scipy.linalg.lu_solve(self._lu, f)
+        try:
+            phi = scipy.linalg.lu_solve(self._lu, f)
+        except ValueError as exc:  # infs or NaNs in f
+            raise NumericError(f"resolvent solve refused its right-hand side ({exc})") from None
         # A @ phi through scipy's BLAS, not numpy's: see the module docstring.
         # matrix.T is Fortran-ordered, so trans_a=1 multiplies by the matrix
         # without copying it.
@@ -203,15 +210,13 @@ def monomial_powers(b: DiscretizedBoundary, degree: int):
     return [x1**k for k in range(degree + 1)], [x2**k for k in range(degree + 1)]
 
 
-def neumann_data(b: DiscretizedBoundary, alphas, powers=None) -> np.ndarray:
+def neumann_data(b: DiscretizedBoundary, alphas, powers) -> np.ndarray:
     """Normal derivatives of the monomials x^alpha at the nodes, one column per alpha.
 
     ``powers`` is a :func:`monomial_powers` table of at least the largest
-    degree in ``alphas``; it is built here when not given.
+    degree in ``alphas``.
     """
     alphas = list(alphas)
-    if powers is None:
-        powers = monomial_powers(b, max((a1 + a2 for a1, a2 in alphas), default=0))
     p1, p2 = powers
     out = np.empty((b.n, len(alphas)))
     for j, (a1, a2) in enumerate(alphas):

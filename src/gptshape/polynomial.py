@@ -17,6 +17,7 @@ degree, each block in the descending-power basis
 
 Poly2 instances are immutable (the coefficient array is frozen), so they
 are safe to share across threads and to use as fixed reference data.
+``==`` and ``hash`` go by identity; compare ``coeffs`` for values.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def multiindex_at(i: int) -> tuple[int, int]:
     return (a1, n - a1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Poly2:
     """Polynomial in two variables, dense graded-lex coefficient vector."""
 
@@ -197,28 +198,6 @@ def partial(p: Poly2, axis: int) -> Poly2:
 
 def laplacian(p: Poly2) -> Poly2:
     return partial(partial(p, 0), 0) + partial(partial(p, 1), 1)
-
-
-def harmonic_monomial(m: int, kind: str = "re") -> Poly2:
-    """Real or imaginary part of (x1 + i*x2)**m as a Poly2.
-
-    These span the harmonic polynomials; ``harmonic_monomial(0)`` is the
-    constant 1 for kind 're' and zero for kind 'im'.
-    """
-    if m < 0:
-        raise ConfigError(f"m must be >= 0, got {m}")
-    terms = {}
-    for j in range(m + 1):
-        # i**j contributes to the real part for even j, imaginary for odd j
-        if kind == "re" and j % 2 == 0:
-            terms[(m - j, j)] = math.comb(m, j) * (-1) ** (j // 2)
-        elif kind == "im" and j % 2 == 1:
-            terms[(m - j, j)] = math.comb(m, j) * (-1) ** ((j - 1) // 2)
-        elif kind not in ("re", "im"):
-            raise ConfigError(f"kind must be 're' or 'im', got {kind!r}")
-    if not terms:
-        return Poly2.zero(max(m, 0))
-    return Poly2.from_terms(terms, degree=m)
 
 
 # homogeneous-form view -------------------------------------------------

@@ -47,7 +47,7 @@ REDUCED_RESIDUAL_TOL = 1e-8
 DEFAULT_EPS_NZ = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     """Recovered boundary polynomial plus kernel diagnostics."""
 

@@ -23,7 +23,7 @@ from .polynomial import Poly2
 MIN_GRID = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSetCurves:
     """Polylines approximating one level set of a polynomial."""
 
@@ -94,6 +94,13 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     closed = [c for _, c in chains]
     return LevelSetCurves(tuple(polylines), tuple(closed), (xmin, xmax, ymin, ymax),
                           float(level))
+
+
+def margin_box(pts, frac: float = 0.10):
+    """(xmin, xmax, ymin, ymax) of (m, 2) points, each axis widened by ``frac`` of its extent."""
+    (x0, y0), (x1, y1) = pts.min(axis=0), pts.max(axis=0)
+    mx, my = frac * (x1 - x0), frac * (y1 - y0)
+    return (x0 - mx, x1 + mx, y0 - my, y1 + my)
 
 
 def _point_set(pts, name):

@@ -176,3 +176,54 @@ def estimate_lambda_oracle(M_target, b_candidate, lam_grid, npo=None):
         best_lam, best_val = float(res.x), float(res.fun)
     return LambdaEstimate(lam=best_lam, misfit=best_val, grid=tuple(grid),
                           misfits=tuple(values))
+
+
+# Harmonic polynomials and the GPT contraction with them, used by the
+# symmetry tests of the GPT matrix.
+
+
+def harmonic_monomial(m, kind="re"):
+    """Real or imaginary part of (x1 + i*x2)**m as a Poly2.
+
+    These span the harmonic polynomials; ``harmonic_monomial(0)`` is the
+    constant 1 for kind 're' and zero for kind 'im'.
+    """
+    import math
+
+    from gptshape.polynomial import Poly2
+
+    if m < 0 or kind not in ("re", "im"):
+        raise ValueError(f"need m >= 0 and kind 're' or 'im', got {m}, {kind!r}")
+    terms = {}
+    for j in range(m + 1):
+        # i**j contributes to the real part for even j, imaginary for odd j
+        if kind == "re" and j % 2 == 0:
+            terms[(m - j, j)] = math.comb(m, j) * (-1) ** (j // 2)
+        elif kind == "im" and j % 2 == 1:
+            terms[(m - j, j)] = math.comb(m, j) * (-1) ** ((j - 1) // 2)
+    if not terms:
+        return Poly2.zero(m)
+    return Poly2.from_terms(terms, degree=m)
+
+
+def harmonic_combination(M, a, b, tol=1e-10):
+    """Contract the GPT matrix with two harmonic polynomials.
+
+    ``a`` runs over the rows (its constant term has zero Neumann data and
+    contributes nothing), ``b`` over the columns.  Raises ConfigError when
+    either polynomial fails the coefficient Laplacian test.
+    """
+    from gptshape.errors import ConfigError
+    from gptshape.polynomial import laplacian, poly_dim
+
+    for name, p, bound in (("a", a, M.row_degree), ("b", b, M.d)):
+        scale = max(1.0, float(np.max(np.abs(p.coeffs))))
+        if np.max(np.abs(laplacian(p).coeffs)) > tol * scale:
+            raise ConfigError(f"polynomial {name} is not harmonic")
+        if p.degree > bound:
+            raise ConfigError(f"degree of {name} exceeds the matrix index range")
+    avec = np.zeros(poly_dim(M.row_degree))
+    avec[: a.coeffs.size] = a.coeffs
+    bvec = np.zeros(poly_dim(M.d))
+    bvec[: b.coeffs.size] = b.coeffs
+    return float(avec[1:] @ M.entries @ bvec)

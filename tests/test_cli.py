@@ -135,6 +135,27 @@ def test_gpt_refuses_a_matrix_beyond_memory_before_discretizing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shape, d, line", [
+    ("disk:1e155", "1", "numerical failure: lambda I - A has non-finite entries"),
+    ("triangle:1e300", "1", "numerical failure: lambda I - A has non-finite entries"),
+    ("flower:1e300,1e299,3", "1", "numerical failure: lambda I - A has non-finite entries"),
+    ("ellipse:1e154,1e154", "1",
+     "numerical failure: GPT entries are not finite: the shape's moments overflow"),
+    ("ellipse:1e154,1e154", "2",
+     "numerical failure: resolvent solve refused its right-hand side "
+     "(array must not contain infs or NaNs)"),
+], ids=["disk", "triangle", "flower", "ellipse-moments", "ellipse-neumann-data"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_gpt_oversized_shape_is_numeric_error(tmp_path, shape, d, line):
+    out = tmp_path / "M.json"
+    r = run("gpt", "--shape", shape, "--n", "64", "--d", d, "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[-1] == line
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shape, line", [
     ({"kind": "ellipse"}, "error: malformed shape or node count (KeyError: 'a')"),
     ({"a": 1}, "error: malformed shape or node count (KeyError: 'kind')"),
@@ -526,6 +547,17 @@ def test_render_malformed_overlay_is_config_error(tmp_path, capsys, rows):
     err = capsys.readouterr().err
     assert "is not a boundary CSV" in err
     assert len(err.splitlines()) == 1
+
+
+def test_render_non_finite_overlay_is_config_error(tmp_path):
+    g, bnd, svg = tmp_path / "g.json", tmp_path / "b.csv", tmp_path / "c.svg"
+    write_poly(g, Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}))
+    bnd.write_text("x,y,nx,ny,w,kappa,component\nnan,1,0,1,1,0,0\n1,0,1,0,1,0,0\n")
+    r = run("render", "--poly", str(g), "--overlay", str(bnd), "--out", str(svg))
+    assert r.returncode == 1
+    assert r.stderr.splitlines()[-1] == (
+        f"error: {bnd} is not a boundary CSV: node rows must hold finite values")
+    assert not svg.exists()
 
 
 def test_render_empty_level_set_is_numeric_error(tmp_path):

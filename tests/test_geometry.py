@@ -9,7 +9,7 @@ from gptshape.geometry import (
     DEFAULT_BOX,
     DiscretizedBoundary,
     ShapeSpec,
-    _from_parametrization,
+    _smooth_curve,
     discretize,
     discretize_parametric,
     discretize_polygon,
@@ -46,10 +46,11 @@ def test_disk_is_the_closed_form_bit_for_bit(n):
     # reference: c + r (cos t, sin t) and its first two derivatives, written out
     for r in (1.0, 0.5, 2.0, 3.7, -1.0):
         for cx, cy in ((0.0, 0.0), (0.3, -0.2), (1.5, 2.0)):
-            want = _from_parametrization(
-                lambda t: np.column_stack([cx + r * np.cos(t), cy + r * np.sin(t)]),
-                lambda t: np.column_stack([-r * np.sin(t), r * np.cos(t)]),
-                lambda t: np.column_stack([-r * np.cos(t), -r * np.sin(t)]), n)
+            t = 2.0 * np.pi * np.arange(n) / n
+            x = np.column_stack([cx + r * np.cos(t), cy + r * np.sin(t)])
+            dx = np.column_stack([-r * np.sin(t), r * np.cos(t)])
+            ddx = np.column_stack([-r * np.cos(t), -r * np.sin(t)])
+            want = DiscretizedBoundary(x, *_smooth_curve(x, dx, ddx), np.zeros(n, dtype=int))
             got = discretize_parametric(ShapeSpec.disk(r, (cx, cy)), n)
             for name in ("nodes", "normals", "weights", "curvatures", "component_id"):
                 a, b = getattr(got, name), getattr(want, name)

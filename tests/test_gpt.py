@@ -9,6 +9,8 @@ from oracles import (
     far_field_oracle,
     first_order_block,
     gpt_entries_oracle,
+    harmonic_combination,
+    harmonic_monomial,
 )
 
 from gptshape.acceptance import ellipse_first_order_pt
@@ -19,12 +21,11 @@ from gptshape.gpt import (
     GptMatrix,
     assemble_gpt,
     far_field,
-    harmonic_combination,
     lambda_of_k,
     moment_problem,
 )
 from gptshape.npo import Resolvent, assemble
-from gptshape.polynomial import Poly2, harmonic_monomial, multiindex_at, ordinal, poly_dim
+from gptshape.polynomial import Poly2, multiindex_at, ordinal, poly_dim
 
 
 def build(spec, n, lam, d, row_degree=None):

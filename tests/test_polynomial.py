@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import assert_same_bits, poly_eval_oracle
+from oracles import assert_same_bits, harmonic_monomial, poly_eval_oracle
 
 from gptshape.errors import ConfigError
 from gptshape.polynomial import (
@@ -13,7 +13,6 @@ from gptshape.polynomial import (
     boundedness_check,
     effective_degree,
     from_forms,
-    harmonic_monomial,
     laplacian,
     multiindex_at,
     ordinal,
