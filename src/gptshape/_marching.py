@@ -1,10 +1,14 @@
 """Shared marching-squares core for level-set extraction.
 
-Deterministic by construction: cells are scanned in row-major order,
-chains are walked in first-seen order, and the two saddle configurations
-are resolved by the sign of the field at the cell center (supplied as a
-callback so callers can evaluate the true function instead of averaging
-corner samples).
+One 16-case table (Lorensen & Cline, "Marching cubes", SIGGRAPH 1987)
+drives the cell walk.  A cell's case has one bit per corner at or above
+the level, ``bl | br << 1 | tr << 2 | tl << 3``.  Edge e (0 bottom,
+1 right, 2 top, 3 left) joins corners e and e + 1, so it is crossed when
+their bits differ, and a cell's two crossed edges are joined in edge
+order.  The saddles, cases 5 and 10, are resolved by the sign of the
+polynomial at the cell centre rather than by averaging corner samples.
+Deterministic by construction: cells are scanned in row-major order and
+chains are walked in first-seen order.
 """
 
 from __future__ import annotations
@@ -13,143 +17,84 @@ import numpy as np
 
 from .errors import ConfigError
 
-# cell edges are keyed globally so shared edges join segments across cells:
-#   ("h", i, j): from (xs[i], ys[j]) to (xs[i+1], ys[j])
-#   ("v", i, j): from (xs[i], ys[j]) to (xs[i], ys[j+1])
+# edge e of cell (i, j) runs from grid point (i + di0, j + dj0) to
+# (i + di1, j + dj1); a shared edge gets the same ends from both cells
+_EDGES = ((0, 0, 1, 0), (1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0, 1))
+# case -> its one segment: the two edges whose corner bits differ, in edge order
+_PAIRS = [(tuple(e for e in range(4) if (case >> e ^ case >> (e + 1) % 4) & 1),)
+          for case in range(16)]
+# saddle (case, centre at or above the level) -> its two segments
+_SADDLES = {(5, True): ((0, 1), (2, 3)), (5, False): ((0, 3), (2, 1)),
+            (10, True): ((0, 3), (2, 1)), (10, False): ((0, 1), (2, 3))}
 
 
-def _interp(p0, p1, s0, s1):
-    t = s0 / (s0 - s1)
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
-
-
-def marching_squares(values, xs, ys, level, center_value):
+def marching_squares(values, xs, ys, level, p):
     """Trace the level set of sampled values on a rectangular grid.
 
-    values[i, j] samples the field at (xs[i], ys[j]).  center_value(x, y)
-    returns the field at a cell center, used only for saddle cells.
-    Returns a list of (polyline, closed) pairs, polyline an (m, 2) array.
+    values[i, j] samples the polynomial ``p`` at (xs[i], ys[j]); ``p``
+    itself is evaluated only at the centres of saddle cells.  Returns a
+    list of (polyline, closed) pairs, polyline an (m, 2) array.
     """
     nx, ny = values.shape
     if nx != len(xs) or ny != len(ys):
         raise ConfigError("values shape must match sample coordinates")
     s = values - level
-    pos = s >= 0.0
+    q = (s >= 0.0).view(np.uint8)  # numpy multiplies uint8 faster than it shifts
+    case = q[:-1, :-1] | q[1:, :-1] * 2 | q[1:, 1:] * 4 | q[:-1, 1:] * 8
 
     points = {}  # edge key -> crossing point
     segments = []  # (key_a, key_b)
-
-    def edge_point(key):
-        if key in points:
-            return
-        kind, i, j = key
-        if kind == "h":
-            p0, p1 = (xs[i], ys[j]), (xs[i + 1], ys[j])
-            s0, s1 = s[i, j], s[i + 1, j]
-        else:
-            p0, p1 = (xs[i], ys[j]), (xs[i], ys[j + 1])
-            s0, s1 = s[i, j], s[i, j + 1]
-        points[key] = _interp(p0, p1, s0, s1)
-
-    def emit(ka, kb):
-        edge_point(ka)
-        edge_point(kb)
-        segments.append((ka, kb))
-
-    # vectorized rejection of the (vast majority of) sign-uniform cells;
-    # np.nonzero yields row-major order, matching a nested i, j scan
-    corner = pos[:-1, :-1] & pos[1:, :-1] & pos[:-1, 1:] & pos[1:, 1:]
-    empty = ~(pos[:-1, :-1] | pos[1:, :-1] | pos[:-1, 1:] | pos[1:, 1:])
-    for i, j in zip(*np.nonzero(~(corner | empty))):
+    for i, j in zip(*np.nonzero((case != 0) & (case != 15))):
         i, j = int(i), int(j)
-        bl, br = pos[i, j], pos[i + 1, j]
-        tl, tr = pos[i, j + 1], pos[i + 1, j + 1]
-        bottom = ("h", i, j)
-        top = ("h", i, j + 1)
-        left = ("v", i, j)
-        right = ("v", i + 1, j)
-        # single-corner and two-corner cases: connect the two crossing edges
-        crossing = []
-        if bl != br:
-            crossing.append(bottom)
-        if br != tr:
-            crossing.append(right)
-        if tl != tr:
-            crossing.append(top)
-        if bl != tl:
-            crossing.append(left)
-        if len(crossing) == 2:
-            emit(crossing[0], crossing[1])
-        else:
-            # saddle: corners agree diagonally; pair edges by center sign
+        c = int(case[i, j])
+        pairs = _PAIRS[c]
+        if c in (5, 10):
             cx = 0.5 * (xs[i] + xs[i + 1])
             cy = 0.5 * (ys[j] + ys[j + 1])
-            center_pos = (center_value(cx, cy) - level) >= 0.0
-            if bl:  # pattern (+,-,+,-): bl,tr positive
-                if center_pos:
-                    emit(bottom, right)
-                    emit(top, left)
-                else:
-                    emit(bottom, left)
-                    emit(top, right)
-            else:  # pattern (-,+,-,+): br,tl positive
-                if center_pos:
-                    emit(bottom, left)
-                    emit(top, right)
-                else:
-                    emit(bottom, right)
-                    emit(top, left)
-
+            pairs = _SADDLES[c, (float(p(np.array([cx, cy]))) - level) >= 0.0]
+        for pair in pairs:
+            keys = []
+            for e in pair:
+                di0, dj0, di1, dj1 = _EDGES[e]
+                i0, j0, i1, j1 = i + di0, j + dj0, i + di1, j + dj1
+                key = (i0, j0, i0 == i1)
+                if key not in points:
+                    t = s[i0, j0] / (s[i0, j0] - s[i1, j1])
+                    points[key] = (xs[i0] + t * (xs[i1] - xs[i0]),
+                                   ys[j0] + t * (ys[j1] - ys[j0]))
+                keys.append(key)
+            segments.append(keys)
     return _chain(segments, points)
 
 
 def _chain(segments, points):
-    """Join segments sharing edge keys into open or closed polylines."""
+    """Join segments sharing edge keys into open or closed polylines.
+
+    Two cells share at most one edge, so no two segments join the same
+    pair of keys, and a segment is marked used by its index.
+    """
     adj = {}
-    for a, b in segments:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    for n, (a, b) in enumerate(segments):
+        adj.setdefault(a, []).append((b, n))
+        adj.setdefault(b, []).append((a, n))
+    used = [False] * len(segments)
 
-    visited = set()  # undirected segment ids
-
-    def seg_id(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    def walk(start, nxt):
-        # edge keys have degree <= 2, so there is at most one unvisited way on
+    def walk(start, nxt, n):
+        # edge keys have degree <= 2, so there is at most one unused way on
         chain = [start, nxt]
-        visited.add(seg_id(start, nxt))
+        used[n] = True
         while True:
-            cur = chain[-1]
-            step = None
-            for k in adj[cur]:
-                if seg_id(cur, k) not in visited:
-                    step = k
-                    break
+            step = next(((k, m) for k, m in adj[chain[-1]] if not used[m]), None)
             if step is None:
                 return chain, False
-            visited.add(seg_id(cur, step))
-            if step == chain[0]:
+            used[step[1]] = True
+            if step[0] == chain[0]:
                 return chain, True
-            chain.append(step)
+            chain.append(step[0])
 
-    polylines = []
     # open chains first: start from degree-1 keys in insertion order
-    for key in adj:
-        if len(adj[key]) == 1:
-            other = adj[key][0]
-            if seg_id(key, other) in visited:
-                continue
-            chain, closed = walk(key, other)
-            polylines.append((chain, closed))
+    polylines = [walk(key, *nbrs[0]) for key, nbrs in adj.items()
+                 if len(nbrs) == 1 and not used[nbrs[0][1]]]
     # remaining segments belong to closed loops
-    for a, b in segments:
-        if seg_id(a, b) not in visited:
-            chain, closed = walk(a, b)
-            polylines.append((chain, closed))
-
-    out = []
-    for chain, closed in polylines:
-        pts = np.array([points[k] for k in chain])
-        out.append((pts, closed))
-    return out
+    polylines += [walk(a, b, n) for n, (a, b) in enumerate(segments) if not used[n]]
+    return [(np.array([points[k] for k in chain]), closed) for chain, closed in polylines]

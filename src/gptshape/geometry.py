@@ -194,12 +194,16 @@ def _smooth_curve(x, dx, ddx):
     two derivatives at t_j = 2 pi j / m.  The weights |x'| 2 pi / m are the
     periodic trapezoid rule.  Normals and curvatures are flipped unless the
     divergence identity sum <x, nu> w = 2 area is positive, which holds
-    exactly when the normals point out of the curve.
+    exactly when the normals point out of the curve.  A curve too large
+    for float64, whose nodes or curvatures overflow, is a NumericError
+    here, before any operator is built from it.
     """
     speed = np.hypot(dx[:, 0], dx[:, 1])
     normals = np.column_stack([dx[:, 1], -dx[:, 0]]) / speed[:, None]
     kappa = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
     weights = speed * (2.0 * np.pi / len(x))
+    if not all(np.all(np.isfinite(a)) for a in (x, normals, kappa, weights)):
+        raise NumericError("the boundary is not finite in float64: the shape is too large")
     if np.sum(np.sum(x * normals, axis=1) * weights) > 0:
         return normals, weights, kappa
     return -normals, weights, -kappa
@@ -208,6 +212,7 @@ def _smooth_curve(x, dx, ddx):
 # parametric shapes ------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _smooth_curve refuses what overflows
 def discretize_parametric(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     """Sample a smooth catalog shape at n equispaced parameter values.
 
@@ -377,6 +382,11 @@ def _spectral_derivatives(pts):
     return np.column_stack([d1.real, d1.imag]), np.column_stack([d2.real, d2.imag])
 
 
+def _tracing_grid(box, grid):
+    xmin, xmax, ymin, ymax = box
+    return np.linspace(xmin, xmax, grid + 1), np.linspace(ymin, ymax, grid + 1)
+
+
 def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
                    n: int = 256) -> DiscretizedBoundary:
     """Discretize the zero set of a polynomial inside a box.
@@ -394,11 +404,8 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     nonzero = np.flatnonzero(p.coeffs)
     if nonzero.size and p.coeffs[nonzero[-1]] < 0:
         p = -p  # one sign for p and -p, so a sample of exactly 0 splits ties alike
-    xmin, xmax, ymin, ymax = box
-    xs = np.linspace(xmin, xmax, grid + 1)
-    ys = np.linspace(ymin, ymax, grid + 1)
-    polylines = marching_squares(p.on_grid(xs, ys), xs, ys, 0.0,
-                                 lambda cx, cy: float(p(np.array([cx, cy]))))
+    xs, ys = _tracing_grid(box, grid)
+    polylines = marching_squares(p.on_grid(xs, ys), xs, ys, 0.0, p)
 
     open_count = sum(1 for _, closed in polylines if not closed)
     closed_lines = [pts for pts, closed in polylines if closed]
@@ -437,7 +444,12 @@ def discretize(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     if spec.kind == "polygon":
         return discretize_polygon(spec, n)
     if spec.kind == "lemniscate":
+        # the tracing box is fixed, so a component it cuts is a wrong answer:
+        # refuse when the inside {poly < 0} reaches a border sample of the grid
         poly = lemniscate_poly(spec.params["poles"], spec.params["level"])
+        xs, ys = _tracing_grid(DEFAULT_BOX, DEFAULT_GRID)
+        if np.any(poly.on_grid(xs[[0, -1]], ys) < 0) or np.any(poly.on_grid(xs, ys[[0, -1]]) < 0):
+            raise ConfigError(f"lemniscate reaches the edge of the tracing box {DEFAULT_BOX}")
         return trace_implicit(poly, n=n)
     if spec.kind == "implicit":
         box = spec.params.get("box", DEFAULT_BOX)

@@ -68,9 +68,9 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     """Marching-squares extraction of ``{p = level}`` inside ``box``.
 
     Saddle cells are resolved by the sign of ``p - level`` at the cell
-    center (``marching_squares`` subtracts ``level`` from the callback's
-    value).  Polylines that end on the box boundary are reported open (their
-    component is unbounded or clipped).
+    center, where ``marching_squares`` evaluates ``p``.  Polylines that end
+    on the box boundary are reported open (their component is unbounded or
+    clipped).
     """
     if grid < MIN_GRID:
         raise ConfigError(f"grid must be at least {MIN_GRID}, got {grid}")
@@ -83,8 +83,7 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
         raise ConfigError(f"level must be finite, got {level}")
     xs = np.linspace(xmin, xmax, grid)
     ys = np.linspace(ymin, ymax, grid)
-    chains = marching_squares(p.on_grid(xs, ys), xs, ys, level,
-                              lambda cx, cy: float(p(np.array([cx, cy]))))
+    chains = marching_squares(p.on_grid(xs, ys), xs, ys, level, p)
     if not chains:
         raise NumericError(
             f"level set {{p = {level}}} does not cross the box {box} "

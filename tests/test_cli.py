@@ -135,10 +135,13 @@ def test_gpt_refuses_a_matrix_beyond_memory_before_discretizing(
     assert not out.exists()
 
 
+TOO_LARGE = "numerical failure: the boundary is not finite in float64: the shape is too large"
+
+
 @pytest.mark.parametrize("shape, d, line", [
-    ("disk:1e155", "1", "numerical failure: lambda I - A has non-finite entries"),
+    ("disk:1e155", "1", TOO_LARGE),
     ("triangle:1e300", "1", "numerical failure: lambda I - A has non-finite entries"),
-    ("flower:1e300,1e299,3", "1", "numerical failure: lambda I - A has non-finite entries"),
+    ("flower:1e300,1e299,3", "1", TOO_LARGE),
     ("ellipse:1e154,1e154", "1",
      "numerical failure: GPT entries are not finite: the shape's moments overflow"),
     ("ellipse:1e154,1e154", "2",
@@ -153,6 +156,19 @@ def test_gpt_oversized_shape_is_numeric_error(tmp_path, shape, d, line):
     assert r.returncode == 2
     assert r.stderr.splitlines()[-1] == line
     assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape, code, line", [
+    ("disk:1e155", 2, TOO_LARGE),
+    ("lemniscate:3.9,0,0,0,0.2", 1,
+     "error: lemniscate reaches the edge of the tracing box (-4.0, 4.0, -4.0, 4.0)"),
+], ids=["disk-too-large", "lemniscate-cut-by-box"])
+def test_gpt_refused_shape_prints_one_line_and_no_warning(tmp_path, shape, code, line):
+    # no warning filter here: pytest turns any RuntimeWarning into an error
+    out = tmp_path / "M.json"
+    r = run("gpt", "--shape", shape, "--n", "64", "--d", "4", "--out", str(out))
+    assert (r.returncode, r.stderr) == (code, line + "\n")
     assert not out.exists()
 
 
