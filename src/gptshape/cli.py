@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -400,6 +401,11 @@ def _normalize_argv(argv):
     return out
 
 
+def _show_warning(message, *_):
+    """Print a warning as one ``warning: ...`` line, without source path or code line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -408,17 +414,19 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return EXIT_CONFIG
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():  # restores showwarning on the way out
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NumericError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except OSError as exc:
+            print(f"i/o failure: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

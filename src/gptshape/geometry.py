@@ -30,6 +30,7 @@ from .polynomial import Poly2, partial
 MIN_NODES = 16
 DEFAULT_BOX = (-4.0, 4.0, -4.0, 4.0)
 DEFAULT_GRID = 512
+MIN_GRID = 32
 POLYGON_GRADING = 3.0
 
 
@@ -195,14 +196,14 @@ def _smooth_curve(x, dx, ddx):
     periodic trapezoid rule.  Normals and curvatures are flipped unless the
     divergence identity sum <x, nu> w = 2 area is positive, which holds
     exactly when the normals point out of the curve.  A curve too large
-    for float64, whose nodes or curvatures overflow, is a NumericError
-    here, before any operator is built from it.
+    for float64, whose nodes, curvatures or |x'|^3 overflow (kappa would
+    read 0), is a NumericError here, before any operator is built from it.
     """
     speed = np.hypot(dx[:, 0], dx[:, 1])
     normals = np.column_stack([dx[:, 1], -dx[:, 0]]) / speed[:, None]
     kappa = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
     weights = speed * (2.0 * np.pi / len(x))
-    if not all(np.all(np.isfinite(a)) for a in (x, normals, kappa, weights)):
+    if not all(np.all(np.isfinite(a)) for a in (x, normals, speed**3, kappa, weights)):
         raise NumericError("the boundary is not finite in float64: the shape is too large")
     if np.sum(np.sum(x * normals, axis=1) * weights) > 0:
         return normals, weights, kappa
@@ -299,6 +300,12 @@ def discretize_polygon(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
     m = verts.shape[0]
     if m < 3:
         raise ConfigError("a polygon needs at least 3 vertices")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        signed_area = 0.5 * np.sum(verts[:, 0] * np.roll(verts[:, 1], -1)
+                                   - np.roll(verts[:, 0], -1) * verts[:, 1])
+        diag2 = float(np.sum(np.ptp(verts, axis=0) ** 2))
+    if not np.isfinite([signed_area, diag2]).all():
+        raise NumericError("the polygon's area or extent overflows float64: the shape is too large")
     if np.min([np.linalg.norm(verts[i] - verts[(i + 1) % m]) for i in range(m)]) < 1e-14:
         raise ConfigError("repeated consecutive vertices")
     for i in range(m):
@@ -308,9 +315,6 @@ def discretize_polygon(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
             if _segments_intersect(verts[i], verts[(i + 1) % m],
                                    verts[j], verts[(j + 1) % m]):
                 raise ConfigError("polygon edges intersect")
-    signed_area = 0.5 * np.sum(verts[:, 0] * np.roll(verts[:, 1], -1)
-                               - np.roll(verts[:, 0], -1) * verts[:, 1])
-    diag2 = float(np.sum(np.ptp(verts, axis=0) ** 2))
     if abs(signed_area) <= 1e-12 * diag2:
         raise ConfigError("polygon has zero area")
     if signed_area < 0:
@@ -382,9 +386,27 @@ def _spectral_derivatives(pts):
     return np.column_stack([d1.real, d1.imag]), np.column_stack([d2.real, d2.imag])
 
 
-def _tracing_grid(box, grid):
-    xmin, xmax, ymin, ymax = box
-    return np.linspace(xmin, xmax, grid + 1), np.linspace(ymin, ymax, grid + 1)
+def level_set(p: Poly2, box, samples: int, level: float = 0.0):
+    """Marching-squares (polyline, closed) pairs of ``{p = level}`` on a square grid.
+
+    The package's one grid path: checks, ``samples`` points per box edge,
+    and a NumericError where ``p`` or a vertex overflows float64."""
+    if samples < MIN_GRID:
+        raise ConfigError(f"grid must be at least {MIN_GRID}, got {samples}")
+    xmin, xmax, ymin, ymax = map(float, box)
+    if not np.all(np.isfinite([xmin, xmax, ymin, ymax])):
+        raise ConfigError(f"box edges must be finite, got {box}")
+    if not (xmin < xmax and ymin < ymax):
+        raise ConfigError(f"degenerate box {box}")
+    if not np.isfinite(level):
+        raise ConfigError(f"level must be finite, got {level}")
+    xs, ys = np.linspace(xmin, xmax, samples), np.linspace(ymin, ymax, samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        values = p.on_grid(xs, ys)
+        chains = marching_squares(values, xs, ys, level, p)
+    if not (np.isfinite(values).all() and all(np.isfinite(pl).all() for pl, _ in chains)):
+        raise NumericError(f"p overflows float64 on the grid over the box {box}")
+    return chains
 
 
 def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
@@ -404,8 +426,7 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     nonzero = np.flatnonzero(p.coeffs)
     if nonzero.size and p.coeffs[nonzero[-1]] < 0:
         p = -p  # one sign for p and -p, so a sample of exactly 0 splits ties alike
-    xs, ys = _tracing_grid(box, grid)
-    polylines = marching_squares(p.on_grid(xs, ys), xs, ys, 0.0, p)
+    polylines = level_set(p, box, grid + 1)
 
     open_count = sum(1 for _, closed in polylines if not closed)
     closed_lines = [pts for pts, closed in polylines if closed]
@@ -447,7 +468,7 @@ def discretize(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
         # the tracing box is fixed, so a component it cuts is a wrong answer:
         # refuse when the inside {poly < 0} reaches a border sample of the grid
         poly = lemniscate_poly(spec.params["poles"], spec.params["level"])
-        xs, ys = _tracing_grid(DEFAULT_BOX, DEFAULT_GRID)
+        xs, ys = (np.linspace(*DEFAULT_BOX[k:k + 2], DEFAULT_GRID + 1) for k in (0, 2))
         if np.any(poly.on_grid(xs[[0, -1]], ys) < 0) or np.any(poly.on_grid(xs, ys[[0, -1]]) < 0):
             raise ConfigError(f"lemniscate reaches the edge of the tracing box {DEFAULT_BOX}")
         return trace_implicit(poly, n=n)

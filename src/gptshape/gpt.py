@@ -25,7 +25,8 @@ read off one table of node powers x1**k, x2**k.  Its ``solve`` applies a
 resolvent to the Neumann block and contracts the densities with the
 moment rows, and refuses a matrix with a non-finite entry: a shape so
 large that its moments overflow gets NumericError, not Infinity in the
-JSON.  :func:`assemble_gpt` and :func:`far_field` are that pair of calls,
+JSON, nor numpy's overflow warnings, which both steps silence (the
+resolvent refuses Neumann data that overflowed).  :func:`assemble_gpt` and :func:`far_field` are that pair of calls,
 and ``recovery.estimate_lambda`` builds one problem and solves it at
 every lambda it tries.
 """
@@ -168,12 +169,15 @@ class MomentProblem:
 
     def solve(self, res: Resolvent) -> GptMatrix:
         """The GPT matrix at the resolvent's lambda."""
-        entries = (self.moments @ res.apply(self.rhs)).T  # (rows, cols)
+        phi = res.apply(self.rhs)  # refuses a right-hand side that overflowed
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            entries = (self.moments @ phi).T  # (rows, cols)
         if not np.all(np.isfinite(entries)):
             raise NumericError("GPT entries are not finite: the shape's moments overflow")
         return GptMatrix(res.lam, self.d, self.row_degree, entries)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # solve refuses what overflows
 def moment_problem(b: DiscretizedBoundary, d: int,
                    row_degree: int | None = None) -> MomentProblem:
     """Neumann data and moment rows for column degree d and row degree row_degree.

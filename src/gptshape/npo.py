@@ -128,6 +128,10 @@ def assemble(b: DiscretizedBoundary) -> NpoMatrix:
     """
     n = b.n
     check_memory(n)
+    with np.errstate(over="ignore"):  # refused just below
+        extent2 = np.sum(np.ptp(b.nodes, axis=0) ** 2)  # bounds every squared distance
+    if not np.isfinite(extent2):
+        raise NumericError("squared node distances overflow float64: the shape is too large")
     x0, x1 = b.nodes[:, 0], b.nodes[:, 1]
     out = np.empty((n, n))
     rows = max(1, _BLOCK_ENTRIES // n)

@@ -286,7 +286,10 @@ def boundedness_check(p: Poly2) -> Boundedness:
     indefinite or singular representative proves nothing either way, hence
     INCONCLUSIVE.  Note that a nonsingular indefinite representative does
     not certify boundedness: x1^2 - x2^2 - 1 has a nonsingular leading
-    form and an unbounded zero set.
+    form and an unbounded zero set.  The test is sufficient, not
+    necessary: the equal-split representative of (x1^2 + x2^2)^k is not
+    definite for k >= 3, so every lemniscate of 3 or more poles reads
+    INCONCLUSIVE (checked for 3 to 12), although its zero set is bounded.
     """
     deg = effective_degree(p)
     if deg < 0:

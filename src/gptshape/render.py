@@ -15,12 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._marching import marching_squares
 from .errors import ConfigError, NumericError
-from .geometry import DEFAULT_BOX, DEFAULT_GRID
+from .geometry import DEFAULT_BOX, DEFAULT_GRID, level_set
 from .polynomial import Poly2
-
-MIN_GRID = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,32 +64,14 @@ def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
             level: float = 0.0) -> LevelSetCurves:
     """Marching-squares extraction of ``{p = level}`` inside ``box``.
 
-    Saddle cells are resolved by the sign of ``p - level`` at the cell
-    center, where ``marching_squares`` evaluates ``p``.  Polylines that end
-    on the box boundary are reported open (their component is unbounded or
-    clipped).
-    """
-    if grid < MIN_GRID:
-        raise ConfigError(f"grid must be at least {MIN_GRID}, got {grid}")
-    xmin, xmax, ymin, ymax = map(float, box)
-    if not np.all(np.isfinite([xmin, xmax, ymin, ymax])):
-        raise ConfigError(f"box edges must be finite, got {box}")
-    if not (xmin < xmax and ymin < ymax):
-        raise ConfigError(f"degenerate box {box}")
-    if not np.isfinite(level):
-        raise ConfigError(f"level must be finite, got {level}")
-    xs = np.linspace(xmin, xmax, grid)
-    ys = np.linspace(ymin, ymax, grid)
-    chains = marching_squares(p.on_grid(xs, ys), xs, ys, level, p)
+    The grid is :func:`gptshape.geometry.level_set`'s.  Saddle cells are
+    resolved by the sign of ``p - level`` at the cell center.  Polylines
+    that end on the box boundary are reported open (their component is
+    unbounded or clipped)."""
+    chains = level_set(p, box, grid, level)
     if not chains:
-        raise NumericError(
-            f"level set {{p = {level}}} does not cross the box {box} "
-            f"at grid {grid}"
-        )
-    polylines = [np.asarray(pl) for pl, _ in chains]
-    closed = [c for _, c in chains]
-    return LevelSetCurves(tuple(polylines), tuple(closed), (xmin, xmax, ymin, ymax),
-                          float(level))
+        raise NumericError(f"level set {{p = {level}}} does not cross the box {box} at grid {grid}")
+    return LevelSetCurves(*zip(*chains), box, float(level))  # zip: polylines, closed flags
 
 
 def margin_box(pts, frac: float = 0.10):

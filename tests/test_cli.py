@@ -136,26 +136,29 @@ def test_gpt_refuses_a_matrix_beyond_memory_before_discretizing(
 
 
 TOO_LARGE = "numerical failure: the boundary is not finite in float64: the shape is too large"
+POLYGON_TOO_LARGE = ("numerical failure: the polygon's area or extent overflows float64: "
+                     "the shape is too large")
 
 
 @pytest.mark.parametrize("shape, d, line", [
     ("disk:1e155", "1", TOO_LARGE),
-    ("triangle:1e300", "1", "numerical failure: lambda I - A has non-finite entries"),
+    ("disk:1e103", "1", TOO_LARGE),  # |x'|^3 overflows, so kappa would read 0
+    ("triangle:1e300", "1", POLYGON_TOO_LARGE),
+    ("triangle:1e154", "1", POLYGON_TOO_LARGE),  # its squared extent overflows, not a zero area
     ("flower:1e300,1e299,3", "1", TOO_LARGE),
-    ("ellipse:1e154,1e154", "1",
+    ("ellipse:1e154,1e154", "1", TOO_LARGE),
+    ("ellipse:1e100,1e100", "2",
      "numerical failure: GPT entries are not finite: the shape's moments overflow"),
-    ("ellipse:1e154,1e154", "2",
+    ("ellipse:1e100,1e100", "3",
      "numerical failure: resolvent solve refused its right-hand side "
      "(array must not contain infs or NaNs)"),
-], ids=["disk", "triangle", "flower", "ellipse-moments", "ellipse-neumann-data"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+], ids=["disk", "disk-speed-cubed", "triangle", "triangle-extent", "flower", "ellipse",
+        "ellipse-moments", "ellipse-neumann-data"])
 def test_gpt_oversized_shape_is_numeric_error(tmp_path, shape, d, line):
+    # no warning filter here: pytest turns any RuntimeWarning into an error
     out = tmp_path / "M.json"
     r = run("gpt", "--shape", shape, "--n", "64", "--d", d, "--out", str(out))
-    assert r.returncode == 2
-    assert r.stderr.splitlines()[-1] == line
-    assert "Traceback" not in r.stderr
+    assert (r.returncode, r.stderr) == (2, line + "\n")
     assert not out.exists()
 
 
@@ -170,6 +173,29 @@ def test_gpt_refused_shape_prints_one_line_and_no_warning(tmp_path, shape, code,
     r = run("gpt", "--shape", shape, "--n", "64", "--d", "4", "--out", str(out))
     assert (r.returncode, r.stderr) == (code, line + "\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("box", [[0, 0, -2, 2], [2, -2, 2, -2]], ids=["flat", "reversed"])
+def test_implicit_shape_box_must_be_proper(tmp_path, box):
+    sf, out = tmp_path / "shape.json", tmp_path / "M.json"
+    sf.write_text(json.dumps({"kind": "implicit", "box": box,
+                              "poly": {"degree": 2, "coeffs": [-1, 0, 0, 1, 0, 1]}}))
+    r = run("gpt", "--shape-file", str(sf), "--n", "64", "--d", "1", "--out", str(out))
+    assert (r.returncode, r.stderr) == (1, f"error: degenerate box {tuple(box)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("always:excluded:RuntimeWarning")
+def test_gpt_prints_a_warning_as_one_line(tmp_path):
+    cubic = (Poly2.from_terms({(3, 0): 1.0, (1, 0): -1.0})
+             * Poly2.from_terms({(0, 3): 1.0, (0, 1): -1.0}))
+    p = cubic - Poly2.from_terms({(0, 0): 0.05}, degree=6)
+    sf, out = tmp_path / "shape.json", tmp_path / "M.json"
+    sf.write_text(json.dumps(ShapeSpec.implicit(p, (-1.5, 1.5, -1.5, 1.5)).to_json()))
+    r = run("gpt", "--shape-file", str(sf), "--n", "64", "--d", "6", "--out", str(out))
+    assert (r.returncode, r.stderr) == (
+        0, "warning: excluded 6 unbounded (open) polyline(s) leaving the tracing box\n")
+    assert json.loads(out.read_text())["d"] == 6
 
 
 @pytest.mark.parametrize("shape, line", [
@@ -574,6 +600,16 @@ def test_render_non_finite_overlay_is_config_error(tmp_path):
     assert r.stderr.splitlines()[-1] == (
         f"error: {bnd} is not a boundary CSV: node rows must hold finite values")
     assert not svg.exists()
+
+
+def test_render_refuses_a_grid_that_overflows(tmp_path):
+    g, svg, csv = tmp_path / "g.json", tmp_path / "c.svg", tmp_path / "c.csv"
+    g.write_text(json.dumps({"degree": 2, "coeffs": [-1, 0, 0, 1, 0, 1]}))
+    r = run("render", "--poly", str(g), "--box=-1e160,1e160,-1e160,1e160", "--grid", "65",
+            "--out", str(svg), "--csv", str(csv))
+    assert (r.returncode, r.stderr) == (2, "numerical failure: p overflows float64 on the "
+                                           "grid over the box (-1e+160, 1e+160, -1e+160, 1e+160)\n")
+    assert not svg.exists() and not csv.exists()
 
 
 def test_render_empty_level_set_is_numeric_error(tmp_path):

@@ -273,6 +273,16 @@ def test_trace_open_curves_warn_and_empty_raises():
         trace_implicit(no_zero, box=(-2, 2, -2, 2), grid=64, n=32)
 
 
+@pytest.mark.parametrize("box, error, message", [
+    ((0, 0, -2, 2), ConfigError, "degenerate box"),
+    ((2, -2, 2, -2), ConfigError, "degenerate box"),
+    ((-1e160, 1e160, -1e160, 1e160), NumericError, "p overflows float64 on the grid"),
+], ids=["flat", "reversed", "overflowing"])
+def test_trace_checks_its_box_and_grid_like_render(box, error, message):
+    with pytest.raises(error, match=message):
+        trace_implicit(UNIT_CIRCLE, box=box, grid=64, n=32)
+
+
 # shared structure -------------------------------------------------------------
 
 

@@ -101,6 +101,14 @@ def test_degenerate_mesh_rejected():
                 assemble(bad)
 
 
+def test_overflowing_squared_distances_rejected_before_assembly():
+    b = discretize_parametric(ShapeSpec.disk(), 32)
+    far = DiscretizedBoundary(1e154 * b.nodes, b.normals, b.weights, b.curvatures,
+                              b.component_id)
+    with pytest.raises(NumericError, match="squared node distances overflow float64"):
+        assemble(far)
+
+
 # resolvent -------------------------------------------------------------------
 
 
