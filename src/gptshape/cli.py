@@ -24,10 +24,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, acceptance
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_memory
 from .geometry import DiscretizedBoundary, ShapeSpec, discretize
 from .gpt import GptMatrix, assemble_gpt, lambda_of_k
-from .npo import assemble, check_memory, dump_npo
+from .npo import assemble, dump_npo
 from .polynomial import Poly2
 from .recovery import recover, recover_crossvalidated, recover_minimal_degree, scan
 from .render import export_svg, extract
@@ -125,7 +125,7 @@ def _shape_boundary(shape, n) -> tuple[ShapeSpec, DiscretizedBoundary]:
     try:
         spec = shape if isinstance(shape, ShapeSpec) else ShapeSpec.from_json(shape)
         n = int(n)
-        check_memory(n)
+        check_memory(16 * n * n, f"{n} nodes", "the NPO matrix and its LU")
         return spec, discretize(spec, n)
     except ConfigError:
         raise

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._marching import marching_squares
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_memory
 from .polynomial import Poly2, partial
 
 MIN_NODES = 16
@@ -113,7 +113,7 @@ class ShapeSpec:
 
     def __post_init__(self):
         for key, val in self.params.items():
-            if not isinstance(val, Poly2) and not np.all(np.isfinite(val)):
+            if not isinstance(val, Poly2) and not np.all(np.isfinite(np.asarray(val, float))):
                 raise ConfigError(f"{self.kind} {key} must be finite, got {val!r}")
 
     @classmethod
@@ -179,13 +179,21 @@ class ShapeSpec:
 
 
 def lemniscate_poly(poles, level) -> Poly2:
-    """Product of squared distances to the poles, minus the level."""
+    """Product of squared distances to the poles, minus the level.
+
+    Poles so far out that a coefficient overflows float64 make the shape
+    too large: a NumericError, where Poly2 refuses the non-finite value."""
     prod = Poly2.from_terms({(0, 0): 1.0})
-    for a, b in poles:
-        prod = prod * Poly2.from_terms(
-            {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -2.0 * a, (0, 1): -2.0 * b,
-             (0, 0): a * a + b * b})
-    return prod - Poly2.from_terms({(0, 0): float(level)}, degree=prod.degree)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in poles:
+                prod = prod * Poly2.from_terms(
+                    {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -2.0 * a, (0, 1): -2.0 * b,
+                     (0, 0): a * a + b * b})
+            return prod - Poly2.from_terms({(0, 0): float(level)}, degree=prod.degree)
+    except ConfigError:  # the only one: coefficients must be finite
+        raise NumericError("the lemniscate's coefficients overflow float64: "
+                           "the shape is too large") from None
 
 
 def _smooth_curve(x, dx, ddx):
@@ -197,15 +205,25 @@ def _smooth_curve(x, dx, ddx):
     divergence identity sum <x, nu> w = 2 area is positive, which holds
     exactly when the normals point out of the curve.  A curve too large
     for float64, whose nodes, curvatures or |x'|^3 overflow (kappa would
-    read 0), is a NumericError here, before any operator is built from it.
+    read 0), is a NumericError here, before any operator is built from it;
+    a degenerate one, whose |x'|^3 is 0 at a node (a zero radius or axis,
+    or a speed so small that its cube underflows) or which encloses no
+    area relative to its extent (a zero axis between the nodes), is a
+    ConfigError.
     """
     speed = np.hypot(dx[:, 0], dx[:, 1])
+    speed3 = speed**3
+    if np.any(speed3 == 0.0):
+        raise ConfigError("the curve stops at a node (|x'|^3 is 0): the shape is degenerate")
     normals = np.column_stack([dx[:, 1], -dx[:, 0]]) / speed[:, None]
-    kappa = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
+    kappa = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed3
     weights = speed * (2.0 * np.pi / len(x))
-    if not all(np.all(np.isfinite(a)) for a in (x, normals, speed**3, kappa, weights)):
+    if not all(np.all(np.isfinite(a)) for a in (x, normals, speed3, kappa, weights)):
         raise NumericError("the boundary is not finite in float64: the shape is too large")
-    if np.sum(np.sum(x * normals, axis=1) * weights) > 0:
+    area2 = np.sum(np.sum(x * normals, axis=1) * weights)
+    if abs(area2) <= 1e-12 * np.sum(np.ptp(x, axis=0) ** 2):  # as for polygons
+        raise ConfigError("the curve encloses no area: the shape is degenerate")
+    if area2 > 0:
         return normals, weights, kappa
     return -normals, weights, -kappa
 
@@ -273,7 +291,7 @@ def _segments_intersect(p1, p2, p3, p4):
 
     d1, d2 = orient(p3, p4, p1), orient(p3, p4, p2)
     d3, d4 = orient(p1, p2, p3), orient(p1, p2, p4)
-    if d1 * d2 < 0 and d3 * d4 < 0:
+    if np.sign(d1) * np.sign(d2) < 0 and np.sign(d3) * np.sign(d4) < 0:  # d1 * d2 may overflow
         return True
     return ((d1 == 0 and on_segment(p3, p4, p1)) or (d2 == 0 and on_segment(p3, p4, p2))
             or (d3 == 0 and on_segment(p1, p2, p3)) or (d4 == 0 and on_segment(p1, p2, p4)))
@@ -390,9 +408,14 @@ def level_set(p: Poly2, box, samples: int, level: float = 0.0):
     """Marching-squares (polyline, closed) pairs of ``{p = level}`` on a square grid.
 
     The package's one grid path: checks, ``samples`` points per box edge,
-    and a NumericError where ``p`` or a vertex overflows float64."""
+    and a NumericError where ``p`` or a vertex overflows float64.  A grid
+    is counted at 24 bytes a sample (the values, one more float64 grid in
+    turn for ``on_grid``'s terms and marching squares' shifted values, and
+    byte masks) and refused before allocation when that exceeds memory."""
     if samples < MIN_GRID:
         raise ConfigError(f"grid must be at least {MIN_GRID}, got {samples}")
+    check_memory(24 * samples * samples, f"{samples} x {samples} grid samples",
+                 "the polynomial's values and its level set")
     xmin, xmax, ymin, ymax = map(float, box)
     if not np.all(np.isfinite([xmin, xmax, ymin, ymax])):
         raise ConfigError(f"box edges must be finite, got {box}")
@@ -414,7 +437,8 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
     """Discretize the zero set of a polynomial inside a box.
 
     Marching squares provides starting polylines, and open ones, which
-    leave the box, are excluded with a warning.  Each closed component is
+    leave the box, are excluded with a warning, or refused with the rest
+    when no closed one is left.  Each closed component is
     Newton-projected onto {p = 0} and resampled twice, fine and then at n
     nodes, equispaced in chord length and projected again.  The nodes then
     sample a smooth periodic curve, so the trapezoid rule with FFT
@@ -430,11 +454,11 @@ def trace_implicit(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
 
     open_count = sum(1 for _, closed in polylines if not closed)
     closed_lines = [pts for pts, closed in polylines if closed]
+    if not closed_lines:  # refused before the warning, so a refusal is one line
+        raise NumericError("no closed zero-level component inside the box")
     if open_count:
         warnings.warn(f"excluded {open_count} unbounded (open) polyline(s) "
                       "leaving the tracing box", RuntimeWarning, stacklevel=2)
-    if not closed_lines:
-        raise NumericError("no closed zero-level component inside the box")
 
     px, py = partial(p, 0), partial(p, 1)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(p.coeffs))))

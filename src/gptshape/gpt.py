@@ -19,16 +19,20 @@ series in derivatives of the log kernel weighted by GPT entries, which
 computation.
 
 Only the resolvent depends on lambda.  :func:`moment_problem` builds the
-rest once per boundary and degree pair: the Neumann data nu . grad x^alpha
-of the row monomials and the weighted column monomials w x^beta, both
-read off one table of node powers x1**k, x2**k.  Its ``solve`` applies a
-resolvent to the Neumann block and contracts the densities with the
-moment rows, and refuses a matrix with a non-finite entry: a shape so
-large that its moments overflow gets NumericError, not Infinity in the
-JSON, nor numpy's overflow warnings, which both steps silence (the
-resolvent refuses Neumann data that overflowed).  :func:`assemble_gpt` and :func:`far_field` are that pair of calls,
-and ``recovery.estimate_lambda`` builds one problem and solves it at
-every lambda it tries.
+rest once per boundary and degree pair, and is the one place that forms
+it: the Neumann data nu . grad x^alpha of the row monomials and the
+weighted column monomials w x^beta, both read off one table of node
+powers x1**k, x2**k, after degrees too large for memory are refused.
+Its ``solve`` applies a resolvent to the Neumann block and contracts the
+densities with the moment rows, and refuses a matrix with a non-finite
+entry: a shape so large that its moments overflow gets NumericError, not
+Infinity in the JSON, nor numpy's overflow warnings, which both steps
+silence (the resolvent refuses Neumann data that overflowed).
+:func:`assemble_gpt` and :func:`far_field` are that pair of calls, and
+``recovery.estimate_lambda`` builds one problem and solves it at every
+lambda it tries.  All three take the resolvent from an operator that
+must be ``npo.assemble(b)`` of their boundary ``b``; any other operator
+is a ConfigError.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_memory
 from .geometry import DiscretizedBoundary
-from .npo import NpoMatrix, Resolvent, monomial_powers, neumann_data
+from .npo import NpoMatrix, Resolvent
 from .polynomial import Poly2, laplacian, multiindex_at, ordinal, poly_dim
 
 _HARMONIC_TOL = 1e-10
@@ -183,6 +187,9 @@ def moment_problem(b: DiscretizedBoundary, d: int,
     """Neumann data and moment rows for column degree d and row degree row_degree.
 
     Both are read off one table of node powers; see the module docstring.
+    Degrees whose arrays would not fit in memory are refused first: the
+    Neumann block and its densities (n x rows each), the moment rows
+    (cols x n) and the GPT matrix with its copy (rows x cols each).
     """
     if d < 1:
         raise ConfigError(f"column degree must be >= 1, got {d}")
@@ -190,12 +197,28 @@ def moment_problem(b: DiscretizedBoundary, d: int,
         row_degree = 2 * d
     if row_degree < 1:
         raise ConfigError(f"row degree must be >= 1, got {row_degree}")
-    p1, p2 = powers = monomial_powers(b, max(row_degree, d))
-    rhs = neumann_data(b, _row_alphas(row_degree), powers)
+    rows, cols = poly_dim(row_degree) - 1, poly_dim(d)
+    check_memory(8 * (2 * rows * (b.n + cols) + cols * b.n),
+                 f"degrees d = {d} and row_degree = {row_degree}",
+                 f"the GPT matrix and its moment problem on {b.n} nodes")
+    p1, p2 = ([x**k for k in range(max(row_degree, d) + 1)] for x in b.nodes.T)
+    alphas = _row_alphas(row_degree)
+    rhs = np.empty((b.n, len(alphas)))
+    for j, (a1, a2) in enumerate(alphas):  # nu . grad x^alpha
+        g1 = a1 * p1[a1 - 1] * p2[a2] if a1 > 0 else np.zeros(b.n)
+        g2 = a2 * p1[a1] * p2[a2 - 1] if a2 > 0 else np.zeros(b.n)
+        rhs[:, j] = b.normals[:, 0] * g1 + b.normals[:, 1] * g2
     moments = np.stack([b.weights * p1[b1] * p2[b2] for b1, b2 in _col_betas(d)])
     rhs.setflags(write=False)
     moments.setflags(write=False)
     return MomentProblem(d, row_degree, rhs, moments)
+
+
+def _resolvent(b: DiscretizedBoundary, npo: NpoMatrix, lam) -> Resolvent:
+    """``npo``'s resolvent at lambda, refused unless ``npo`` is ``assemble(b)``."""
+    if npo.boundary is not b:
+        raise ConfigError("the NPO matrix was assembled on another boundary than b")
+    return npo.resolvent(lam)
 
 
 def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
@@ -206,7 +229,7 @@ def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
     polynomial vanishing on the boundary a null vector of the matrix);
     columns span 0 <= |beta| <= d including the constant.
     """
-    return moment_problem(b, d, row_degree).solve(npo.resolvent(lam))
+    return moment_problem(b, d, row_degree).solve(_resolvent(b, npo, lam))
 
 
 @dataclass(frozen=True)
@@ -245,7 +268,7 @@ def far_field(b: DiscretizedBoundary, npo: NpoMatrix, lam, h: Poly2, x,
         raise ConfigError(
             f"|x| = {np.hypot(*x):.3g} is inside 3x the boundary radius {radius:.3g}")
 
-    res = npo.resolvent(lam)
+    res = _resolvent(b, npo, lam)
     M = moment_problem(b, max(h.degree, 1), max(truncation, 1)).solve(res)
     expansion = 0.0
     for r, alpha in enumerate(M.row_alphas):

@@ -17,7 +17,9 @@ on a common edge, which the same formulas handle without special cases.
 The spectrum of K* lies in (-1/2, 1/2], so lambda I - A is safely
 invertible for |lambda| > 1/2; :class:`Resolvent` factors it once and
 solves many right-hand sides.  It imports scipy.linalg on first use, so
-importing this module (and ``gptshape``) loads numpy but no scipy.
+importing this module (and ``gptshape``) loads numpy but no scipy.  The
+module holds the operator only; the right-hand sides a GPT matrix needs
+are built by ``gpt.moment_problem``.
 
 The assembly fills A in blocks of max(1, 2**15 // n) rows.  Each block
 passes through three scratch buffers of that shape, in place and in the
@@ -28,11 +30,14 @@ inf on each block's diagonal and then asks whether any squared distance
 is below 1e-28; taking the minimum instead would let a NaN hide a
 coincident pair.  :class:`Resolvent` writes lambda I - A once, in Fortran
 order, and LAPACK factors that array in place (1.1 x 8 n^2 bytes above
-A).  A and its LU thus pin 2 x 8 n^2 bytes, and :func:`check_memory`
-refuses a node count whose pair would not fit in physical memory, before
-any n x n array is allocated.  scipy refuses infs and NaNs with a
-ValueError, which :class:`Resolvent` turns into NumericError: a shape so
-large that A or the Neumann data overflow exits 2, not with a traceback.
+A).  A and its LU thus pin 2 x 8 n^2 bytes, and :func:`assemble` refuses
+a node count whose pair would not fit in physical memory
+(``errors.check_memory``), before any n x n array is allocated.  scipy
+refuses infs and NaNs with a ValueError, which :class:`Resolvent` turns
+into NumericError: a shape so large that A or a right-hand side
+overflows exits 2, not with a traceback.  A solve whose residual is NaN
+(inf - inf) is refused as well, since NaN compares false against the
+tolerance.
 
 :meth:`NpoMatrix.resolvent` keeps the last :class:`Resolvent` built on
 the matrix and hands it out again while lambda stays the same, so a
@@ -61,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_memory
 from .geometry import DiscretizedBoundary
 
 _MAGIC = b"NPOMAT01"
@@ -107,19 +112,6 @@ class NpoMatrix:
         return res
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def check_memory(n: int) -> None:
-    """Refuse n nodes when the matrix and its LU, 2 x 8 n^2 bytes, exceed physical memory."""
-    need, have = 16 * n * n, _physical_memory()
-    if need > have:
-        raise ConfigError(
-            f"{n} nodes need {need} bytes for the NPO matrix and its LU, "
-            f"but this machine has {have} bytes of memory")
-
-
 def assemble(b: DiscretizedBoundary) -> NpoMatrix:
     """Build the dense NPO collocation matrix for a discretized boundary.
 
@@ -127,7 +119,7 @@ def assemble(b: DiscretizedBoundary) -> NpoMatrix:
     module docstring.
     """
     n = b.n
-    check_memory(n)
+    check_memory(16 * n * n, f"{n} nodes", "the NPO matrix and its LU")
     with np.errstate(over="ignore"):  # refused just below
         extent2 = np.sum(np.ptp(b.nodes, axis=0) ** 2)  # bounds every squared distance
     if not np.isfinite(extent2):
@@ -200,34 +192,13 @@ class Resolvent:
         # without copying it.
         a_phi = scipy.linalg.blas.dgemm(
             1.0, self.matrix.T, phi.reshape(len(phi), -1), trans_a=1)
-        resid = np.max(np.abs(self.lam * phi - a_phi.reshape(phi.shape) - f))
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is refused below
+            resid = np.max(np.abs(self.lam * phi - a_phi.reshape(phi.shape) - f))
         scale = max(float(np.max(np.abs(f))), 1e-300)
-        if resid > _RESIDUAL_TOL * scale:
+        if not resid <= _RESIDUAL_TOL * scale:
             raise NumericError(
                 f"resolvent residual {resid:.3g} exceeds {_RESIDUAL_TOL:g} * |f|")
         return phi
-
-
-def monomial_powers(b: DiscretizedBoundary, degree: int):
-    """x1**k and x2**k at the nodes for k = 0..degree, as two lists."""
-    x1, x2 = b.nodes[:, 0], b.nodes[:, 1]
-    return [x1**k for k in range(degree + 1)], [x2**k for k in range(degree + 1)]
-
-
-def neumann_data(b: DiscretizedBoundary, alphas, powers) -> np.ndarray:
-    """Normal derivatives of the monomials x^alpha at the nodes, one column per alpha.
-
-    ``powers`` is a :func:`monomial_powers` table of at least the largest
-    degree in ``alphas``.
-    """
-    alphas = list(alphas)
-    p1, p2 = powers
-    out = np.empty((b.n, len(alphas)))
-    for j, (a1, a2) in enumerate(alphas):
-        g1 = a1 * p1[a1 - 1] * p2[a2] if a1 > 0 else np.zeros(b.n)
-        g2 = a2 * p1[a1] * p2[a2 - 1] if a2 > 0 else np.zeros(b.n)
-        out[:, j] = b.normals[:, 0] * g1 + b.normals[:, 1] * g2
-    return out
 
 
 def dump_npo(npo: NpoMatrix, path) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .gpt import GptMatrix, assemble_gpt, moment_problem
+from .gpt import GptMatrix, _resolvent, assemble_gpt, moment_problem
 from .npo import assemble
 from .polynomial import Poly2
 
@@ -99,10 +99,11 @@ def _norm(a: np.ndarray) -> np.float64:
     """2-norm (Frobenius for a matrix) that survives squares which underflow.
 
     The plain norm is kept whenever it is a positive finite number, so
-    ordinary inputs keep its bits; otherwise ``a`` is first rescaled by
-    its largest entry.
+    ordinary inputs keep its bits; otherwise, when it underflows or
+    overflows, ``a`` is first rescaled by its largest entry.
     """
-    n = np.linalg.norm(a)
+    with np.errstate(over="ignore"):  # an overflowing square is rescaled below
+        n = np.linalg.norm(a)
     if n == 0.0 or not np.isfinite(n):
         big = np.max(np.abs(a))
         if 0.0 < big < np.inf:
@@ -296,7 +297,7 @@ def estimate_lambda(
 
     def misfit(lam: float) -> float:
         if lam not in memo:
-            M = problem.solve(npo.resolvent(lam))
+            M = problem.solve(_resolvent(b_candidate, npo, lam))
             memo[lam] = float(np.linalg.norm(M.entries - M_target.entries))
         return memo[lam]
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .polynomial import Boundedness, Poly2, boundedness_check, from_forms, to_forms
 
 TWO_PI = 2.0 * math.pi
@@ -159,9 +159,13 @@ class MatchResult:
 
 def _blocks_unit(p: Poly2):
     forms = to_forms(p)
-    norm = math.sqrt(sum(float(b @ b) for b in forms))
+    with np.errstate(over="ignore"):  # refused just below
+        norm = math.sqrt(sum(float(b @ b) for b in forms))
     if norm == 0.0:
         raise ConfigError("cannot match the zero polynomial")
+    if norm == math.inf:
+        raise NumericError("the polynomial's squared coefficients overflow float64: "
+                           "scale it down to match it")
     return [b / norm for b in forms]
 
 
@@ -188,9 +192,11 @@ def _grid_objective(ref_blocks, obs_blocks, thetas, scales, reflected):
 def _objective(ref: Poly2, obs_unit: np.ndarray, logs: float, theta: float,
                reflected: bool) -> float:
     A = _similarity_matrix(math.exp(logs), theta, reflected)
-    v = _push_forward_matrix(ref, A).coeffs
-    nv = np.linalg.norm(v)
-    return max(2.0 - 2.0 * abs(float(obs_unit @ v)) / nv, 0.0)
+    # the simplex may wander to a scale where v overflows or underflows: the worst fit, 2
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        v = _push_forward_matrix(ref, A).coeffs
+        J = 2.0 - 2.0 * abs(float(obs_unit @ v)) / np.linalg.norm(v)
+    return max(J, 0.0) if math.isfinite(J) else 2.0
 
 
 def _refine(ref, obs_unit, logs0, theta0, reflected):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gptshape import acceptance, cli, npo
+from gptshape import acceptance, cli, errors, gpt, npo
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly
 from gptshape.gpt import assemble_gpt
 from gptshape.npo import NpoMatrix, assemble, load_npo
@@ -122,7 +122,7 @@ def test_gpt_shape_file(tmp_path):
 def test_gpt_refuses_a_matrix_beyond_memory_before_discretizing(
         tmp_path, monkeypatch, source):
     # a mocked 1 MiB machine: 2048 nodes would pin 2 x 8 x 2048^2 bytes
-    monkeypatch.setattr(npo, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
     monkeypatch.setattr(cli, "discretize", lambda *a: pytest.fail("discretized"))
     sf = tmp_path / "shape.json"
     sf.write_text(json.dumps(ShapeSpec.disk().to_json()))
@@ -132,6 +132,35 @@ def test_gpt_refuses_a_matrix_beyond_memory_before_discretizing(
     assert r.returncode == 1
     assert r.stderr == ("error: 2048 nodes need 67108864 bytes for the NPO matrix "
                         "and its LU, but this machine has 1048576 bytes of memory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gpt", "--shape", "disk", "--n", "64", "--d", "100000", "--out", "{out}"],
+    ["scan-degrees", "--shape", "disk", "--n", "64", "--dmax", "100000"],
+    ["recover", "--gpt", "{disk}", "--scan-degrees", "100000"],
+], ids=["gpt", "scan-degrees", "recover-scan-degrees"])
+def test_degrees_beyond_memory_are_refused_before_allocation(probe_files, monkeypatch, argv):
+    rows = gpt._row_alphas  # the GPT file's own rows are still read
+    monkeypatch.setattr(gpt, "_row_alphas", lambda r: rows(r) if r < 100 else pytest.fail(r))
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**30)
+    r = run(*[a.format(**probe_files) for a in argv])
+    assert (r.returncode, r.stderr) == (1, (
+        "error: degrees d = 100000 and row_degree = 200000 need 1600072024080388800512 bytes "
+        "for the GPT matrix and its moment problem on 64 nodes, but this machine has "
+        "1073741824 bytes of memory\n"))
+    assert not os.path.exists(probe_files["out"])
+
+
+def test_render_refuses_a_grid_beyond_memory(probe_files, monkeypatch, tmp_path):
+    monkeypatch.setattr(Poly2, "on_grid", lambda *a: pytest.fail("sampled the grid"))
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**30)
+    out = tmp_path / "g.svg"
+    r = run("render", "--poly", probe_files["circle"], "--grid", "100000000", "--out", str(out))
+    assert (r.returncode, r.stderr) == (1, (
+        "error: 100000000 x 100000000 grid samples need 240000000000000000 bytes for the "
+        "polynomial's values and its level set, but this machine has 1073741824 bytes of "
+        "memory\n"))
     assert not out.exists()
 
 
@@ -166,12 +195,35 @@ def test_gpt_oversized_shape_is_numeric_error(tmp_path, shape, d, line):
     ("disk:1e155", 2, TOO_LARGE),
     ("lemniscate:3.9,0,0,0,0.2", 1,
      "error: lemniscate reaches the edge of the tracing box (-4.0, 4.0, -4.0, 4.0)"),
-], ids=["disk-too-large", "lemniscate-cut-by-box"])
+    ("lemniscate:1e100,0,-1e100,0,1", 2, "numerical failure: the lemniscate's coefficients "
+     "overflow float64: the shape is too large"),
+], ids=["disk-too-large", "lemniscate-cut-by-box", "lemniscate-too-large"])
 def test_gpt_refused_shape_prints_one_line_and_no_warning(tmp_path, shape, code, line):
     # no warning filter here: pytest turns any RuntimeWarning into an error
     out = tmp_path / "M.json"
     r = run("gpt", "--shape", shape, "--n", "64", "--d", "4", "--out", str(out))
     assert (r.returncode, r.stderr) == (code, line + "\n")
+    assert not out.exists()
+
+
+DEGENERATE = "error: the curve stops at a node (|x'|^3 is 0): the shape is degenerate"
+NO_AREA = "error: the curve encloses no area: the shape is degenerate"
+
+
+@pytest.mark.parametrize("shape, n, line", [
+    ("disk:0", 64, DEGENERATE),
+    ("ellipse:1,0", 64, DEGENERATE),
+    ("disk:1e-200", 64, DEGENERATE),  # |x'|^3 underflows to 0
+    ("ellipse:1,1e-120", 64, DEGENERATE),  # kappa would divide by 0 at t = 0
+    ("ellipse:0,1", 64, NO_AREA),  # |x'| = |cos(pi/2)| = 6e-17 is no 0
+    ("ellipse:0,1", 65, NO_AREA),  # no two nodes coincide: a GPT of noise, exit 0
+    ("disk:1e-100", 64, "error: coincident quadrature nodes"),  # |x'|^3 = 1e-300 is no 0
+], ids=["disk-zero", "ellipse-flat", "disk-tiny", "ellipse-thin", "segment", "segment-odd",
+        "disk-small"])
+def test_gpt_degenerate_shape_is_config_error(tmp_path, shape, n, line):
+    out = tmp_path / "M.json"
+    r = run("gpt", "--shape", shape, "--n", str(n), "--d", "1", "--out", str(out))
+    assert (r.returncode, r.stderr) == (1, line + "\n")
     assert not out.exists()
 
 
@@ -460,7 +512,7 @@ def test_recover_refuses_a_meta_node_count_beyond_memory(tmp_path, capsys, monke
     path = tmp_path / "M.json"
     path.write_text(json.dumps(dict(assemble_gpt(b, assemble(b), 1.5, 2).to_json(),
                                     meta={"shape": ShapeSpec.disk().to_json(), "n": 2048})))
-    monkeypatch.setattr(npo, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
     assert cli.main(["recover", "--gpt", str(path), "--cross-lambda", "3"]) == 1
     assert capsys.readouterr().err.startswith("error: 2048 nodes need 67108864 bytes")
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from gptshape import errors
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import (
     DEFAULT_BOX,
@@ -14,6 +15,7 @@ from gptshape.geometry import (
     discretize_parametric,
     discretize_polygon,
     lemniscate_poly,
+    level_set,
     trace_implicit,
 )
 from gptshape.gpt import assemble_gpt
@@ -264,10 +266,12 @@ def test_traced_lemniscate_gpt_converges_spectrally():
 
 
 def test_trace_open_curves_warn_and_empty_raises():
+    circle_and_line = UNIT_CIRCLE * Poly2.from_terms({(1, 0): 1.0, (0, 0): -1.5})
+    with pytest.warns(RuntimeWarning, match="excluded 1 unbounded"):
+        assert trace_implicit(circle_and_line, box=(-2, 2, -2, 2), grid=64, n=32).n == 32
     hyperbola = Poly2.from_terms({(1, 1): 1.0, (0, 0): -0.1})
     with pytest.raises(NumericError, match="no closed zero-level component"):
-        with pytest.warns(RuntimeWarning):
-            trace_implicit(hyperbola, box=(-2, 2, -2, 2), grid=64, n=32)
+        trace_implicit(hyperbola, box=(-2, 2, -2, 2), grid=64, n=32)  # and no warning
     no_zero = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0})
     with pytest.raises(NumericError, match="no closed zero-level component"):
         trace_implicit(no_zero, box=(-2, 2, -2, 2), grid=64, n=32)
@@ -281,6 +285,16 @@ def test_trace_open_curves_warn_and_empty_raises():
 def test_trace_checks_its_box_and_grid_like_render(box, error, message):
     with pytest.raises(error, match=message):
         trace_implicit(UNIT_CIRCLE, box=box, grid=64, n=32)
+
+
+def test_level_set_refuses_a_grid_beyond_memory(monkeypatch):
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 24 * 64 * 64)
+    assert len(level_set(UNIT_CIRCLE, (-2, 2, -2, 2), 64)) == 1
+    monkeypatch.setattr(Poly2, "on_grid", lambda *a: pytest.fail("sampled the grid"))
+    with pytest.raises(ConfigError, match=(
+            r"^65 x 65 grid samples need 101400 bytes for the polynomial's values and its "
+            r"level set, but this machine has 98304 bytes of memory$")):
+        level_set(UNIT_CIRCLE, (-2, 2, -2, 2), 65)
 
 
 # shared structure -------------------------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from gptshape.acceptance import ellipse_first_order_pt
+from gptshape import errors, gpt
 from gptshape.errors import ConfigError
 from gptshape.geometry import ShapeSpec, discretize, discretize_parametric
 from gptshape.gpt import (
@@ -26,6 +27,7 @@ from gptshape.gpt import (
 )
 from gptshape.npo import Resolvent, assemble
 from gptshape.polynomial import Poly2, multiindex_at, ordinal, poly_dim
+from gptshape.recovery import estimate_lambda
 
 
 def build(spec, n, lam, d, row_degree=None):
@@ -272,6 +274,32 @@ def test_moment_problem_validates_degrees():
     problem = moment_problem(b, 2)
     assert problem.row_degree == 4
     assert not problem.rhs.flags.writeable and not problem.moments.flags.writeable
+
+
+@pytest.mark.parametrize("other", [ShapeSpec.ellipse(2.0, 1.0), ShapeSpec.disk()],
+                         ids=["ellipse", "disk-128"])
+def test_an_operator_built_on_another_boundary_is_refused(other):
+    b = discretize_parametric(ShapeSpec.disk(), 64)
+    npo = assemble(discretize_parametric(other, 64 if other.kind == "ellipse" else 128))
+    M = assemble_gpt(b, assemble(b), 1.5, 1)
+    for call in (lambda: assemble_gpt(b, npo, 1.5, 2),
+                 lambda: far_field(b, npo, 1.5, Poly2.from_terms({(1, 0): 1.0}), (9.0, 0.0)),
+                 lambda: estimate_lambda(M, b, [1.0, 2.0], npo=npo)):
+        with pytest.raises(ConfigError, match="^the NPO matrix was assembled on another "
+                                              "boundary than b$"):
+            call()
+
+
+def test_moment_problem_refuses_degrees_beyond_memory(monkeypatch):
+    # 32 nodes, d = 2: 8 x (2 x 14 x (32 + 6) + 6 x 32) bytes at row degree 4, 20 rows at 5
+    b = discretize_parametric(ShapeSpec.disk(), 32)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 10048)
+    assert moment_problem(b, 2).row_degree == 4
+    monkeypatch.setattr(gpt, "_row_alphas", lambda r: pytest.fail("built the rows"))
+    with pytest.raises(ConfigError, match=(
+            r"^degrees d = 2 and row_degree = 5 need 13696 bytes for the GPT matrix and its "
+            r"moment problem on 32 nodes, but this machine has 10048 bytes of memory$")):
+        moment_problem(b, 2, 5)
 
 
 # truncation ----------------------------------------------------------------------

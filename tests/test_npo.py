@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gptshape import npo as npo_module
+from gptshape import errors
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import (
     DiscretizedBoundary,
@@ -16,16 +16,13 @@ from gptshape.geometry import (
     lemniscate_poly,
     trace_implicit,
 )
-from gptshape.gpt import _col_betas, _row_alphas, assemble_gpt
+from gptshape.gpt import _col_betas, _row_alphas, assemble_gpt, moment_problem
 from gptshape.npo import (
     NpoMatrix,
     Resolvent,
     assemble,
-    check_memory,
     dump_npo,
     load_npo,
-    monomial_powers,
-    neumann_data,
 )
 from oracles import (
     assert_same_bits,
@@ -173,10 +170,17 @@ def test_lambda_must_be_finite(lam):
         Resolvent(disk_npo(32), lam)
 
 
+def test_nan_residual_is_refused():
+    # lam * phi - A phi - f is inf - inf on this right-hand side, and NaN > tol is False
+    res = disk_npo(64).resolvent(1.5)
+    with pytest.raises(NumericError, match="resolvent residual nan exceeds"):
+        res.apply(np.full(64, 1.7e308))
+
+
 def test_neumann_series_agrees_with_direct_solve():
     b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 128)
     npo = assemble(b)
-    f = neumann_data(b, [(1, 0)], monomial_powers(b, 1))[:, 0]
+    f = moment_problem(b, 1, 1).rhs[:, 1]  # the row of x^(1, 0)
     mu = 0.3  # (I - mu A)^{-1} f = (1/mu) ((1/mu) I - A)^{-1} f
     direct = Resolvent(npo, 1.0 / mu).apply(f) / mu
     series = np.zeros_like(f)
@@ -187,26 +191,20 @@ def test_neumann_series_agrees_with_direct_solve():
     np.testing.assert_allclose(series, direct, atol=1e-10 * np.max(np.abs(direct)))
 
 
-# Neumann data ------------------------------------------------------------------
+# Neumann data of the GPT rows -----------------------------------------------------
 
 
 def test_neumann_data_first_order_is_normal_component():
     b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 64)
-    f = neumann_data(b, [(1, 0), (0, 1)], monomial_powers(b, 1))
-    np.testing.assert_allclose(f[:, 0], b.normals[:, 0], atol=1e-14)
-    np.testing.assert_allclose(f[:, 1], b.normals[:, 1], atol=1e-14)
-
-
-def test_neumann_data_zero_index():
-    b = discretize_parametric(ShapeSpec.disk(), 32)
-    np.testing.assert_array_equal(neumann_data(b, [(0, 0)], monomial_powers(b, 0)),
-                                  np.zeros((32, 1)))
+    f = moment_problem(b, 1, 1).rhs  # rows (0, 1) and (1, 0)
+    np.testing.assert_allclose(f[:, 1], b.normals[:, 0], atol=1e-14)
+    np.testing.assert_allclose(f[:, 0], b.normals[:, 1], atol=1e-14)
 
 
 def test_neumann_data_divergence_identity():
     # sum w nu . grad(x^alpha) = integral of Laplacian(x^alpha) over the domain
     b = discretize_parametric(ShapeSpec.disk(), 256)
-    total_20, total_11 = b.weights @ neumann_data(b, [(2, 0), (1, 1)], monomial_powers(b, 2))
+    total_11, total_20 = b.weights @ moment_problem(b, 1, 2).rhs[:, 3:]  # rows (1, 1), (2, 0)
     assert total_20 == pytest.approx(2 * np.pi, abs=1e-10)  # Laplacian = 2, |D| = pi
     assert total_11 == pytest.approx(0.0, abs=1e-10)
 
@@ -260,8 +258,11 @@ def test_neumann_block_and_moment_rows_match_per_monomial_powers(case):
     d, row_degree = 4, 8
     alphas, betas = _row_alphas(row_degree), _col_betas(d)
     rhs = np.column_stack([neumann_oracle(b, a) for a in alphas])
-    assert_same_bits(neumann_data(b, alphas, monomial_powers(b, 8)), rhs)
-    assert_same_bits(neumann_data(b, alphas, monomial_powers(b, 9)), rhs)
+    problem = moment_problem(b, d, row_degree)
+    assert_same_bits(problem.rhs, rhs)
+    assert_same_bits(problem.moments, moment_rows_oracle(b, betas))
+    # a column degree above the row degree reads the rows off a longer power table
+    assert_same_bits(moment_problem(b, 9, row_degree).rhs, rhs)
     res = Resolvent(npo, 1.5)
     want = (moment_rows_oracle(b, betas) @ res.apply(rhs)).T
     assert_same_bits(assemble_gpt(b, npo, 1.5, d, row_degree).entries, want)
@@ -339,10 +340,10 @@ def test_resolvent_is_reused_only_for_an_equal_lambda(resolvent_lambdas):
 
 
 def test_memory_budget_counts_the_matrix_and_its_lu(monkeypatch):
-    monkeypatch.setattr(npo_module, "_physical_memory", lambda: 2**20)
-    check_memory(256)  # 2 x 8 x 256^2 bytes is exactly 1 MiB
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
+    assemble(discretize_parametric(ShapeSpec.disk(), 256))  # 2 x 8 x 256^2 bytes is 1 MiB
     with pytest.raises(ConfigError, match="257 nodes need 1056784 bytes .* has 1048576 bytes"):
-        check_memory(257)
+        assemble(discretize_parametric(ShapeSpec.disk(), 257))
     with pytest.raises(ConfigError, match="512 nodes need 4194304 bytes"):
         assemble(discretize_parametric(ShapeSpec.disk(), 512))
 
