@@ -409,9 +409,10 @@ def level_set(p: Poly2, box, samples: int, level: float = 0.0):
 
     The package's one grid path: checks, ``samples`` points per box edge,
     and a NumericError where ``p`` or a vertex overflows float64.  A grid
-    is counted at 24 bytes a sample (the values, one more float64 grid in
-    turn for ``on_grid``'s terms and marching squares' shifted values, and
-    byte masks) and refused before allocation when that exceeds memory."""
+    is counted at 24 bytes a sample (the values, marching squares' shifted
+    values ``values - level``, and byte masks) and refused before
+    allocation when that exceeds memory; ``on_grid``'s term buffer is one
+    block of rows, but the shifted values are a whole grid."""
     if samples < MIN_GRID:
         raise ConfigError(f"grid must be at least {MIN_GRID}, got {samples}")
     check_memory(24 * samples * samples, f"{samples} x {samples} grid samples",

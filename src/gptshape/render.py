@@ -54,8 +54,7 @@ class LevelSetCurves:
     def save_csv(self, path) -> None:
         lines = ["component,x,y"]
         for ci, pl in enumerate(self.polylines):
-            for x, y in pl:
-                lines.append(f"{ci},{x:.17g},{y:.17g}")
+            lines.extend(f"{ci},{x:.17g},{y:.17g}" for x, y in pl.tolist())
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -134,10 +133,9 @@ def _mapper(box):
 
 
 def _path(points, to_px, closed):
-    cmds = []
-    for i, (x, y) in enumerate(points):
-        px, py = to_px(x, y)
-        cmds.append(f"{'M' if i == 0 else 'L'} {px:.3f} {py:.3f}")
+    px, py = to_px(*points.T)  # elementwise, so the same bits as point by point
+    cmds = [f"{'M' if i == 0 else 'L'} {x:.3f} {y:.3f}"
+            for i, (x, y) in enumerate(zip(px.tolist(), py.tolist()))]
     if closed:
         cmds.append("Z")
     return " ".join(cmds)

@@ -24,16 +24,27 @@ rotational symmetry produce several equally good minima; all grid minima
 within a factor of the best are refined and reported as alternates.
 scipy.optimize is imported by the refinement step, so only :func:`match`
 pays for it.
+
+The grid's rotations do not depend on the pair being matched, so their
+lifts form one table per (degree j, branch), built by :func:`lift` on
+first use and kept for the life of the process: 180 (j+1)^2 doubles, or
+sum over j <= d of that per branch, which is 0.2 MB at d = 6 and 4.8 MB
+at d = 20.  The first match at a degree pays for it as every match used
+to; later ones only read it, and :func:`match` counts it in the memory
+budget before building it.  A simplex step lifts one matrix to every
+degree, so it expands the matrix's two linear forms once and shares the
+expansions between degrees.  Both give :func:`lift`'s bits exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_memory
 from .polynomial import Boundedness, Poly2, boundedness_check, from_forms, to_forms
 
 TWO_PI = 2.0 * math.pi
@@ -76,6 +87,20 @@ class Similarity:
         return pts @ self.matrix.T
 
 
+def _expansions(a, b, d: int) -> list:
+    """Coefficients of ``(a x1 + b x2)^m`` in descending powers of x1, for m = 0..d."""
+    return [np.array([math.comb(m, k) * a ** (m - k) * b ** k for k in range(m + 1)])
+            for m in range(d + 1)]
+
+
+def _lift_rows(tops, bots, d: int) -> np.ndarray:
+    """``lift`` at degree d from the :func:`_expansions`, to degree d or more, of its two rows."""
+    rows = np.empty((d + 1, d + 1))
+    for h in range(d + 1):
+        rows[h] = np.convolve(tops[d - h], bots[h])
+    return rows
+
+
 def lift(A, d: int) -> np.ndarray:
     """Lift a 2x2 matrix to its ``(d+1) x (d+1)`` action on degree-``d`` monomials.
 
@@ -88,24 +113,19 @@ def lift(A, d: int) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2):
         raise ConfigError(f"expected a 2x2 matrix, got shape {A.shape}")
-    rows = np.empty((d + 1, d + 1))
-    for h in range(d + 1):
-        top = np.array([
-            math.comb(d - h, j) * A[0, 0] ** (d - h - j) * A[0, 1] ** j
-            for j in range(d - h + 1)
-        ])
-        bot = np.array([
-            math.comb(h, j) * A[1, 0] ** (h - j) * A[1, 1] ** j
-            for j in range(h + 1)
-        ])
-        rows[h] = np.convolve(top, bot)
-    return rows
+    return _lift_rows(_expansions(A[0, 0], A[0, 1], d), _expansions(A[1, 0], A[1, 1], d), d)
+
+
+def _pushed_forms(forms, Ainv: np.ndarray) -> list:
+    """``b @ lift(Ainv, j)`` for each form b of degree j; the expansions serve every degree."""
+    d = len(forms) - 1
+    tops, bots = _expansions(Ainv[0, 0], Ainv[0, 1], d), _expansions(Ainv[1, 0], Ainv[1, 1], d)
+    return [b @ _lift_rows(tops, bots, j) for j, b in enumerate(forms)]
 
 
 def _push_forward_matrix(p: Poly2, A: np.ndarray) -> Poly2:
     """Polynomial vanishing on ``A``-image of ``{p = 0}`` (A invertible)."""
-    Ainv = np.linalg.inv(A)
-    return from_forms([b @ lift(Ainv, j) for j, b in enumerate(to_forms(p))])
+    return from_forms(_pushed_forms(to_forms(p), np.linalg.inv(A)))
 
 
 def push_forward(p: Poly2, T: Similarity) -> Poly2:
@@ -124,6 +144,7 @@ ALTERNATES_FACTOR = 1.5
 MAX_CANDIDATES = 16
 REFINE_MAXITER = 500
 REFINE_XATOL = 1e-10
+THETAS = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
 
 
 @dataclass(frozen=True)
@@ -169,18 +190,27 @@ def _blocks_unit(p: Poly2):
     return [b / norm for b in forms]
 
 
-def _grid_objective(ref_blocks, obs_blocks, thetas, scales, reflected):
-    """J on the (theta, scale) grid, exploiting lift(sB, j) = s^j lift(B, j)."""
+@functools.cache
+def _rotation_lifts(j: int, reflected: bool) -> np.ndarray:
+    """``lift(B, j)`` for the inverse ``B`` of every grid rotation, stacked by theta."""
+    table = np.stack([lift(_similarity_matrix(1.0, theta, reflected).T, j)
+                      for theta in THETAS])
+    table.setflags(write=False)
+    return table
+
+
+def _grid_objective(ref_blocks, obs_blocks, scales, reflected):
+    """J on the (THETAS, scale) grid, exploiting lift(sB, j) = s^j lift(B, j)."""
     d = len(ref_blocks) - 1
     js = np.arange(d + 1)
     spow = scales[None, :] ** (-js[:, None])  # s^{-j}, shape (d+1, n_scale)
-    J = np.empty((len(thetas), len(scales)))
-    for it, theta in enumerate(thetas):
-        B = _similarity_matrix(1.0, theta, reflected).T  # inverse of the orthogonal map
-        a = np.empty(d + 1)
-        b = np.empty(d + 1)
+    lifts = [_rotation_lifts(j, reflected) for j in range(d + 1)]
+    J = np.empty((N_THETA, len(scales)))
+    a = np.empty(d + 1)
+    b = np.empty(d + 1)
+    for it in range(N_THETA):
         for j in range(d + 1):
-            v = ref_blocks[j] @ lift(B, j)
+            v = ref_blocks[j] @ lifts[j][it]
             a[j] = obs_blocks[j] @ v
             b[j] = v @ v
         num = a @ spow
@@ -189,21 +219,22 @@ def _grid_objective(ref_blocks, obs_blocks, thetas, scales, reflected):
     return np.maximum(J, 0.0)
 
 
-def _objective(ref: Poly2, obs_unit: np.ndarray, logs: float, theta: float,
+def _objective(ref_forms, obs_unit: np.ndarray, logs: float, theta: float,
                reflected: bool) -> float:
-    A = _similarity_matrix(math.exp(logs), theta, reflected)
+    """J at one similarity; ``ref_forms`` is ``to_forms`` of the reference."""
+    Ainv = np.linalg.inv(_similarity_matrix(math.exp(logs), theta, reflected))
     # the simplex may wander to a scale where v overflows or underflows: the worst fit, 2
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        v = _push_forward_matrix(ref, A).coeffs
+        v = np.concatenate([f[::-1] for f in _pushed_forms(ref_forms, Ainv)])
         J = 2.0 - 2.0 * abs(float(obs_unit @ v)) / np.linalg.norm(v)
     return max(J, 0.0) if math.isfinite(J) else 2.0
 
 
-def _refine(ref, obs_unit, logs0, theta0, reflected):
+def _refine(ref_forms, obs_unit, logs0, theta0, reflected):
     from scipy.optimize import minimize  # lazy: see the module docstring
 
     res = minimize(
-        lambda x: _objective(ref, obs_unit, x[0], x[1], reflected),
+        lambda x: _objective(ref_forms, obs_unit, x[0], x[1], reflected),
         x0=[logs0, theta0],
         method="Nelder-Mead",
         options={
@@ -263,28 +294,30 @@ def match(g_ref: Poly2, g_obs: Poly2, threshold: float = 0.01,
     obs_blocks = _blocks_unit(g_obs)
     obs_unit = from_forms(obs_blocks).coeffs
 
-    thetas = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
     scales = np.geomspace(SCALE_MIN, SCALE_MAX, N_SCALE)
     branches = (False, True) if allow_reflection else (False,)
+    entries = N_THETA * len(branches) * sum((j + 1) ** 2 for j in range(g_ref.degree + 1))
+    check_memory(8 * entries, f"degree {g_ref.degree}", "match's table of lifted rotations")
 
     candidates = []  # (J_grid, logs, theta, reflected)
     for reflected in branches:
-        J = _grid_objective(ref_blocks, obs_blocks, thetas, scales, reflected)
+        J = _grid_objective(ref_blocks, obs_blocks, scales, reflected)
         best_eps = math.sqrt(float(J.min()))
         keep = _local_minima(J) & (
             np.sqrt(J) <= ALTERNATES_FACTOR * best_eps + 1e-9
         )
         for it, isc in zip(*np.nonzero(keep)):
             candidates.append(
-                (float(J[it, isc]), math.log(scales[isc]), float(thetas[it]), reflected)
+                (float(J[it, isc]), math.log(scales[isc]), float(THETAS[it]), reflected)
             )
 
     # a rotation-invariant shape turns the whole theta axis into tied grid
     # minima; refine only the best few cells
     candidates = sorted(candidates, key=lambda c: c[0])[:MAX_CANDIDATES]
+    ref_forms = to_forms(g_ref)
     refined = []
     for _, logs0, theta0, reflected in candidates:
-        logs, theta, J = _refine(g_ref, obs_unit, logs0, theta0, reflected)
+        logs, theta, J = _refine(ref_forms, obs_unit, logs0, theta0, reflected)
         refined.append((J, logs, theta, reflected))
 
     refined.sort(key=lambda r: r[0])

@@ -138,6 +138,95 @@ def poly_eval_oracle(p, pts):
     return out
 
 
+def on_grid_oracle(p, xs, ys):
+    """Poly2.on_grid in whole-grid passes: one outer product and one sum per term."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    out = np.zeros((xs.size, ys.size))
+    term = np.empty_like(out)
+    for (a1, a2), c in p.term_items():
+        np.multiply((c * xs**a1)[:, None], (ys**a2)[None, :], out=term)
+        out += term
+    return out
+
+
+# The diagnostic tier's writers and match search, one point, one theta and
+# one Poly2 at a time.  The package formats whole arrays, reads a table of
+# lifted rotations and builds the push-forward's coefficients directly;
+# these give the reference bytes and bits.
+
+
+def path_oracle(points, to_px, closed):
+    """render._path mapping and formatting each numpy point on its own."""
+    cmds = []
+    for i, (x, y) in enumerate(points):
+        px, py = to_px(x, y)
+        cmds.append(f"{'M' if i == 0 else 'L'} {px:.3f} {py:.3f}")
+    if closed:
+        cmds.append("Z")
+    return " ".join(cmds)
+
+
+def csv_oracle(curves):
+    """LevelSetCurves.save_csv's text, one numpy point at a time."""
+    lines = ["component,x,y"]
+    for ci, pl in enumerate(curves.polylines):
+        for x, y in pl:
+            lines.append(f"{ci},{x:.17g},{y:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def lift_oracle(A, d):
+    """transform.lift expanding both linear forms afresh for every row."""
+    import math
+
+    rows = np.empty((d + 1, d + 1))
+    for h in range(d + 1):
+        top = np.array([math.comb(d - h, j) * A[0, 0] ** (d - h - j) * A[0, 1] ** j
+                        for j in range(d - h + 1)])
+        bot = np.array([math.comb(h, j) * A[1, 0] ** (h - j) * A[1, 1] ** j
+                        for j in range(h + 1)])
+        rows[h] = np.convolve(top, bot)
+    return rows
+
+
+def grid_objective_oracle(ref_blocks, obs_blocks, thetas, scales, reflected):
+    """transform._grid_objective lifting every rotation afresh."""
+    from gptshape.transform import _similarity_matrix
+
+    d = len(ref_blocks) - 1
+    js = np.arange(d + 1)
+    spow = scales[None, :] ** (-js[:, None])
+    J = np.empty((len(thetas), len(scales)))
+    for it, theta in enumerate(thetas):
+        B = _similarity_matrix(1.0, theta, reflected).T
+        a = np.empty(d + 1)
+        b = np.empty(d + 1)
+        for j in range(d + 1):
+            v = ref_blocks[j] @ lift_oracle(B, j)
+            a[j] = obs_blocks[j] @ v
+            b[j] = v @ v
+        num = a @ spow
+        den = np.sqrt(b @ spow**2)
+        J[it] = 2.0 - 2.0 * np.abs(num) / den
+    return np.maximum(J, 0.0)
+
+
+def objective_oracle(ref, obs_unit, logs, theta, reflected):
+    """transform._objective through one lift per degree and a push-forward Poly2,
+    which refuses infinite coefficients."""
+    import math
+
+    from gptshape.polynomial import from_forms, to_forms
+    from gptshape.transform import _similarity_matrix
+
+    Ainv = np.linalg.inv(_similarity_matrix(math.exp(logs), theta, reflected))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        v = from_forms([b @ lift_oracle(Ainv, j) for j, b in enumerate(to_forms(ref))]).coeffs
+        J = 2.0 - 2.0 * abs(float(obs_unit @ v)) / np.linalg.norm(v)
+    return max(J, 0.0) if math.isfinite(J) else 2.0
+
+
 # Marching squares as written before the 16-case table: a crossing list per
 # cell, a nested if-tree for the saddles, a centre-value callback and
 # segments marked by canonical key pairs.  The table-driven kernel must

@@ -152,6 +152,18 @@ def test_degrees_beyond_memory_are_refused_before_allocation(probe_files, monkey
     assert not os.path.exists(probe_files["out"])
 
 
+def test_gpt_refuses_a_json_file_beyond_memory_before_serializing(monkeypatch, tmp_path):
+    # the arrays fit (512192 bytes for the moment problem), their JSON does not
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**21)
+    monkeypatch.setattr(gpt.GptMatrix, "to_json", lambda self: pytest.fail("serialized"))
+    out = tmp_path / "M.json"
+    r = run("gpt", "--shape", "disk", "--n", "64", "--d", "10", "--out", str(out))
+    assert (r.returncode, r.stderr) == (1, (
+        "error: 15180 GPT entries need 2307360 bytes for the GPT file's floats and text, "
+        "but this machine has 2097152 bytes of memory\n"))
+    assert not out.exists()
+
+
 def test_render_refuses_a_grid_beyond_memory(probe_files, monkeypatch, tmp_path):
     monkeypatch.setattr(Poly2, "on_grid", lambda *a: pytest.fail("sampled the grid"))
     monkeypatch.setattr(errors, "_physical_memory", lambda: 2**30)

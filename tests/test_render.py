@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import csv_oracle, path_oracle
 
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import discretize, ShapeSpec
 from gptshape.polynomial import Poly2
-from gptshape.render import LevelSetCurves, export_svg, extract, hausdorff
+from gptshape.render import LevelSetCurves, _mapper, _path, export_svg, extract, hausdorff
 
 CIRCLE = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 PRODUCT_CUBIC = (
@@ -185,3 +188,39 @@ def test_level_set_curves_validation():
         LevelSetCurves((np.zeros((3, 2)),), (), (-1, 1, -1, 1))
     with pytest.raises(ValueError):
         LevelSetCurves((np.zeros((1, 2)),), (True,), (-1, 1, -1, 1))
+
+
+# the writers, bit for bit against one numpy point at a time ------------------
+
+# k / 16 maps to a pixel on a .3f rounding tie under the unit-scale box below
+COORD = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]),
+    st.integers(-10**4, 10**4).map(lambda k: k / 16),
+)
+POLYLINE = st.lists(st.tuples(COORD, COORD), min_size=2, max_size=12).map(np.array)
+BOXES = st.sampled_from([(0.0, 560.0, 0.0, 560.0), (-2.0, 2.0, -1.5, 2.5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(POLYLINE, min_size=1, max_size=3), BOXES, st.booleans())
+def test_svg_paths_equal_the_per_point_writer(polylines, box, closed):
+    to_px = _mapper(box)
+    for pl in polylines:
+        assert _path(pl, to_px, closed) == path_oracle(pl, to_px, closed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(POLYLINE, min_size=1, max_size=3))
+def test_csv_text_equals_the_per_point_writer(tmp_path_factory, polylines):
+    curves = LevelSetCurves(tuple(polylines), (True,) * len(polylines), (-1, 1, -1, 1))
+    path = tmp_path_factory.mktemp("csv") / "pts.csv"
+    curves.save_csv(path)
+    assert path.read_bytes() == csv_oracle(curves).encode()
+
+
+def test_svg_ties_and_signed_zeros_format_as_before():
+    pl = np.array([[0.0625, -0.0], [1e-300, 0.1875], [-0.0625, 560.0]])
+    to_px = _mapper((0.0, 560.0, 0.0, 560.0))
+    assert _path(pl, to_px, True) == path_oracle(pl, to_px, True) == (
+        "M 40.062 600.000 L 40.000 599.812 L 39.938 40.000 Z")

@@ -1,17 +1,24 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import assert_same_bits, grid_objective_oracle, lift_oracle, objective_oracle
 
+from gptshape import errors, transform
 from gptshape.errors import ConfigError
 from gptshape.geometry import lemniscate_poly
-from gptshape.polynomial import Poly2, to_forms
+from gptshape.polynomial import Poly2, from_forms, poly_dim, to_forms
 from gptshape.transform import (
     MatchResult,
     Similarity,
+    _blocks_unit,
+    _grid_objective,
+    _objective,
     _push_forward_matrix,
+    _pushed_forms,
     lift,
     match,
     push_forward,
@@ -109,6 +116,23 @@ def test_lift_multiplicative():
         right = lift(A, d) @ lift(B, d)
         np.testing.assert_allclose(
             left, right, atol=1e-12 * (1 + np.max(np.abs(left))))
+
+
+ENTRY = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1e-200, -1e200, 1e300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ENTRY, min_size=4, max_size=4), st.integers(0, 12))
+def test_lift_and_pushed_forms_expand_each_linear_form_once_bit_for_bit(entries, d):
+    # entries of 1e300 overflow their powers to inf, and inf * 0 is nan
+    A = np.array(entries).reshape(2, 2)
+    forms = [np.linspace(-1.0, 1.0, j + 1) for j in range(d + 1)]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = [lift(A, d)] + _pushed_forms(forms, A)
+        want = [lift_oracle(A, d)] + [b @ lift_oracle(A, j) for j, b in enumerate(forms)]
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 def test_lift_shape_validation():
@@ -306,3 +330,91 @@ def test_match_alternates_carry_their_branch():
         obs = push_forward(g_ref, Similarity(1.3, 0.7)).coeffs
         cos = abs(pushed @ obs) / (np.linalg.norm(pushed) * np.linalg.norm(obs))
         assert cos == pytest.approx(1.0, abs=1e-9)
+
+
+# the search without its repeated work, bit for bit ---------------------------
+
+SCALES = np.geomspace(transform.SCALE_MIN, transform.SCALE_MAX, transform.N_SCALE)
+GRID_THETAS = np.linspace(0.0, 2 * math.pi, 180, endpoint=False)
+
+
+def _pair(degree, seed, pushed):
+    rng = np.random.default_rng(seed)
+    ref = Poly2(degree, rng.uniform(-3.0, 3.0, size=poly_dim(degree)))
+    obs = (push_forward(ref, Similarity(rng.uniform(0.5, 2.0), rng.uniform(0.0, 6.3)))
+           if pushed else Poly2(degree, rng.uniform(-3.0, 3.0, size=poly_dim(degree))))
+    return ref, obs
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_grid_objective_reads_the_lift_table_bit_for_bit(degree, seed, pushed, reflected):
+    ref, obs = _pair(degree, seed, pushed)
+    rb, ob = _blocks_unit(ref), _blocks_unit(obs)
+    assert_same_bits(_grid_objective(rb, ob, SCALES, reflected),
+                     grid_objective_oracle(rb, ob, GRID_THETAS, SCALES, reflected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 10**6), st.booleans(),
+       st.floats(-150.0, 150.0), st.floats(-10.0, 10.0), st.booleans())
+def test_objective_equals_the_push_forward_poly2_wherever_that_returns(
+        degree, seed, pushed, logs, theta, reflected):
+    ref, obs = _pair(degree, seed, pushed)
+    obs_unit = from_forms(_blocks_unit(obs)).coeffs
+    got = _objective(to_forms(ref), obs_unit, logs, theta, reflected)
+    try:
+        want = objective_oracle(ref, obs_unit, logs, theta, reflected)
+    except ConfigError:  # an infinite push-forward coefficient: the worst fit
+        assert got == 2.0
+    else:
+        assert float(got).hex() == float(want).hex()
+
+
+def test_objective_reads_an_infinite_coefficient_as_the_worst_fit():
+    # at logs = -120 a push-forward coefficient of the degree-6 reference is
+    # inf, not only its norm; the Poly2 round trip refused it with a ConfigError
+    ref = Poly2(6, np.ones(poly_dim(6)))
+    obs_unit = from_forms(_blocks_unit(ref)).coeffs
+    with pytest.raises(ConfigError, match="coefficients must be finite"):
+        objective_oracle(ref, obs_unit, -120.0, 0.3, False)
+    for logs in (-120.0, -60.0):
+        assert _objective(to_forms(ref), obs_unit, logs, 0.3, False) == 2.0
+
+
+def _off_centre_disk(cx, cy, r):
+    return Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (1, 0): -2.0 * cx, (0, 1): -2.0 * cy,
+                             (0, 0): cx * cx + cy * cy - r * r})
+
+
+MATCH_REFS = {
+    "off-centre-disk": _off_centre_disk(0.4, -0.3, 0.8),
+    "two-pole-lemniscate": lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2),
+    "three-pole-lemniscate": lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (0.2, -0.9)], 0.05),
+}
+
+
+@pytest.mark.parametrize("allow_reflection", [False, True], ids=["plain", "reflection"])
+@pytest.mark.parametrize("name", sorted(MATCH_REFS))
+def test_match_json_equals_the_uncached_search(monkeypatch, name, allow_reflection):
+    ref = MATCH_REFS[name]
+    T = Similarity(1.4, 0.8, reflected=allow_reflection)
+    obs = Poly2(ref.degree, -2.5 * push_forward(ref, T).coeffs)
+    got = match(ref, obs, allow_reflection=allow_reflection).to_json()
+    monkeypatch.setattr(transform, "_grid_objective", lambda rb, ob, scales, refl:
+                        grid_objective_oracle(rb, ob, GRID_THETAS, scales, refl))
+    monkeypatch.setattr(transform, "_objective", lambda forms, obs_unit, logs, theta, refl:
+                        objective_oracle(from_forms(forms), obs_unit, logs, theta, refl))
+    want = match(ref, obs, allow_reflection=allow_reflection).to_json()
+    assert json.dumps(got) == json.dumps(want)
+    assert got["matched"]
+
+
+def test_match_counts_its_rotation_table_before_lifting(monkeypatch):
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(transform, "lift", lambda *a: pytest.fail("lifted"))
+    p = lemniscate_poly([(math.cos(k), math.sin(k)) for k in range(6)], 0.1)
+    with pytest.raises(ConfigError, match=(
+            r"^degree 12 need 1179360 bytes for match's table of lifted rotations, "
+            r"but this machine has 1048576 bytes of memory$")):
+        match(p, p)
