@@ -32,7 +32,7 @@ from .recovery import (
     recover_minimal_degree,
 )
 from .render import extract, hausdorff, margin_box
-from .transform import Similarity, lift, match, push_forward
+from .transform import Similarity, angle_dist, lift, match, push_forward
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,6 @@ def ellipse_first_order_pt(a, b, lam):
 
 ELLIPSE_POLY = Poly2.from_terms({(2, 0): 1.0, (0, 2): 4.0, (0, 0): -4.0})
 LEM_POLES, LEM_LEVEL = [(1.0, 0.0), (-1.0, 0.0)], 0.2
-
-
-def _angle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
 
 
 def _lift_draws():
@@ -171,8 +166,8 @@ def _similarity_round_trip():
     out = match(g_ref, push_forward(g_ref, Similarity(2.0, math.pi / 6)))
     s_rel = abs(out.best.s - 2.0) / 2.0
     # the two-pole lemniscate is invariant under rotation by pi
-    th_err = min(_angle_dist(out.best.theta, math.pi / 6),
-                 _angle_dist(out.best.theta, math.pi / 6 + math.pi))
+    th_err = min(angle_dist(out.best.theta, math.pi / 6),
+                 angle_dist(out.best.theta, math.pi / 6 + math.pi))
     return (s_rel <= 1e-3 and th_err <= 1e-3 and out.epsilon_match <= 1e-6,
             f"scale rel err {s_rel:.2e} (<=1e-3), angle err {th_err:.2e} rad "
             f"(<=1e-3 mod symmetry), epsilon {out.epsilon_match:.2e} (<=1e-6)")

@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, acceptance
-from .errors import ConfigError, NumericError, check_memory
+from .errors import ConfigError, NumericError, check_memory, json_int
 from .geometry import DiscretizedBoundary, ShapeSpec, discretize
 from .gpt import GptMatrix, assemble_gpt, lambda_of_k
 from .npo import assemble, dump_npo
@@ -124,7 +124,7 @@ def _shape_boundary(shape, n) -> tuple[ShapeSpec, DiscretizedBoundary]:
     """
     try:
         spec = shape if isinstance(shape, ShapeSpec) else ShapeSpec.from_json(shape)
-        n = int(n)
+        n = json_int(n, "node count")
         check_memory(16 * n * n, f"{n} nodes", "the NPO matrix and its LU")
         return spec, discretize(spec, n)
     except ConfigError:
@@ -250,10 +250,8 @@ def cmd_scan_degrees(args) -> int:
 
 
 def cmd_match(args) -> int:
-    ref = _load_poly(args.ref)
-    obs = _load_poly(args.obs)
-    d = max(ref.degree, obs.degree)
-    out = match(ref.padded(d), obs.padded(d), args.threshold, args.allow_reflection)
+    out = match(_load_poly(args.ref), _load_poly(args.obs), args.threshold,
+                args.allow_reflection)
     _write_json(out.to_json(), args.out)
     print(
         f"s={out.best.s:.6g} theta={out.best.theta:.6g} sign={out.sign} "

@@ -11,9 +11,18 @@ left to the builtin ``OSError`` (exit code 3).
 outside (a node count, a degree, a grid) is counted in bytes and refused
 with a ConfigError before anything of that size is allocated, so an input
 too large for the machine is one line and exit code 1, not an OOM kill.
+
+:func:`json_int` and :func:`json_floats` read the numbers of an input
+file without coercing them: a bool, a string or a fraction where a count
+belongs is a ConfigError, not rounded.  What ``int`` or ``float`` cannot
+convert at all (a list, NaN or inf as a count, text that is no number)
+keeps their own exception, which each file reader wraps with the file's
+context.
 """
 
 import os
+
+import numpy as np
 
 
 class GptShapeError(Exception):
@@ -38,3 +47,21 @@ def check_memory(need: int, what: str, use: str) -> None:
     if need > have:
         raise ConfigError(
             f"{what} need {need} bytes for {use}, but this machine has {have} bytes of memory")
+
+
+def json_int(value, what: str) -> int:
+    """``value`` as an int when it is an int or a float with an integral value."""
+    n = int(value)
+    if isinstance(value, (bool, np.bool_, str)) or n != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r:.80}")
+    return n
+
+
+def json_floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array, when every one of them is an int or a float."""
+    arr = np.asarray(values, dtype=object)
+    out = arr.astype(float)  # ValueError for ragged lists or text that is no number
+    if not all(isinstance(v, (int, float, np.integer)) and not isinstance(v, bool)
+               for v in arr.flat):
+        raise ConfigError(f"{what} must be numeric, got {values!r:.80}")
+    return out

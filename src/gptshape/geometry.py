@@ -84,6 +84,7 @@ class DiscretizedBoundary:
         """Read a file written by :meth:`save_csv`; ConfigError if it is not one.
 
         Every value must be finite: a NaN node would be drawn as ``nan``.
+        A component id is an integer below the row count.
         """
         with open(path) as fh:
             rows = fh.read().splitlines()[1:]
@@ -94,8 +95,10 @@ class DiscretizedBoundary:
             raise ConfigError(f"expected 7 columns, got {data.shape[1]}")
         if not np.all(np.isfinite(data)):
             raise ConfigError("node rows must hold finite values")
-        return cls(data[:, 0:2], data[:, 2:4], data[:, 4], data[:, 5],
-                   data[:, 6].astype(int))
+        ids = data[:, 6]
+        if not np.all((ids >= 0) & (ids < len(ids)) & (ids == np.floor(ids))):
+            raise ConfigError(f"component ids must be integers from 0 to {len(ids) - 1}")
+        return cls(data[:, 0:2], data[:, 2:4], data[:, 4], data[:, 5], ids.astype(int))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, check_memory
+from .errors import ConfigError, NumericError, check_memory, json_floats, json_int
 from .geometry import DiscretizedBoundary
 from .npo import NpoMatrix, Resolvent
 from .polynomial import Poly2, laplacian, multiindex_at, ordinal, poly_dim
@@ -132,11 +132,13 @@ class GptMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "GptMatrix":
         try:
-            lam = float(obj["lambda"])
-            d = int(obj["d"])
-            row_degree = int(obj.get("row_degree", 2 * d))
-            entries = np.asarray(obj["entries"], dtype=float)
+            lam = float(json_floats(obj["lambda"], "GPT lambda"))
+            d = json_int(obj["d"], "GPT d")
+            row_degree = json_int(obj.get("row_degree", 2 * d), "GPT row_degree")
+            entries = json_floats(obj["entries"], "GPT entries")
             meta = dict(obj.get("meta", {}))
+        except ConfigError:
+            raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed GPT JSON ({type(exc).__name__}: {exc})") from exc
         if d < 1 or row_degree < 1:

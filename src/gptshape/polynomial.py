@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, json_floats, json_int
 
 _GRID_ROWS = 32  # rows per block of on_grid, 512 KiB per buffer at 2048 columns
 
@@ -188,7 +188,7 @@ class Poly2:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly2":
-        return cls(int(obj["degree"]), np.asarray(obj["coeffs"], dtype=float))
+        return cls(json_int(obj["degree"], "degree"), json_floats(obj["coeffs"], "coeffs"))
 
 
 def partial(p: Poly2, axis: int) -> Poly2:

@@ -10,8 +10,9 @@ a polynomial's zero set amounts to multiplying each homogeneous block by
 the lift of the *inverse* matrix.
 
 Matching asks the reverse question: which similarity carries a reference
-zero set onto an observed one?  The objective compares unit-normalized
-coefficient vectors,
+zero set onto an observed one?  Both polynomials are padded to the larger
+degree and split into homogeneous forms once.  The objective compares
+unit-normalized coefficient vectors,
 
     J(s, theta) = min over sign ||sign * obs_hat - push(s, theta)_hat||^2
                 = 2 - 2 |<obs_hat, push(s, theta)_hat>|,
@@ -21,7 +22,8 @@ scanned on a coarse (theta, scale) grid and polished with Nelder-Mead in
 rescaling of either polynomial; the sign branch absorbs the direction
 ambiguity a singular-vector recovery leaves behind.  Shapes with discrete
 rotational symmetry produce several equally good minima; all grid minima
-within a factor of the best are refined and reported as alternates.
+within a factor of the best are refined, and one pass keeps each distinct
+result within that factor as an alternate.
 scipy.optimize is imported by the refinement step, so only :func:`match`
 pays for it.
 
@@ -29,11 +31,11 @@ The grid's rotations do not depend on the pair being matched, so their
 lifts form one table per (degree j, branch), built by :func:`lift` on
 first use and kept for the life of the process: 180 (j+1)^2 doubles, or
 sum over j <= d of that per branch, which is 0.2 MB at d = 6 and 4.8 MB
-at d = 20.  The first match at a degree pays for it as every match used
-to; later ones only read it, and :func:`match` counts it in the memory
-budget before building it.  A simplex step lifts one matrix to every
-degree, so it expands the matrix's two linear forms once and shares the
-expansions between degrees.  Both give :func:`lift`'s bits exactly.
+at d = 20.  The first match at a degree builds it and later ones only
+read it; :func:`match` counts it in the memory budget before building
+it.  A simplex step lifts one matrix to every degree, so it expands the
+matrix's two linear forms once and shares the expansions between
+degrees.  Both give :func:`lift`'s bits exactly.
 """
 
 from __future__ import annotations
@@ -123,14 +125,15 @@ def _pushed_forms(forms, Ainv: np.ndarray) -> list:
     return [b @ _lift_rows(tops, bots, j) for j, b in enumerate(forms)]
 
 
-def _push_forward_matrix(p: Poly2, A: np.ndarray) -> Poly2:
-    """Polynomial vanishing on ``A``-image of ``{p = 0}`` (A invertible)."""
-    return from_forms(_pushed_forms(to_forms(p), np.linalg.inv(A)))
-
-
 def push_forward(p: Poly2, T: Similarity) -> Poly2:
     """Polynomial whose zero set is ``T`` applied to the zero set of ``p``."""
-    return _push_forward_matrix(p, T.matrix)
+    return from_forms(_pushed_forms(to_forms(p), np.linalg.inv(T.matrix)))
+
+
+def angle_dist(a: float, b: float) -> float:
+    """Distance between two angles on the circle, in [0, pi]."""
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
 
 
 # matching ----------------------------------------------------------------
@@ -145,6 +148,7 @@ MAX_CANDIDATES = 16
 REFINE_MAXITER = 500
 REFINE_XATOL = 1e-10
 THETAS = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
+SCALES = np.geomspace(SCALE_MIN, SCALE_MAX, N_SCALE)
 
 
 @dataclass(frozen=True)
@@ -178,8 +182,8 @@ class MatchResult:
         }
 
 
-def _blocks_unit(p: Poly2):
-    forms = to_forms(p)
+def _unit_forms(forms):
+    """The homogeneous forms divided by the norm of all their coefficients."""
     with np.errstate(over="ignore"):  # refused just below
         norm = math.sqrt(sum(float(b @ b) for b in forms))
     if norm == 0.0:
@@ -199,13 +203,13 @@ def _rotation_lifts(j: int, reflected: bool) -> np.ndarray:
     return table
 
 
-def _grid_objective(ref_blocks, obs_blocks, scales, reflected):
-    """J on the (THETAS, scale) grid, exploiting lift(sB, j) = s^j lift(B, j)."""
+def _grid_objective(ref_blocks, obs_blocks, reflected):
+    """J on the (THETAS, SCALES) grid, exploiting lift(sB, j) = s^j lift(B, j)."""
     d = len(ref_blocks) - 1
     js = np.arange(d + 1)
-    spow = scales[None, :] ** (-js[:, None])  # s^{-j}, shape (d+1, n_scale)
+    spow = SCALES[None, :] ** (-js[:, None])  # s^{-j}, shape (d+1, N_SCALE)
     lifts = [_rotation_lifts(j, reflected) for j in range(d + 1)]
-    J = np.empty((N_THETA, len(scales)))
+    J = np.empty((N_THETA, N_SCALE))
     a = np.empty(d + 1)
     b = np.empty(d + 1)
     for it in range(N_THETA):
@@ -231,6 +235,7 @@ def _objective(ref_forms, obs_unit: np.ndarray, logs: float, theta: float,
 
 
 def _refine(ref_forms, obs_unit, logs0, theta0, reflected):
+    """Nelder-Mead in (log s, theta) from one grid cell: (J, log s, theta, reflected)."""
     from scipy.optimize import minimize  # lazy: see the module docstring
 
     res = minimize(
@@ -243,99 +248,84 @@ def _refine(ref_forms, obs_unit, logs0, theta0, reflected):
             "maxiter": REFINE_MAXITER,
         },
     )
-    return float(res.x[0]), float(res.x[1]), float(res.fun)
+    return float(res.fun), float(res.x[0]), float(res.x[1]), reflected
 
 
 def _local_minima(J):
     """Grid cells no worse than their 8 neighbors (theta wraps, scale clamps)."""
     nt, ns = J.shape
-    up = np.roll(J, 1, axis=0)
-    down = np.roll(J, -1, axis=0)
-    pads = np.full((nt, 1), np.inf)
-    out = []
-    for shifted in (
-        up, down,
-        np.hstack([pads, J[:, :-1]]), np.hstack([J[:, 1:], pads]),
-        np.hstack([pads, up[:, :-1]]), np.hstack([up[:, 1:], pads]),
-        np.hstack([pads, down[:, :-1]]), np.hstack([down[:, 1:], pads]),
-    ):
-        out.append(J <= shifted)
-    return np.logical_and.reduce(out)
+    P = np.pad(np.pad(J, ((1, 1), (0, 0)), mode="wrap"), ((0, 0), (1, 1)),
+               constant_values=np.inf)
+    return np.logical_and.reduce([J <= P[i:i + nt, j:j + ns]
+                                  for i in range(3) for j in range(3) if (i, j) != (1, 1)])
+
+
+def _alternates(refined):
+    """Refined (J, log s, theta, reflected) in the best's band by J, 1e-6 apart on a branch."""
+    refined = sorted(refined, key=lambda r: r[0])
+    band = ALTERNATES_FACTOR * math.sqrt(refined[0][0]) + 1e-9
+    kept = []
+    for J, logs, theta, reflected in refined:
+        if math.sqrt(J) > band:
+            break
+        if not any(r == reflected and angle_dist(theta, t) < 1e-6 and abs(logs - ls) < 1e-6
+                   for _, ls, t, r in kept):
+            kept.append((J, logs, theta, reflected))
+    return kept
 
 
 def match(g_ref: Poly2, g_obs: Poly2, threshold: float = 0.01,
           allow_reflection: bool = False) -> MatchResult:
     """Find the similarity mapping the reference zero set onto the observed one.
 
-    Both inputs are unit-normalized internally, so only the shapes of the
-    coefficient vectors matter.  The search runs over rotations and scales
-    (plus reflections when ``allow_reflection``), coarse grid first, then
-    simplex refinement; ``epsilon_match`` is the square root of the final
-    objective, and the result counts as matched when it is at most
-    ``threshold``, which must be finite and >= 0.  Grid minima within
-    ``ALTERNATES_FACTOR`` of the best are refined too and reported as
-    alternates, which is how a shape's rotational symmetry group shows up
-    in the output.
+    The input of lower degree is padded to the other's, and both are
+    unit-normalized, so only the shapes of the coefficient vectors matter.
+    The search runs over rotations and scales (plus reflections when
+    ``allow_reflection``), coarse grid first, then simplex refinement;
+    ``epsilon_match`` is the square root of the final objective, and the
+    result counts as matched when it is at most ``threshold``, which must
+    be finite and >= 0.  Grid minima within ``ALTERNATES_FACTOR`` of the
+    best are refined too and reported as alternates, which is how a
+    shape's rotational symmetry group shows up in the output.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ConfigError(f"match threshold must be finite and >= 0, got {threshold}")
-    if g_ref.degree != g_obs.degree:
-        raise ConfigError(
-            f"degree bounds differ: reference {g_ref.degree}, observed "
-            f"{g_obs.degree}; pad the lower one first"
-        )
+    d = max(g_ref.degree, g_obs.degree)
+    g_ref, g_obs = g_ref.padded(d), g_obs.padded(d)
     verdict = boundedness_check(g_obs)
     if verdict is Boundedness.ODD_DEGREE_UNBOUNDED:
         raise ConfigError(
             "observed polynomial has odd effective degree, so its zero set "
             "is unbounded and cannot be a shape boundary"
         )
-    ref_blocks = _blocks_unit(g_ref)
-    obs_blocks = _blocks_unit(g_obs)
+    ref_forms = to_forms(g_ref)
+    ref_blocks = _unit_forms(ref_forms)
+    obs_blocks = _unit_forms(to_forms(g_obs))
     obs_unit = from_forms(obs_blocks).coeffs
 
-    scales = np.geomspace(SCALE_MIN, SCALE_MAX, N_SCALE)
     branches = (False, True) if allow_reflection else (False,)
-    entries = N_THETA * len(branches) * sum((j + 1) ** 2 for j in range(g_ref.degree + 1))
-    check_memory(8 * entries, f"degree {g_ref.degree}", "match's table of lifted rotations")
+    entries = N_THETA * len(branches) * sum((j + 1) ** 2 for j in range(d + 1))
+    check_memory(8 * entries, f"degree {d}", "match's table of lifted rotations")
 
     candidates = []  # (J_grid, logs, theta, reflected)
     for reflected in branches:
-        J = _grid_objective(ref_blocks, obs_blocks, scales, reflected)
+        J = _grid_objective(ref_blocks, obs_blocks, reflected)
         best_eps = math.sqrt(float(J.min()))
         keep = _local_minima(J) & (
             np.sqrt(J) <= ALTERNATES_FACTOR * best_eps + 1e-9
         )
         for it, isc in zip(*np.nonzero(keep)):
             candidates.append(
-                (float(J[it, isc]), math.log(scales[isc]), float(THETAS[it]), reflected)
+                (float(J[it, isc]), math.log(SCALES[isc]), float(THETAS[it]), reflected)
             )
 
     # a rotation-invariant shape turns the whole theta axis into tied grid
     # minima; refine only the best few cells
     candidates = sorted(candidates, key=lambda c: c[0])[:MAX_CANDIDATES]
-    ref_forms = to_forms(g_ref)
-    refined = []
-    for _, logs0, theta0, reflected in candidates:
-        logs, theta, J = _refine(ref_forms, obs_unit, logs0, theta0, reflected)
-        refined.append((J, logs, theta, reflected))
-
-    refined.sort(key=lambda r: r[0])
-    unique = []
-    for J, logs, theta, reflected in refined:
-        dup = False
-        for J2, logs2, theta2, refl2 in unique:
-            dth = abs(theta - theta2) % TWO_PI
-            dth = min(dth, TWO_PI - dth)
-            if refl2 == reflected and dth < 1e-6 and abs(logs - logs2) < 1e-6:
-                dup = True
-                break
-        if not dup:
-            unique.append((J, logs, theta, reflected))
-
-    band = ALTERNATES_FACTOR * math.sqrt(unique[0][0]) + 1e-9
+    refined = [_refine(ref_forms, obs_unit, logs0, theta0, reflected)
+               for _, logs0, theta0, reflected in candidates]
     found = [(Similarity(math.exp(logs), theta, reflected), math.sqrt(J))
-             for J, logs, theta, reflected in unique if math.sqrt(J) <= band]
+             for J, logs, theta, reflected in _alternates(refined)]
     best, eps_best = found[0]
     v = push_forward(g_ref, best).coeffs
     sign = 1 if float(obs_unit @ v) >= 0 else -1

@@ -227,6 +227,51 @@ def objective_oracle(ref, obs_unit, logs, theta, reflected):
     return max(J, 0.0) if math.isfinite(J) else 2.0
 
 
+# The match search's grid minima and alternates as two rolls and six stacked
+# copies, then a flag-and-break dedup and a separate band filter.  The
+# padded stencil and the one pass over the refined results must agree.
+
+
+def local_minima_oracle(J):
+    """transform._local_minima from rolled and hstacked copies of J."""
+    nt, ns = J.shape
+    up = np.roll(J, 1, axis=0)
+    down = np.roll(J, -1, axis=0)
+    pads = np.full((nt, 1), np.inf)
+    out = []
+    for shifted in (
+        up, down,
+        np.hstack([pads, J[:, :-1]]), np.hstack([J[:, 1:], pads]),
+        np.hstack([pads, up[:, :-1]]), np.hstack([up[:, 1:], pads]),
+        np.hstack([pads, down[:, :-1]]), np.hstack([down[:, 1:], pads]),
+    ):
+        out.append(J <= shifted)
+    return np.logical_and.reduce(out)
+
+
+def alternates_oracle(refined):
+    """transform._alternates: dedup of all refined results, then the band filter."""
+    import math
+
+    from gptshape.transform import ALTERNATES_FACTOR
+
+    two_pi = 2.0 * math.pi
+    refined = sorted(refined, key=lambda r: r[0])
+    unique = []
+    for J, logs, theta, reflected in refined:
+        dup = False
+        for J2, logs2, theta2, refl2 in unique:
+            dth = abs(theta - theta2) % two_pi
+            dth = min(dth, two_pi - dth)
+            if refl2 == reflected and dth < 1e-6 and abs(logs - logs2) < 1e-6:
+                dup = True
+                break
+        if not dup:
+            unique.append((J, logs, theta, reflected))
+    band = ALTERNATES_FACTOR * math.sqrt(unique[0][0]) + 1e-9
+    return [r for r in unique if math.sqrt(r[0]) <= band]
+
+
 # Marching squares as written before the 16-case table: a crossing list per
 # cell, a nested if-tree for the saddles, a centre-value callback and
 # segments marked by canonical key pairs.  The table-driven kernel must

@@ -529,6 +529,30 @@ def test_recover_refuses_a_meta_node_count_beyond_memory(tmp_path, capsys, monke
     assert capsys.readouterr().err.startswith("error: 2048 nodes need 67108864 bytes")
 
 
+@pytest.mark.parametrize("field, value, option, line", [
+    ("d", 2.5, [], "error: GPT d must be an integer, got 2.5"),
+    ("d", "2", [], "error: GPT d must be an integer, got '2'"),
+    ("row_degree", True, [], "error: GPT row_degree must be an integer, got True"),
+    ("lambda", "1.5", [], "error: GPT lambda must be numeric, got '1.5'"),
+    ("entries", ["0.5"] * 84, [], "error: GPT entries must be numeric, got ['0.5', "),
+    ("n", 64.5, ["--cross-lambda", "3"], "error: node count must be an integer, got 64.5"),
+    ("n", "64", ["--cross-lambda", "3"], "error: node count must be an integer, got '64'"),
+    ("n", False, ["--scan-degrees", "2"], "error: node count must be an integer, got False"),
+], ids=["fractional-d", "text-d", "bool-row-degree", "text-lambda", "text-entries",
+        "fractional-n", "text-n", "bool-n"])
+def test_recover_refuses_gpt_numbers_of_the_wrong_kind(tmp_path, field, value, option, line):
+    b = discretize(ShapeSpec.disk(), 64)
+    obj = dict(assemble_gpt(b, assemble(b), 1.5, 2).to_json(),
+               meta={"shape": ShapeSpec.disk().to_json(), "n": 64})
+    (obj["meta"] if field == "n" else obj)[field] = value
+    path, out = tmp_path / "M.json", tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    r = run("recover", "--gpt", str(path), "--out", str(out), *option)
+    assert r.returncode == 1
+    assert r.stderr.startswith(line) and r.stderr.count("\n") == 1, r.stderr
+    assert not out.exists()
+
+
 def test_recover_scan_degrees_table(tmp_path):
     M = tmp_path / "M.json"
     scan = tmp_path / "scan.json"
@@ -613,6 +637,28 @@ def test_match_unbounded_obs_rejected(tmp_path):
     assert "unbounded" in r.stderr.lower()
 
 
+@pytest.mark.parametrize("allow_reflection", [[], ["--allow-reflection"]],
+                         ids=["plain", "reflection"])
+@pytest.mark.parametrize("degrees", [(2, 4), (4, 2), (2, 6)], ids=["2-4", "4-2", "2-6"])
+def test_match_pads_the_lower_degree_file(tmp_path, degrees, allow_reflection):
+    from gptshape.transform import Similarity, push_forward
+    ellipse = Poly2.from_terms({(2, 0): 1.0, (0, 2): 4.0, (0, 0): -4.0})
+    shapes = {2: ellipse, 4: push_forward(ellipse, Similarity(1.3, 0.4)).padded(4),
+              6: lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (0.2, -0.9)], 0.05)}
+    ref, obs = (shapes[k] for k in degrees)
+    d = max(degrees)
+    got, want = [], []
+    for runs, (r, o) in ((got, (ref, obs)), (want, (ref.padded(d), obs.padded(d)))):
+        rp, op, out = tmp_path / "ref.json", tmp_path / "obs.json", tmp_path / "m.json"
+        write_poly(rp, r)
+        write_poly(op, o)
+        res = run("match", "--ref", str(rp), "--obs", str(op), "--out", str(out),
+                  *allow_reflection)
+        runs.append((res.returncode, res.stderr, out.read_bytes()))
+    assert got == want
+    assert got[0][0] == (4 if 6 in degrees else 0)
+
+
 # render --------------------------------------------------------------------------
 
 
@@ -641,8 +687,11 @@ def test_render_with_overlay(tmp_path):
     assert svg.read_text().count("<path") == 2
 
 
-@pytest.mark.parametrize("rows", ["abc,def\n", "1,2,3\n4,5,6\n", ""],
-                         ids=["text", "three-columns", "header-only"])
+@pytest.mark.parametrize("rows", [
+    "abc,def\n", "1,2,3\n4,5,6\n", "",
+    *(f"1,0,1,0,1,0,0\n0,1,0,1,1,0,{c}\n" for c in ("1e300", "0.5", "-3", "2")),
+], ids=["text", "three-columns", "header-only", "component-beyond-int64",
+        "fractional-component", "negative-component", "component-not-below-row-count"])
 def test_render_malformed_overlay_is_config_error(tmp_path, capsys, rows):
     g = tmp_path / "g.json"
     write_poly(g, Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}))
@@ -664,6 +713,12 @@ def test_render_non_finite_overlay_is_config_error(tmp_path):
     assert r.stderr.splitlines()[-1] == (
         f"error: {bnd} is not a boundary CSV: node rows must hold finite values")
     assert not svg.exists()
+
+
+def test_poly_numbers_beyond_int64_are_still_read(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text('{"degree": 2, "coeffs": [-100000000000000000000000, 0, 0, 1, 0, 1.0]}')
+    assert cli._load_poly(g).coeffs[0] == -1e23
 
 
 def test_render_refuses_a_grid_that_overflows(tmp_path):
@@ -716,8 +771,14 @@ def test_render_and_match_accept_recover_output(tmp_path):
     ('{"degree": -1, "coeffs": []}', "degree must be >= 0"),
     ('{"degree": 2, "coeffs": [', "not valid JSON"),
     ('{"schema": 1, "entries": [1.0, 2.0]}', "not a Poly2"),
+    ('{"degree": 2.9, "coeffs": [-1, 0, 0, 1, 0, 1]}', "degree must be an integer, got 2.9"),
+    ('{"degree": "2", "coeffs": [-1, 0, 0, 1, 0, 1]}', "degree must be an integer, got '2'"),
+    ('{"degree": true, "coeffs": [1, 0, 0]}', "degree must be an integer, got True"),
+    ('{"degree": 2, "coeffs": ["-1", "0", "0", "1", "0", "1"]}', "coeffs must be numeric"),
+    ('{"degree": 1, "coeffs": [1, true, 0]}', "coeffs must be numeric, got [1, True, 0]"),
 ], ids=["coefficient-count", "nan-coefficient", "negative-degree", "truncated-file",
-        "not-a-poly"])
+        "not-a-poly", "fractional-degree", "text-degree", "bool-degree", "text-coeffs",
+        "bool-coeff"])
 def test_malformed_poly_is_config_error(tmp_path, capsys, command, text, message):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -726,7 +787,7 @@ def test_malformed_poly_is_config_error(tmp_path, capsys, command, text, message
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert message in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 # verify --------------------------------------------------------------------------

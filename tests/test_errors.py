@@ -2,7 +2,10 @@
 
 import ast
 import inspect
+import math
 from pathlib import Path
+
+import pytest
 
 import gptshape
 from gptshape import errors
@@ -27,3 +30,28 @@ def test_every_raise_names_config_or_numeric_error():
             if not (isinstance(exc, ast.Name) and exc.id in ("ConfigError", "NumericError")):
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
+
+
+def test_json_int_reads_integers_and_refuses_what_it_would_have_to_round():
+    for value, want in [(3, 3), (3.0, 3), (1e100, int(1e100)), (10**30, 10**30), (-0.0, 0)]:
+        assert errors.json_int(value, "n") == want and type(errors.json_int(value, "n")) is int
+    for value in (True, False, "3", 2.5, -1e-300):
+        with pytest.raises(errors.ConfigError, match=r"^n must be an integer, got "):
+            errors.json_int(value, "n")
+    for value, exc in [(math.inf, OverflowError), (math.nan, ValueError), ("x", ValueError),
+                       ([3], TypeError), (None, TypeError)]:
+        with pytest.raises(exc):
+            errors.json_int(value, "n")
+
+
+def test_json_floats_read_numbers_and_refuse_bools_and_text():
+    got = errors.json_floats([1, 2.5, -10**30, 0], "c")
+    assert got.dtype == float and got.tolist() == [1.0, 2.5, -1e30, 0.0]
+    assert errors.json_floats(1.5, "lambda").shape == ()
+    for values in ([1, True, 0], ["1", 2], "1.5", [1.0, False], [None]):
+        with pytest.raises(errors.ConfigError, match=r"^c must be numeric, got "):
+            errors.json_floats(values, "c")
+    for values, exc in [([[1.0, 2.0], [3.0]], ValueError), (["x"], ValueError),
+                        ({"a": 1}, TypeError)]:
+        with pytest.raises(exc):
+            errors.json_floats(values, "c")

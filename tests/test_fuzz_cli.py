@@ -105,17 +105,26 @@ def _paths(obj, prefix=()):
             yield from _paths(val, prefix + (key,))
 
 
+INTEGER_FIELDS = ("degree", "d", "row_degree", "n")
+
+
 @st.composite
 def corrupted(draw, data: bytes):
-    """``data`` with one JSON field replaced or deleted, a cut, or a changed byte."""
-    how = draw(st.sampled_from(["field", "field", "cut", "byte"]))
-    if how == "field" and data[:1] == b"{":
+    """``data`` with one JSON field replaced or deleted, an integer field written as a
+    fraction, a numeric string or a boolean, a cut, or a changed byte."""
+    how = draw(st.sampled_from(["field", "field", "integer", "cut", "byte"]))
+    if how in ("field", "integer") and data[:1] == b"{":
         obj = json.loads(data)
-        path = draw(st.sampled_from(list(_paths(obj))[1:]))
+        paths = list(_paths(obj))[1:]
+        counts = [p for p in paths if how == "integer" and p[-1] in INTEGER_FIELDS]
+        path = draw(st.sampled_from(counts or paths))
         parent = obj
         for key in path[:-1]:
             parent = parent[key]
-        if draw(st.booleans()) and isinstance(parent, dict):
+        if counts:
+            value = parent[path[-1]]
+            parent[path[-1]] = draw(st.sampled_from([value + 0.5, str(value), True, False]))
+        elif draw(st.booleans()) and isinstance(parent, dict):
             del parent[path[-1]]
         else:
             parent[path[-1]] = draw(JSON_VALUES)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import assert_same_bits, grid_objective_oracle, lift_oracle, objective_oracle
+from oracles import (
+    alternates_oracle,
+    assert_same_bits,
+    grid_objective_oracle,
+    lift_oracle,
+    local_minima_oracle,
+    objective_oracle,
+)
 
 from gptshape import errors, transform
 from gptshape.errors import ConfigError
@@ -13,21 +20,21 @@ from gptshape.geometry import lemniscate_poly
 from gptshape.polynomial import Poly2, from_forms, poly_dim, to_forms
 from gptshape.transform import (
     MatchResult,
+    SCALES,
+    THETAS,
+    TWO_PI,
     Similarity,
-    _blocks_unit,
+    _alternates,
     _grid_objective,
+    _local_minima,
     _objective,
-    _push_forward_matrix,
     _pushed_forms,
+    _unit_forms,
+    angle_dist,
     lift,
     match,
     push_forward,
 )
-
-
-def angle_dist(a, b):
-    d = abs(a - b) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
 
 
 # similarity ------------------------------------------------------------------
@@ -258,13 +265,6 @@ def test_match_unrelated_shapes_do_not_match():
     assert not out.matched
 
 
-def test_match_degree_mismatch_rejected():
-    p2 = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
-    p4 = lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2)
-    with pytest.raises(ConfigError, match="degree bounds differ"):
-        match(p2, p4)
-
-
 def test_match_unbounded_observation_rejected():
     g_ref = lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2)
     g_obs = Poly2.from_terms({(3, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0}).padded(4)
@@ -283,9 +283,7 @@ def test_match_reflection_branch(theta):
     # chiral shape: three asymmetric poles; only the reflection branch can
     # reach an observation built from an orientation-reversing map
     g_ref = lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (0.2, -0.9)], 0.05)
-    A = 1.3 * np.array([[math.cos(theta), -math.sin(theta)],
-                        [math.sin(theta), math.cos(theta)]]) @ np.diag([1.0, -1.0])
-    g_obs = _push_forward_matrix(g_ref, A)
+    g_obs = push_forward(g_ref, Similarity(1.3, theta, reflected=True))
     plain = match(g_ref, g_obs)
     assert plain.epsilon_match > 0.01
     assert not plain.reflected
@@ -334,8 +332,6 @@ def test_match_alternates_carry_their_branch():
 
 # the search without its repeated work, bit for bit ---------------------------
 
-SCALES = np.geomspace(transform.SCALE_MIN, transform.SCALE_MAX, transform.N_SCALE)
-GRID_THETAS = np.linspace(0.0, 2 * math.pi, 180, endpoint=False)
 
 
 def _pair(degree, seed, pushed):
@@ -350,9 +346,9 @@ def _pair(degree, seed, pushed):
 @given(st.integers(0, 8), st.integers(0, 10**6), st.booleans(), st.booleans())
 def test_grid_objective_reads_the_lift_table_bit_for_bit(degree, seed, pushed, reflected):
     ref, obs = _pair(degree, seed, pushed)
-    rb, ob = _blocks_unit(ref), _blocks_unit(obs)
-    assert_same_bits(_grid_objective(rb, ob, SCALES, reflected),
-                     grid_objective_oracle(rb, ob, GRID_THETAS, SCALES, reflected))
+    rb, ob = _unit_forms(to_forms(ref)), _unit_forms(to_forms(obs))
+    assert_same_bits(_grid_objective(rb, ob, reflected),
+                     grid_objective_oracle(rb, ob, THETAS, SCALES, reflected))
 
 
 @settings(max_examples=200, deadline=None)
@@ -361,7 +357,7 @@ def test_grid_objective_reads_the_lift_table_bit_for_bit(degree, seed, pushed, r
 def test_objective_equals_the_push_forward_poly2_wherever_that_returns(
         degree, seed, pushed, logs, theta, reflected):
     ref, obs = _pair(degree, seed, pushed)
-    obs_unit = from_forms(_blocks_unit(obs)).coeffs
+    obs_unit = from_forms(_unit_forms(to_forms(obs))).coeffs
     got = _objective(to_forms(ref), obs_unit, logs, theta, reflected)
     try:
         want = objective_oracle(ref, obs_unit, logs, theta, reflected)
@@ -375,7 +371,7 @@ def test_objective_reads_an_infinite_coefficient_as_the_worst_fit():
     # at logs = -120 a push-forward coefficient of the degree-6 reference is
     # inf, not only its norm; the Poly2 round trip refused it with a ConfigError
     ref = Poly2(6, np.ones(poly_dim(6)))
-    obs_unit = from_forms(_blocks_unit(ref)).coeffs
+    obs_unit = from_forms(_unit_forms(to_forms(ref))).coeffs
     with pytest.raises(ConfigError, match="coefficients must be finite"):
         objective_oracle(ref, obs_unit, -120.0, 0.3, False)
     for logs in (-120.0, -60.0):
@@ -401,8 +397,8 @@ def test_match_json_equals_the_uncached_search(monkeypatch, name, allow_reflecti
     T = Similarity(1.4, 0.8, reflected=allow_reflection)
     obs = Poly2(ref.degree, -2.5 * push_forward(ref, T).coeffs)
     got = match(ref, obs, allow_reflection=allow_reflection).to_json()
-    monkeypatch.setattr(transform, "_grid_objective", lambda rb, ob, scales, refl:
-                        grid_objective_oracle(rb, ob, GRID_THETAS, scales, refl))
+    monkeypatch.setattr(transform, "_grid_objective", lambda rb, ob, refl:
+                        grid_objective_oracle(rb, ob, THETAS, SCALES, refl))
     monkeypatch.setattr(transform, "_objective", lambda forms, obs_unit, logs, theta, refl:
                         objective_oracle(from_forms(forms), obs_unit, logs, theta, refl))
     want = match(ref, obs, allow_reflection=allow_reflection).to_json()
@@ -418,3 +414,71 @@ def test_match_counts_its_rotation_table_before_lifting(monkeypatch):
             r"^degree 12 need 1179360 bytes for match's table of lifted rotations, "
             r"but this machine has 1048576 bytes of memory$")):
         match(p, p)
+
+
+# one padded stencil for the grid minima, one pass for the alternates ---------
+
+GRID_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -math.inf]),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 181), st.integers(1, 41), st.integers(0, 2**32 - 1),
+       st.lists(GRID_VALUES, min_size=1, max_size=5))
+def test_local_minima_equal_the_rolled_stencil(nt, ns, seed, palette):
+    # a few values drawn over a whole grid give ties, plateaus, NaN and +-inf cells
+    J = np.array(palette)[np.random.default_rng(seed).integers(0, len(palette), (nt, ns))]
+    assert np.array_equal(_local_minima(J), local_minima_oracle(J))
+
+
+def test_local_minima_wrap_theta_and_clamp_scale():
+    J = np.full((5, 4), 1.0)
+    J[0, 0] = J[4, 3] = 0.5  # corners: theta neighbours wrap, scale ones do not
+    J[2, 1:3] = 0.25  # a plateau: both cells are minima
+    got = _local_minima(J)
+    assert np.array_equal(got, local_minima_oracle(J))
+    assert set(zip(*np.nonzero(got))) == {(0, 0), (4, 3), (2, 1), (2, 2)}
+
+
+REFINED = st.tuples(st.sampled_from([0.0, 1e-12, 0.01, 0.0225, 0.0225 + 1e-12, 0.04, 1.0]),
+                    st.sampled_from([-0.5, 0.0, 5e-7, 2e-6]),
+                    st.sampled_from([0.0, 4e-7, 3.0, math.pi, TWO_PI - 4e-7, TWO_PI - 1e-9]),
+                    st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(REFINED, min_size=1, max_size=16))
+def test_alternates_equal_the_dedup_then_band_filter(refined):
+    assert _alternates(refined) == alternates_oracle(refined)
+
+
+def test_alternates_keep_each_minimum_once_within_the_band():
+    # best eps 0.1, band 0.15 + 1e-9: J = 0.0225 is in, 0.0226 is out; theta
+    # 2 pi - 1e-7 is theta 0 on the circle, and a mirrored copy is its own minimum
+    refined = [(0.0226, 0.0, 1.0, False), (0.0225, 0.0, 2.0, False),
+               (0.01, 0.0, TWO_PI - 1e-7, False), (0.01, 0.0, 0.0, False),
+               (0.01, 5e-7, 0.0, True), (0.01, 0.0, 0.0, True)]
+    assert _alternates(refined) == alternates_oracle(refined) == [
+        (0.01, 0.0, TWO_PI - 1e-7, False), (0.01, 5e-7, 0.0, True), (0.0225, 0.0, 2.0, False)]
+
+
+def _ellipse():
+    return Poly2.from_terms({(2, 0): 1.0, (0, 2): 4.0, (0, 0): -4.0})
+
+
+UNEQUAL_DEGREES = {  # (reference, observation) of degrees (2, 4), (4, 2) and (2, 6)
+    "2-4": lambda: (_ellipse(), push_forward(_ellipse(), Similarity(1.3, 0.4)).padded(4)),
+    "4-2": lambda: (_ellipse().padded(4), push_forward(_ellipse(), Similarity(0.8, 2.0))),
+    "2-6": lambda: (_ellipse(), MATCH_REFS["three-pole-lemniscate"]),
+}
+
+
+@pytest.mark.parametrize("allow_reflection", [False, True], ids=["plain", "reflection"])
+@pytest.mark.parametrize("degrees", sorted(UNEQUAL_DEGREES))
+def test_match_pads_the_lower_degree(degrees, allow_reflection):
+    ref, obs = UNEQUAL_DEGREES[degrees]()
+    d = max(ref.degree, obs.degree)
+    got = match(ref, obs, allow_reflection=allow_reflection).to_json()
+    want = match(ref.padded(d), obs.padded(d), allow_reflection=allow_reflection).to_json()
+    assert json.dumps(got) == json.dumps(want)
+    assert got["matched"] is (degrees != "2-6")
