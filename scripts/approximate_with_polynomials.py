@@ -22,7 +22,6 @@ Writes one SVG per shape/degree pair plus a JSON summary into --out.
 
 import argparse
 import json
-import math
 import pathlib
 
 import numpy as np
@@ -36,15 +35,8 @@ from gptshape.recovery import recover_minimal_degree
 from gptshape.render import export_svg, extract, hausdorff, margin_box
 
 
-def triangle_spec():
-    verts = [(math.cos(a), math.sin(a))
-             for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3,
-                       math.pi / 2 + 4 * math.pi / 3)]
-    return ShapeSpec.polygon(verts)
-
-
 SHAPES = [
-    ("triangle", triangle_spec()),
+    ("triangle", ShapeSpec.triangle()),
     ("diamond", ShapeSpec.polygon([(1.2, 0.0), (0.0, 0.8),
                                    (-1.2, 0.0), (0.0, -0.8)])),
     ("flower missing petal", ShapeSpec.flower(missing_petal=True)),

@@ -196,10 +196,7 @@ def _triangle():
     # the cubic itself.  Its zero set is unbounded (the edge lines extend
     # past the vertices), so the render window is the source bounding box
     # with a 10% margin and the distance bound is met by the short stubs.
-    verts = [(math.cos(a), math.sin(a))
-             for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3,
-                       math.pi / 2 + 4 * math.pi / 3)]
-    b = discretize(ShapeSpec.polygon(verts), 512)
+    b = discretize(ShapeSpec.triangle(), 512)
     out = recover_minimal_degree(assemble_gpt(b, assemble(b), 1.5, 4))
     verdict = boundedness_check(out.g_hat)
     curves = extract(out.g_hat, box=margin_box(b.nodes), grid=512)

@@ -21,8 +21,6 @@ import sys
 import warnings
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__, acceptance
 from .errors import ConfigError, NumericError, check_memory, json_int
 from .geometry import DiscretizedBoundary, ShapeSpec, discretize
@@ -82,18 +80,13 @@ def parse_shape(text: str) -> ShapeSpec:
     if kind == "flower":
         if len(args) not in (0, 3, 4):
             raise ConfigError("flower takes base,amplitude,petals[,missing]")
-        if not args:
-            return ShapeSpec.flower()
-        return ShapeSpec.flower(args[0], args[1], args[2],
-                                missing_petal=bool(args[3]) if len(args) == 4 else False)
+        if args[3:] not in ([], [0.0], [1.0]):
+            raise ConfigError(f"flower missing must be 0 or 1, got {args[3]:g}")
+        return ShapeSpec.flower(*args[:3], missing_petal=args[3:] == [1.0])
     if kind == "triangle":
         if len(args) not in (0, 1):
             raise ConfigError("triangle takes an optional circumradius")
-        R = args[0] if args else 1.0
-        verts = [(R * np.cos(a), R * np.sin(a))
-                 for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3,
-                           np.pi / 2 + 4 * np.pi / 3)]
-        return ShapeSpec.polygon(verts)
+        return ShapeSpec.triangle(*args)
     if kind == "diamond":
         if len(args) not in (0, 2):
             raise ConfigError("diamond takes a,b half-diagonals")

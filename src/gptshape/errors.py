@@ -12,12 +12,12 @@ outside (a node count, a degree, a grid) is counted in bytes and refused
 with a ConfigError before anything of that size is allocated, so an input
 too large for the machine is one line and exit code 1, not an OOM kill.
 
-:func:`json_int` and :func:`json_floats` read the numbers of an input
-file without coercing them: a bool, a string or a fraction where a count
-belongs is a ConfigError, not rounded.  What ``int`` or ``float`` cannot
-convert at all (a list, NaN or inf as a count, text that is no number)
-keeps their own exception, which each file reader wraps with the file's
-context.
+:func:`json_int` and :func:`json_floats` are the one reader of numbers
+from outside (files, shapes, boxes): a bool, a string, a fraction where a
+count belongs, or NaN or ±inf, is a ConfigError, never coerced.  What
+``int`` or ``float`` cannot convert at all (a list, NaN or inf as a count,
+text that is no number) keeps their own exception, which each reader
+wraps with its input's context.
 """
 
 import os
@@ -58,10 +58,12 @@ def json_int(value, what: str) -> int:
 
 
 def json_floats(values, what: str) -> np.ndarray:
-    """``values`` as a float array, when every one of them is an int or a float."""
+    """``values`` as a float array, when every one of them is a finite int or float."""
     arr = np.asarray(values, dtype=object)
     out = arr.astype(float)  # ValueError for ragged lists or text that is no number
     if not all(isinstance(v, (int, float, np.integer)) and not isinstance(v, bool)
                for v in arr.flat):
         raise ConfigError(f"{what} must be numeric, got {values!r:.80}")
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{what} must be finite, got {values!r:.80}")
     return out

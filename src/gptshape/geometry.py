@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._marching import marching_squares
-from .errors import ConfigError, NumericError, check_memory
+from .errors import ConfigError, NumericError, check_memory, json_floats
 from .polynomial import Poly2, partial
 
 MIN_NODES = 16
@@ -106,53 +106,66 @@ class ShapeSpec:
     """Declarative shape description; build with the class methods.
 
     The constructors are the one path into a spec, for the command-line
-    DSL and for JSON alike, so each one checks its parameters: every
-    number must be finite, and a flower needs a positive integer petal
-    count and ``|amplitude| < base``.
+    DSL and for JSON alike.  Each reads every number through ``json_floats``
+    (a finite int or float, never a bool or text; ``float`` then refuses a
+    list where one number belongs) and keeps a centre or box as given.  A
+    flower needs a positive integer petal count, ``|amplitude| < base`` and
+    a bool ``missing_petal``.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for key, val in self.params.items():
-            if not isinstance(val, Poly2) and not np.all(np.isfinite(np.asarray(val, float))):
-                raise ConfigError(f"{self.kind} {key} must be finite, got {val!r}")
-
     @classmethod
     def disk(cls, radius=1.0, center=(0.0, 0.0)):
-        return cls("disk", {"radius": float(radius), "center": tuple(center)})
+        json_floats(center, "disk center")
+        return cls("disk", {"radius": float(json_floats(radius, "disk radius")),
+                            "center": tuple(center)})
 
     @classmethod
     def ellipse(cls, a, b, center=(0.0, 0.0), tilt=0.0):
-        return cls("ellipse", {"a": float(a), "b": float(b),
-                               "center": tuple(center), "tilt": float(tilt)})
+        json_floats(center, "ellipse center")
+        return cls("ellipse", {"a": float(json_floats(a, "ellipse a")),
+                               "b": float(json_floats(b, "ellipse b")), "center": tuple(center),
+                               "tilt": float(json_floats(tilt, "ellipse tilt"))})
 
     @classmethod
     def flower(cls, base=1.0, amplitude=0.3, petals=5, missing_petal=False,
                center=(0.0, 0.0)):
-        if not (petals >= 1 and float(petals).is_integer()):
+        r0 = float(json_floats(base, "flower base"))
+        amp = float(json_floats(amplitude, "flower amplitude"))
+        petals = float(json_floats(petals, "flower petals"))
+        json_floats(center, "flower center")
+        if not (petals >= 1 and petals.is_integer()):
             raise ConfigError(f"flower petals must be a positive integer, got {petals:g}")
-        spec = cls("flower", {"base": float(base), "amplitude": float(amplitude),
-                              "petals": int(petals),
-                              "missing_petal": bool(missing_petal),
-                              "center": tuple(center)})
-        amp, r0 = spec.params["amplitude"], spec.params["base"]
         if not abs(amp) < r0:
             raise ConfigError(f"flower needs |amplitude| < base, got {amp:g} and {r0:g}")
-        return spec
+        if not isinstance(missing_petal, bool):
+            raise ConfigError(f"flower missing_petal must be a bool, got {missing_petal!r:.80}")
+        return cls("flower", {"base": r0, "amplitude": amp, "petals": int(petals),
+                              "missing_petal": missing_petal, "center": tuple(center)})
 
     @classmethod
     def polygon(cls, vertices):
-        return cls("polygon", {"vertices": [tuple(map(float, v)) for v in vertices]})
+        vertices = json_floats(vertices, "polygon vertices").tolist()
+        return cls("polygon", {"vertices": [tuple(v) for v in vertices]})
+
+    @classmethod
+    def triangle(cls, circumradius=1.0):
+        """The equilateral triangle with a vertex on the positive y axis."""
+        return cls.polygon([(circumradius * np.cos(a), circumradius * np.sin(a))
+                            for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3,
+                                      np.pi / 2 + 4 * np.pi / 3)])
 
     @classmethod
     def lemniscate(cls, poles, level):
-        return cls("lemniscate", {"poles": [tuple(map(float, p)) for p in poles],
-                                  "level": float(level)})
+        poles = json_floats(poles, "lemniscate poles").tolist()
+        return cls("lemniscate", {"poles": [tuple(p) for p in poles],
+                                  "level": float(json_floats(level, "lemniscate level"))})
 
     @classmethod
     def implicit(cls, poly: Poly2, box=DEFAULT_BOX):
+        json_floats(box, "implicit box")
         return cls("implicit", {"poly": poly, "box": tuple(box)})
 
     def to_json(self) -> dict:
@@ -420,13 +433,10 @@ def level_set(p: Poly2, box, samples: int, level: float = 0.0):
         raise ConfigError(f"grid must be at least {MIN_GRID}, got {samples}")
     check_memory(24 * samples * samples, f"{samples} x {samples} grid samples",
                  "the polynomial's values and its level set")
-    xmin, xmax, ymin, ymax = map(float, box)
-    if not np.all(np.isfinite([xmin, xmax, ymin, ymax])):
-        raise ConfigError(f"box edges must be finite, got {box}")
+    xmin, xmax, ymin, ymax = json_floats(box, "box edges").tolist()
     if not (xmin < xmax and ymin < ymax):
         raise ConfigError(f"degenerate box {box}")
-    if not np.isfinite(level):
-        raise ConfigError(f"level must be finite, got {level}")
+    json_floats(level, "level")
     xs, ys = np.linspace(xmin, xmax, samples), np.linspace(ymin, ymax, samples)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         values = p.on_grid(xs, ys)

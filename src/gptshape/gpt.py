@@ -153,10 +153,6 @@ class GptMatrix:
                           ("col_betas", _col_betas(d))):
             if key in obj and obj[key] != [list(a) for a in want]:
                 raise ConfigError(f"GPT {key} do not match d={d}, row_degree={row_degree}")
-        if not np.all(np.isfinite(entries)):
-            raise ConfigError("GPT entries must all be finite")
-        if not math.isfinite(lam):
-            raise ConfigError(f"GPT lambda must be finite, got {lam}")
         return cls(lam, d, row_degree, entries.reshape(shape), meta)
 
 

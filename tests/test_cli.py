@@ -262,20 +262,47 @@ def test_gpt_prints_a_warning_as_one_line(tmp_path):
     assert json.loads(out.read_text())["d"] == 6
 
 
+DISK = {"kind": "disk", "radius": 1.0, "center": [0, 0]}
+ELLIPSE = {"kind": "ellipse", "a": 2, "b": 1, "center": [0, 0], "tilt": 0.0}
+FLOWER = {"kind": "flower", "base": 1.0, "amplitude": 0.3, "petals": 5}
+LEMNISCATE = {"kind": "lemniscate", "poles": [[1, 0], [-1, 0]], "level": 0.2}
+
+
 @pytest.mark.parametrize("shape, line", [
     ({"kind": "ellipse"}, "error: malformed shape or node count (KeyError: 'a')"),
     ({"a": 1}, "error: malformed shape or node count (KeyError: 'kind')"),
     ([1, 2], "error: malformed shape or node count "
              "(TypeError: list indices must be integers or slices, not str)"),
-    # the package's own check keeps its message, without the "malformed" wrapper
+    (dict(DISK, radius=[1]), "error: malformed shape or node count "
+                             "(TypeError: only 0-dimensional arrays can be converted to "
+                             "Python scalars)"),
+    # the package's own checks keep their message, without the "malformed" wrapper
     ({"kind": "pentagon"}, "error: unknown shape kind 'pentagon'"),
-], ids=["ellipse-no-axes", "no-kind", "list", "unknown-kind"])
+    # a number is a JSON number: text and bools are refused, never coerced
+    (dict(DISK, radius="1.5"), "error: disk radius must be numeric, got '1.5'"),
+    (dict(DISK, radius=True), "error: disk radius must be numeric, got True"),
+    (dict(FLOWER, petals=True), "error: flower petals must be numeric, got True"),
+    (dict(LEMNISCATE, level="0.2"), "error: lemniscate level must be numeric, got '0.2'"),
+    (dict(ELLIPSE, tilt="0.3"), "error: ellipse tilt must be numeric, got '0.3'"),
+    (dict(FLOWER, missing_petal="no"), "error: flower missing_petal must be a bool, got 'no'"),
+    (dict(DISK, center=[True, 0]), "error: disk center must be numeric, got [True, 0]"),
+    ({"kind": "implicit", "box": ["-2", 2, -2, 2],
+      "poly": {"degree": 2, "coeffs": [-1, 0, 0, 1, 0, 1]}},
+     "error: implicit box must be numeric, got ['-2', 2, -2, 2]"),
+    ({"kind": "polygon", "vertices": [[0, 0], [1, "0"], [0, 1]]},
+     "error: polygon vertices must be numeric, got [[0, 0], [1, '0'], [0, 1]]"),
+    (dict(LEMNISCATE, poles=[[1, 0], [-1, False]]),
+     "error: lemniscate poles must be numeric, got [[1, 0], [-1, False]]"),
+], ids=["ellipse-no-axes", "no-kind", "list", "list-radius", "unknown-kind", "text-radius",
+        "bool-radius", "bool-petals", "text-level", "text-tilt", "text-missing-petal",
+        "bool-centre", "text-box-edge", "text-vertex", "bool-pole"])
 def test_gpt_malformed_shape_file_is_config_error(tmp_path, capsys, shape, line):
-    sf = tmp_path / "shape.json"
+    sf, out = tmp_path / "shape.json", tmp_path / "M.json"
     sf.write_text(json.dumps(shape))
     assert cli.main(["gpt", "--shape-file", str(sf), "--n", "64", "--d", "1",
-                     "--out", str(tmp_path / "M.json")]) == 1
+                     "--out", str(out)]) == 1
     assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("petals", ["2.5", "-5", "0"])
@@ -303,7 +330,11 @@ def test_unresolvable_shape_is_config_error(tmp_path, capsys, shape, message):
     (["--shape", "flower:1,2,5"], "flower needs |amplitude| < base"),
     ({"kind": "disk", "radius": math.nan, "center": [0.0, 0.0]}, "disk radius must be finite"),
     ({"kind": "flower", "base": 1.0, "amplitude": 0.3, "petals": 2.5}, "positive integer"),
-], ids=["nan-axis", "inf-radius", "crossing-flower", "file-nan-radius", "file-half-petal"])
+    (["--shape", "flower:1,0.3,5,2"], "error: flower missing must be 0 or 1, got 2"),
+    (["--shape", "flower:1,0.3,5,0.5"], "error: flower missing must be 0 or 1, got 0.5"),
+    (["--shape", "flower:1,0.3,5,-1"], "error: flower missing must be 0 or 1, got -1"),
+], ids=["nan-axis", "inf-radius", "crossing-flower", "file-nan-radius", "file-half-petal",
+        "missing-2", "missing-half", "missing-negative"])
 def test_shape_dsl_and_file_run_the_same_checks(tmp_path, capsys, source, message):
     if isinstance(source, dict):
         sf = tmp_path / "shape.json"
@@ -314,6 +345,27 @@ def test_shape_dsl_and_file_run_the_same_checks(tmp_path, capsys, source, messag
     err = capsys.readouterr().err
     assert message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "disk:1.5,0.5,-0.25", "ellipse:2,1,0.1,0.2,0.3", "flower:1,0.3,5,1", "triangle:1.3",
+    "diamond:1.2,0.8", "polygon:0,0,1,0,0,1", "lemniscate:1,0,-1,0,0.2"])
+def test_shape_dsl_and_its_file_write_the_same_bytes(tmp_path, text):
+    sf, a, b = tmp_path / "shape.json", tmp_path / "a.json", tmp_path / "b.json"
+    sf.write_text(json.dumps(cli.parse_shape(text).to_json()))
+    for source, out in ((["--shape", text], a), (["--shape-file", str(sf)], b)):
+        assert run("gpt", *source, "--n", "64", "--d", "2", "--out", str(out)).returncode == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_shape_file_keeps_an_integer_centre_as_written(tmp_path):
+    sf, out = tmp_path / "shape.json", tmp_path / "M.json"
+    sf.write_text(json.dumps({"kind": "disk", "radius": 1, "center": [0, 0]}))
+    assert run("gpt", "--shape-file", str(sf), "--n", "64", "--d", "1",
+               "--out", str(out)).returncode == 0
+    meta = json.loads(out.read_text())["meta"]["shape"]
+    assert meta == {"kind": "disk", "radius": 1.0, "center": [0, 0]}
+    assert [type(c) for c in meta["center"]] == [int, int]
 
 
 # recover ------------------------------------------------------------------------

@@ -55,3 +55,6 @@ def test_json_floats_read_numbers_and_refuse_bools_and_text():
                         ({"a": 1}, TypeError)]:
         with pytest.raises(exc):
             errors.json_floats(values, "c")
+    for values in (math.nan, math.inf, -math.inf, [1.0, math.nan], [[0, 1], [-math.inf, 2]]):
+        with pytest.raises(errors.ConfigError, match=r"^c must be finite, got "):
+            errors.json_floats(values, "c")

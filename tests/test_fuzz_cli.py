@@ -81,7 +81,8 @@ def seeds(tmp_path_factory):
     circle = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
     b.save_csv(tmp / "b.csv")
     dump_npo(assemble(b), tmp / "npo.bin")
-    shapes = [ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2),
+    shapes = [ShapeSpec.disk(1.0, (0.5, 0.0)), ShapeSpec.ellipse(2.0, 1.0, tilt=0.3),
+              ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2),
               ShapeSpec.flower(1.0, 0.3, 5, missing_petal=True),
               ShapeSpec.polygon([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]),
               ShapeSpec.implicit(circle, (-2.0, 2.0, -2.0, 2.0))]
@@ -97,33 +98,46 @@ def seeds(tmp_path_factory):
     }
 
 
-def _paths(obj, prefix=()):
-    """Every key path into a JSON value, the empty path first."""
-    yield prefix
+def _fields(obj, prefix=()):
+    """Every (key path, value) pair in a JSON value, the empty path first."""
+    yield prefix, obj
     if isinstance(obj, (dict, list)):
         for key, val in obj.items() if isinstance(obj, dict) else enumerate(obj):
-            yield from _paths(val, prefix + (key,))
+            yield from _fields(val, prefix + (key,))
 
 
 INTEGER_FIELDS = ("degree", "d", "row_degree", "n")
 
 
+def _retyped(shape: bool, key, value) -> list:
+    """Stand-ins of the wrong type for the field ``key`` holding ``value``: a count as a
+    fraction, a numeric string or a bool; in a shape file also any other number as a
+    numeric string or a bool, and ``missing_petal`` as a number, text or null."""
+    if shape and key == "missing_petal":
+        return [0, 1, "true", None]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return []
+    if key in INTEGER_FIELDS:
+        return [value + 0.5, str(value), True, False]
+    return [str(value), True, False] if shape else []
+
+
 @st.composite
 def corrupted(draw, data: bytes):
-    """``data`` with one JSON field replaced or deleted, an integer field written as a
-    fraction, a numeric string or a boolean, a cut, or a changed byte."""
-    how = draw(st.sampled_from(["field", "field", "integer", "cut", "byte"]))
-    if how in ("field", "integer") and data[:1] == b"{":
+    """``data`` with one JSON field replaced or deleted, a number of the wrong type
+    (``_retyped``), a cut, or a changed byte."""
+    how = draw(st.sampled_from(["field", "field", "retype", "cut", "byte"]))
+    if how in ("field", "retype") and data[:1] == b"{":
         obj = json.loads(data)
-        paths = list(_paths(obj))[1:]
-        counts = [p for p in paths if how == "integer" and p[-1] in INTEGER_FIELDS]
-        path = draw(st.sampled_from(counts or paths))
+        fields = list(_fields(obj))[1:]
+        retyped = [(p, wrong) for p, v in fields
+                   if how == "retype" and (wrong := _retyped("kind" in obj, p[-1], v))]
+        path, wrong = draw(st.sampled_from(retyped or [(p, None) for p, _ in fields]))
         parent = obj
         for key in path[:-1]:
             parent = parent[key]
-        if counts:
-            value = parent[path[-1]]
-            parent[path[-1]] = draw(st.sampled_from([value + 0.5, str(value), True, False]))
+        if wrong:
+            parent[path[-1]] = draw(st.sampled_from(wrong))
         elif draw(st.booleans()) and isinstance(parent, dict):
             del parent[path[-1]]
         else:

@@ -25,12 +25,6 @@ from gptshape.polynomial import Poly2
 UNIT_CIRCLE = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 
 
-def triangle_spec(circumradius=1.2):
-    angles = np.deg2rad([90.0, 210.0, 330.0])
-    verts = circumradius * np.column_stack([np.cos(angles), np.sin(angles)])
-    return ShapeSpec.polygon(verts)
-
-
 # parametric ---------------------------------------------------------------
 
 
@@ -140,7 +134,7 @@ def test_polygon_flux_identity_and_orientation():
 
 
 def test_polygon_nodes_avoid_corners():
-    tri = triangle_spec()
+    tri = ShapeSpec.triangle(1.2)
     b = discretize_polygon(tri, 24)
     verts = np.asarray(tri.params["vertices"])
     dmin = min(np.min(np.linalg.norm(b.nodes - v, axis=1)) for v in verts)
@@ -322,7 +316,7 @@ def test_shape_spec_json_round_trip():
     np.testing.assert_array_equal(again.params["poly"].coeffs, UNIT_CIRCLE.coeffs)
     # a file written by to_json reads back to the same bytes, for every kind
     for spec in (ShapeSpec.disk(0.5, (0.3, -0.2)), spec,
-                 ShapeSpec.flower(1.0, 0.3, 5, True, (0.1, 0.2)), triangle_spec(),
+                 ShapeSpec.flower(1.0, 0.3, 5, True, (0.1, 0.2)), ShapeSpec.triangle(1.2),
                  ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2), imp):
         text = json.dumps(spec.to_json(), sort_keys=True)
         again = ShapeSpec.from_json(json.loads(text))

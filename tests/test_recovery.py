@@ -235,8 +235,7 @@ def test_crossvalidated_underdegreed_is_flagged():
 
 
 def triangle_edge_product():
-    verts = [(np.cos(a), np.sin(a))
-             for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)]
+    verts = ShapeSpec.triangle().params["vertices"]
     prod = Poly2.from_terms({(0, 0): 1.0})
     for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
         line = Poly2.from_terms({
@@ -251,9 +250,7 @@ def triangle_edge_product():
 def test_minimal_degree_recovers_triangle_edge_lines():
     # every node of a triangle lies on the product of its three edge lines,
     # so the degree-4 kernel is the 3-dim space of its degree-<=1 multiples
-    verts = [(np.cos(a), np.sin(a))
-             for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)]
-    _, M = gpt_of(ShapeSpec.polygon(verts), 256, 1.5, 4)
+    _, M = gpt_of(ShapeSpec.triangle(), 256, 1.5, 4)
     plain = recover(M)
     assert "AmbiguousKernel" in plain.flags
     out = recover_minimal_degree(M)
@@ -266,9 +263,7 @@ def test_minimal_degree_recovers_triangle_edge_lines():
 def test_ambiguous_kernel_is_a_flag_not_a_warning():
     # the triangle's degree-4 kernel is 3-dim; the verdict lives in the
     # flags alone, so recovery must not emit any warning
-    verts = [(np.cos(a), np.sin(a))
-             for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)]
-    _, M = gpt_of(ShapeSpec.polygon(verts), 128, 1.5, 4)
+    _, M = gpt_of(ShapeSpec.triangle(), 128, 1.5, 4)
     _, M_flower = gpt_of(ShapeSpec.flower(), 64, 1.5, 4)  # no degree <= 4 fits
     with warnings.catch_warnings():
         warnings.simplefilter("error")
