@@ -28,17 +28,16 @@ _SADDLES = {(5, True): ((0, 1), (2, 3)), (5, False): ((0, 3), (2, 1)),
             (10, True): ((0, 3), (2, 1)), (10, False): ((0, 1), (2, 3))}
 
 
-def marching_squares(values, xs, ys, level, p):
-    """Trace the level set of sampled values on a rectangular grid.
+def marching_squares(s, xs, ys, level, p):
+    """Trace the zero set of shifted samples on a rectangular grid.
 
-    values[i, j] samples the polynomial ``p`` at (xs[i], ys[j]); ``p``
-    itself is evaluated only at the centres of saddle cells.  Returns a
-    list of (polyline, closed) pairs, polyline an (m, 2) array.
+    s[i, j] samples ``p - level`` at (xs[i], ys[j]) and is read, never
+    copied; ``p`` itself is evaluated only at the centres of saddle cells.
+    Returns a list of (polyline, closed) pairs, polyline an (m, 2) array.
     """
-    nx, ny = values.shape
+    nx, ny = s.shape
     if nx != len(xs) or ny != len(ys):
         raise ConfigError("values shape must match sample coordinates")
-    s = values - level
     q = (s >= 0.0).view(np.uint8)  # numpy multiplies uint8 faster than it shifts
     case = q[:-1, :-1] | q[1:, :-1] * 2 | q[1:, 1:] * 4 | q[:-1, 1:] * 8
 

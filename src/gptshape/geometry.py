@@ -159,9 +159,12 @@ class ShapeSpec:
 
     @classmethod
     def lemniscate(cls, poles, level):
-        poles = json_floats(poles, "lemniscate poles").tolist()
-        return cls("lemniscate", {"poles": [tuple(p) for p in poles],
-                                  "level": float(json_floats(level, "lemniscate level"))})
+        poles = json_floats(poles, "lemniscate poles")
+        level = float(json_floats(level, "lemniscate level"))
+        if poles.ndim != 2 or poles.shape[1] != 2 or not len(poles) or level <= 0:
+            raise ConfigError(f"a lemniscate needs one or more (x, y) poles and a level > 0, "
+                              f"got poles {poles.tolist()!r:.80} and level {level!r}")
+        return cls("lemniscate", {"poles": [tuple(p) for p in poles.tolist()], "level": level})
 
     @classmethod
     def implicit(cls, poly: Poly2, box=DEFAULT_BOX):
@@ -424,24 +427,25 @@ def level_set(p: Poly2, box, samples: int, level: float = 0.0):
     """Marching-squares (polyline, closed) pairs of ``{p = level}`` on a square grid.
 
     The package's one grid path: checks, ``samples`` points per box edge,
-    and a NumericError where ``p`` or a vertex overflows float64.  A grid
-    is counted at 24 bytes a sample (the values, marching squares' shifted
-    values ``values - level``, and byte masks) and refused before
-    allocation when that exceeds memory; ``on_grid``'s term buffer is one
-    block of rows, but the shifted values are a whole grid."""
+    and a NumericError where ``p - level`` or a vertex overflows float64.
+    A grid is counted at 16 bytes a sample and refused before allocation
+    when that exceeds memory: 8 for the samples, which are shifted by
+    ``level`` in place, and fewer than 8 for marching squares' byte masks
+    and ``on_grid``'s one block of rows."""
     if samples < MIN_GRID:
         raise ConfigError(f"grid must be at least {MIN_GRID}, got {samples}")
-    check_memory(24 * samples * samples, f"{samples} x {samples} grid samples",
+    check_memory(16 * samples * samples, f"{samples} x {samples} grid samples",
                  "the polynomial's values and its level set")
     xmin, xmax, ymin, ymax = json_floats(box, "box edges").tolist()
     if not (xmin < xmax and ymin < ymax):
         raise ConfigError(f"degenerate box {box}")
     json_floats(level, "level")
-    xs, ys = np.linspace(xmin, xmax, samples), np.linspace(ymin, ymax, samples)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        values = p.on_grid(xs, ys)
-        chains = marching_squares(values, xs, ys, level, p)
-    if not (np.isfinite(values).all() and all(np.isfinite(pl).all() for pl, _ in chains)):
+        xs, ys = np.linspace(xmin, xmax, samples), np.linspace(ymin, ymax, samples)
+        s = p.on_grid(xs, ys)
+        s -= level  # in place: the bits of p - level, with no second grid
+        chains = marching_squares(s, xs, ys, level, p) if np.isfinite(s).all() else None
+    if chains is None or not all(np.isfinite(pl).all() for pl, _ in chains):
         raise NumericError(f"p overflows float64 on the grid over the box {box}")
     return chains
 

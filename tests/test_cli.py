@@ -170,7 +170,7 @@ def test_render_refuses_a_grid_beyond_memory(probe_files, monkeypatch, tmp_path)
     out = tmp_path / "g.svg"
     r = run("render", "--poly", probe_files["circle"], "--grid", "100000000", "--out", str(out))
     assert (r.returncode, r.stderr) == (1, (
-        "error: 100000000 x 100000000 grid samples need 240000000000000000 bytes for the "
+        "error: 100000000 x 100000000 grid samples need 160000000000000000 bytes for the "
         "polynomial's values and its level set, but this machine has 1073741824 bytes of "
         "memory\n"))
     assert not out.exists()
@@ -293,9 +293,20 @@ LEMNISCATE = {"kind": "lemniscate", "poles": [[1, 0], [-1, 0]], "level": 0.2}
      "error: polygon vertices must be numeric, got [[0, 0], [1, '0'], [0, 1]]"),
     (dict(LEMNISCATE, poles=[[1, 0], [-1, False]]),
      "error: lemniscate poles must be numeric, got [[1, 0], [-1, False]]"),
+    # a lemniscate has (x, y) poles, at least one, and a positive level
+    (dict(LEMNISCATE, poles=[]),
+     "error: a lemniscate needs one or more (x, y) poles and a level > 0, "
+     "got poles [] and level 0.2"),
+    (dict(LEMNISCATE, poles=[[1, 0, 0], [-1, 0, 0]]),
+     "error: a lemniscate needs one or more (x, y) poles and a level > 0, "
+     "got poles [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]] and level 0.2"),
+    (dict(LEMNISCATE, level=-0.2),
+     "error: a lemniscate needs one or more (x, y) poles and a level > 0, "
+     "got poles [[1.0, 0.0], [-1.0, 0.0]] and level -0.2"),
 ], ids=["ellipse-no-axes", "no-kind", "list", "list-radius", "unknown-kind", "text-radius",
         "bool-radius", "bool-petals", "text-level", "text-tilt", "text-missing-petal",
-        "bool-centre", "text-box-edge", "text-vertex", "bool-pole"])
+        "bool-centre", "text-box-edge", "text-vertex", "bool-pole", "no-poles",
+        "three-coordinate-poles", "negative-level"])
 def test_gpt_malformed_shape_file_is_config_error(tmp_path, capsys, shape, line):
     sf, out = tmp_path / "shape.json", tmp_path / "M.json"
     sf.write_text(json.dumps(shape))
@@ -333,8 +344,16 @@ def test_unresolvable_shape_is_config_error(tmp_path, capsys, shape, message):
     (["--shape", "flower:1,0.3,5,2"], "error: flower missing must be 0 or 1, got 2"),
     (["--shape", "flower:1,0.3,5,0.5"], "error: flower missing must be 0 or 1, got 0.5"),
     (["--shape", "flower:1,0.3,5,-1"], "error: flower missing must be 0 or 1, got -1"),
+    (["--shape", "lemniscate:1,0,-1,0,-0.2"], "and a level > 0, got poles [[1.0, 0.0], "
+                                              "[-1.0, 0.0]] and level -0.2"),
+    (["--shape", "lemniscate:1,0,-1,0,0"], "and a level > 0, got poles [[1.0, 0.0], "
+                                           "[-1.0, 0.0]] and level 0.0"),
+    ({"kind": "lemniscate", "poles": [], "level": 0.2}, "and a level > 0, got poles []"),
+    ({"kind": "lemniscate", "poles": [[1, 0, 0]], "level": 0.2},
+     "and a level > 0, got poles [[1.0, 0.0, 0.0]]"),
 ], ids=["nan-axis", "inf-radius", "crossing-flower", "file-nan-radius", "file-half-petal",
-        "missing-2", "missing-half", "missing-negative"])
+        "missing-2", "missing-half", "missing-negative", "lemniscate-negative-level",
+        "lemniscate-zero-level", "file-lemniscate-no-poles", "file-lemniscate-3d-pole"])
 def test_shape_dsl_and_file_run_the_same_checks(tmp_path, capsys, source, message):
     if isinstance(source, dict):
         sf = tmp_path / "shape.json"

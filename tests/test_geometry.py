@@ -1,10 +1,11 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gptshape import errors
+from gptshape import errors, geometry
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import (
     DEFAULT_BOX,
@@ -20,7 +21,7 @@ from gptshape.geometry import (
 )
 from gptshape.gpt import assemble_gpt
 from gptshape.npo import assemble
-from gptshape.polynomial import Poly2
+from gptshape.polynomial import Poly2, poly_dim
 
 UNIT_CIRCLE = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 
@@ -282,13 +283,51 @@ def test_trace_checks_its_box_and_grid_like_render(box, error, message):
 
 
 def test_level_set_refuses_a_grid_beyond_memory(monkeypatch):
-    monkeypatch.setattr(errors, "_physical_memory", lambda: 24 * 64 * 64)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 16 * 64 * 64)
     assert len(level_set(UNIT_CIRCLE, (-2, 2, -2, 2), 64)) == 1
     monkeypatch.setattr(Poly2, "on_grid", lambda *a: pytest.fail("sampled the grid"))
     with pytest.raises(ConfigError, match=(
-            r"^65 x 65 grid samples need 101400 bytes for the polynomial's values and its "
-            r"level set, but this machine has 98304 bytes of memory$")):
+            r"^65 x 65 grid samples need 67600 bytes for the polynomial's values and its "
+            r"level set, but this machine has 65536 bytes of memory$")):
         level_set(UNIT_CIRCLE, (-2, 2, -2, 2), 65)
+
+
+@pytest.mark.parametrize("samples", [257, 1025])
+@pytest.mark.parametrize("p, box, level", [
+    (UNIT_CIRCLE, (-2, 2, -2, 2), 0.0),
+    (lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)], 0.3), DEFAULT_BOX, 0.0),
+    (UNIT_CIRCLE, (-2, 2, -2, 2), 0.25),
+], ids=["circle", "three-pole-lemniscate", "circle-level"])
+def test_level_set_peak_stays_within_its_budget(p, box, level, samples):
+    # check_memory charges 16 bytes a sample: the samples, shifted in place,
+    # and marching squares' byte masks beside one block of on_grid's rows
+    level_set(p, box, 65, level)  # warm up
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert level_set(p, box, samples, level)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 16 * samples**2
+
+
+def test_level_set_refuses_an_overflowing_grid_before_the_walk(monkeypatch):
+    monkeypatch.setattr(geometry, "marching_squares", lambda *a: pytest.fail("walked"))
+    p = Poly2(8, np.linspace(-1.0, 1.0, poly_dim(8)))
+    with pytest.raises(NumericError, match="p overflows float64 on the grid"):
+        level_set(p, (-1e40, 1e40, -1e40, 1e40), 65)
+
+
+def test_level_set_refuses_vertices_of_an_overflowing_box_span(monkeypatch):
+    # p = y is finite at every sample, but linspace puts inf and NaN into xs,
+    # so only the vertices are not finite: the check after the walk refuses them
+    walks = []
+    walk = geometry.marching_squares
+    monkeypatch.setattr(geometry, "marching_squares", lambda *a: walks.append(1) or walk(*a))
+    with pytest.raises(NumericError, match="p overflows float64 on the grid"):
+        level_set(Poly2.from_terms({(0, 1): 1.0}), (-1e308, 1e308, -1, 1), 64)
+    assert walks == [1]
 
 
 # shared structure -------------------------------------------------------------
