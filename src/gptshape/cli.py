@@ -26,8 +26,8 @@ from .errors import ConfigError, NumericError, check_memory, json_int
 from .geometry import DiscretizedBoundary, ShapeSpec, discretize
 from .gpt import GptMatrix, assemble_gpt, lambda_of_k
 from .npo import assemble, dump_npo
-from .polynomial import Poly2
-from .recovery import recover, recover_crossvalidated, recover_minimal_degree, scan
+from .polynomial import Poly2, poly_dim
+from .recovery import excess_degree, recover, recover_crossvalidated, recover_minimal_degree, scan
 from .render import export_svg, extract
 from .transform import match
 
@@ -214,9 +214,12 @@ def cmd_recover(args) -> int:
     else:
         out = recover(M)
     if "AmbiguousKernel" in out.flags and not args.force:
+        m = excess_degree(out.singular_values, out.g_hat.degree)
+        note = (f"; {poly_dim(m)} kernel directions put the minimal degree at "
+                f"{out.g_hat.degree - m}, which --reduce-degree tries") if m else ""
         print(
             f"error: ambiguous kernel (gap {out.kernel_gap:.3g}, residual "
-            f"{out.residual:.3g}); rerun with --force to write the result anyway",
+            f"{out.residual:.3g}){note}; rerun with --force to write the result anyway",
             file=sys.stderr,
         )
         return EXIT_NUMERIC

@@ -57,8 +57,10 @@ def json_int(value, what: str) -> int:
     return n
 
 
-def json_floats(values, what: str) -> np.ndarray:
-    """``values`` as a float array, when every one of them is a finite int or float."""
+def json_floats(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as a float array, when every one of them is a finite int or float.
+
+    A ``shape`` such as (2,) or (-1, 2) fixes the number of axes and the length of the last."""
     arr = np.asarray(values, dtype=object)
     out = arr.astype(float)  # ValueError for ragged lists or text that is no number
     if not all(isinstance(v, (int, float, np.integer)) and not isinstance(v, bool)
@@ -66,4 +68,7 @@ def json_floats(values, what: str) -> np.ndarray:
         raise ConfigError(f"{what} must be numeric, got {values!r:.80}")
     if not np.isfinite(out).all():
         raise ConfigError(f"{what} must be finite, got {values!r:.80}")
+    if shape is not None and (out.ndim != len(shape) or out.shape[-1] != shape[-1]):
+        want = " × ".join("N" if k < 0 else str(k) for k in shape)
+        raise ConfigError(f"{what} must be {want} numbers, got {values!r:.80}")
     return out

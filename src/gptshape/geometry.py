@@ -108,9 +108,9 @@ class ShapeSpec:
     The constructors are the one path into a spec, for the command-line
     DSL and for JSON alike.  Each reads every number through ``json_floats``
     (a finite int or float, never a bool or text; ``float`` then refuses a
-    list where one number belongs) and keeps a centre or box as given.  A
-    flower needs a positive integer petal count, ``|amplitude| < base`` and
-    a bool ``missing_petal``.
+    list where one number belongs) and keeps a centre (2 numbers), a box
+    (4) or vertices (N × 2) as given.  A flower needs a positive integer
+    petal count, ``|amplitude| < base`` and a bool ``missing_petal``.
     """
 
     kind: str
@@ -118,13 +118,13 @@ class ShapeSpec:
 
     @classmethod
     def disk(cls, radius=1.0, center=(0.0, 0.0)):
-        json_floats(center, "disk center")
+        json_floats(center, "disk center", (2,))
         return cls("disk", {"radius": float(json_floats(radius, "disk radius")),
                             "center": tuple(center)})
 
     @classmethod
     def ellipse(cls, a, b, center=(0.0, 0.0), tilt=0.0):
-        json_floats(center, "ellipse center")
+        json_floats(center, "ellipse center", (2,))
         return cls("ellipse", {"a": float(json_floats(a, "ellipse a")),
                                "b": float(json_floats(b, "ellipse b")), "center": tuple(center),
                                "tilt": float(json_floats(tilt, "ellipse tilt"))})
@@ -135,7 +135,7 @@ class ShapeSpec:
         r0 = float(json_floats(base, "flower base"))
         amp = float(json_floats(amplitude, "flower amplitude"))
         petals = float(json_floats(petals, "flower petals"))
-        json_floats(center, "flower center")
+        json_floats(center, "flower center", (2,))
         if not (petals >= 1 and petals.is_integer()):
             raise ConfigError(f"flower petals must be a positive integer, got {petals:g}")
         if not abs(amp) < r0:
@@ -147,7 +147,7 @@ class ShapeSpec:
 
     @classmethod
     def polygon(cls, vertices):
-        vertices = json_floats(vertices, "polygon vertices").tolist()
+        vertices = json_floats(vertices, "polygon vertices", (-1, 2)).tolist()
         return cls("polygon", {"vertices": [tuple(v) for v in vertices]})
 
     @classmethod
@@ -168,7 +168,7 @@ class ShapeSpec:
 
     @classmethod
     def implicit(cls, poly: Poly2, box=DEFAULT_BOX):
-        json_floats(box, "implicit box")
+        json_floats(box, "implicit box", (4,))
         return cls("implicit", {"poly": poly, "box": tuple(box)})
 
     def to_json(self) -> dict:

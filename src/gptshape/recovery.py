@@ -20,10 +20,10 @@ Because the kernel direction does not depend on the spectral parameter,
 :func:`recover_crossvalidated` reruns the recovery at a second lambda and
 flags ``LambdaSuspect`` when the two answers disagree.
 
-An ambiguous kernel most often means the declared degree overshoots the
-minimal vanishing polynomial, so the kernel holds all of its low-degree
-multiples; :func:`recover_minimal_degree` resolves that case by
-restricting columns to successively lower degrees.
+Above the minimal degree d0 the kernel holds every multiple g q of degree
+at most d, so its dimension is ``poly_dim(d - d0)``; :func:`excess_degree`
+reads d - d0 from the singular values under ``KERNEL_FLOOR``, which makes
+``recover`` flag the kernel and :func:`recover_minimal_degree` truncate to d0.
 
 Every verdict lives in ``RecoveryResult.flags`` and nowhere else: no
 function here emits a Python warning, so a caller reads the flags and
@@ -39,11 +39,11 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .gpt import GptMatrix, _resolvent, assemble_gpt, moment_problem
 from .npo import assemble
-from .polynomial import Poly2
+from .polynomial import Poly2, poly_dim
 
 AMBIGUOUS_GAP = 0.1
 CROSS_LAMBDA_TOL = 1e-3
-REDUCED_RESIDUAL_TOL = 1e-8
+KERNEL_FLOOR = 1e-13
 DEFAULT_EPS_NZ = 1e-8
 
 
@@ -130,13 +130,26 @@ def kernel_residual(M: GptMatrix, p: Poly2) -> float:
     return float(_norm(M.entries @ v) / (_norm(M.entries) * nv))
 
 
+def excess_degree(s: np.ndarray, d: int) -> int:
+    """How far the column degree d lies above the minimal degree, read off the spectrum s.
+
+    It is the m < d whose k = poly_dim(m) smallest values all lie under
+    ``KERNEL_FLOOR * s[0]`` with the widest gap s[-k-1] / s[-k], or 0."""
+    cuts = []
+    for m in range(d):
+        k = poly_dim(m)
+        if k < len(s) and s[-k] <= KERNEL_FLOOR * s[0]:
+            cuts.append((s[-k - 1] / s[-k] if s[-k] > 0 else np.inf, m))
+    return max(cuts, default=(0.0, 0))[1]
+
+
 def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
     """Smallest-singular-vector recovery of the boundary polynomial.
 
     Returns the normalized polynomial together with the full singular
     spectrum, the kernel gap, and the residual.  A kernel gap above
-    ``AMBIGUOUS_GAP`` adds the ``AmbiguousKernel`` flag, but the best
-    direction found is still returned.
+    ``AMBIGUOUS_GAP``, or an :func:`excess_degree` above 0, adds the
+    ``AmbiguousKernel`` flag, but the best direction found is still returned.
     """
     entries = M.entries
     if entries.shape[0] <= entries.shape[1]:
@@ -148,7 +161,7 @@ def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
     g_hat = normalize(Poly2(M.d, vh[-1]), eps_nz)
     gap = float(s[-1] / s[-2]) if s[-2] > 0 else 1.0
     residual = float(s[-1] / _norm(entries))
-    flags = ("AmbiguousKernel",) if gap > AMBIGUOUS_GAP else ()
+    flags = ("AmbiguousKernel",) if gap > AMBIGUOUS_GAP or excess_degree(s, M.d) else ()
     return RecoveryResult(
         g_hat=g_hat,
         singular_values=s,
@@ -174,33 +187,25 @@ def scan(M: GptMatrix) -> list:
 
 
 def recover_minimal_degree(M: GptMatrix) -> RecoveryResult:
-    """Recovery that drops to the smallest column degree holding a kernel.
+    """Recovery at the minimal degree d0 = M.d - :func:`excess_degree`.
 
-    When the declared degree exceeds the degree of the minimal vanishing
-    polynomial, every low-degree multiple of that polynomial lies in the
-    kernel of the full matrix, the kernel is multi-dimensional, and the
-    smallest singular vector is an arbitrary mixture (``recover`` flags
-    this ``AmbiguousKernel``).  A polygon is the canonical case: its edges
-    lie on a product of lines, so at any declared degree above the vertex
-    count the kernel contains all multiples of that product.
-
-    Columns of the matrix are graded-lex ordered, so its leading block
-    ``M.truncate(d', M.row_degree)`` keeps exactly the kernel members of
-    degree at most ``d'``.  Scanning ``d'`` upward and stopping at the
-    first unambiguous near-null direction (residual at most
-    ``REDUCED_RESIDUAL_TOL``) therefore isolates the minimal polynomial
-    itself.  The reduced result carries a ``DegreeReduced`` flag; if no
-    restriction resolves the ambiguity the full-matrix recovery is
-    returned unchanged, ``AmbiguousKernel`` flag included.
+    Above d0 every low-degree multiple of the minimal vanishing polynomial
+    lies in the kernel, and the smallest singular vector is an arbitrary
+    mixture (``recover`` flags it); a polygon, whose edges lie on a product
+    of lines, is the canonical case.  Columns are graded-lex ordered, so the
+    leading block ``M.truncate(d0, M.row_degree)`` keeps exactly the kernel
+    members of degree at most d0.  Its recovery is returned flagged
+    ``DegreeReduced`` when it is unflagged and its smallest singular value
+    lies under ``KERNEL_FLOOR``; otherwise the full recovery, flags and all.
     """
     full = recover(M)
-    if "AmbiguousKernel" not in full.flags:
+    m = excess_degree(full.singular_values, M.d)
+    if m == 0:
         return full
-    for dprime in range(1, M.d):
-        out = recover(M.truncate(dprime, M.row_degree))
-        if out.residual <= REDUCED_RESIDUAL_TOL and "AmbiguousKernel" not in out.flags:
-            return replace(out, flags=("DegreeReduced",))
-    return full
+    out = recover(M.truncate(M.d - m, M.row_degree))
+    if out.flags or out.singular_values[-1] > KERNEL_FLOOR * out.singular_values[0]:
+        return full
+    return replace(out, flags=("DegreeReduced",))
 
 
 def recover_crossvalidated(
@@ -228,11 +233,13 @@ def recover_crossvalidated(
     r1, r2 = results
     ambiguous = ["AmbiguousKernel" in r.flags for r in results]
     if all(ambiguous):
+        m = excess_degree(r1.singular_values, d)
         raise NumericError(
             "kernel is ambiguous at both lambda values "
             f"(gaps {r1.kernel_gap:.3g} and {r2.kernel_gap:.3g}, residuals "
-            f"{r1.residual:.3g} and {r2.residual:.3g}); the degree bound "
-            f"d={d} likely does not admit a vanishing polynomial"
+            f"{r1.residual:.3g} and {r2.residual:.3g}); the degree bound d={d} "
+            + (f"is above the minimal degree {d - m} ({poly_dim(m)} kernel directions)"
+               if m else "likely does not admit a vanishing polynomial")
         )
     diff = float(np.max(np.abs(r1.g_hat.coeffs - r2.g_hat.coeffs)))
     if diff > CROSS_LAMBDA_TOL:

@@ -303,10 +303,24 @@ LEMNISCATE = {"kind": "lemniscate", "poles": [[1, 0], [-1, 0]], "level": 0.2}
     (dict(LEMNISCATE, level=-0.2),
      "error: a lemniscate needs one or more (x, y) poles and a level > 0, "
      "got poles [[1.0, 0.0], [-1.0, 0.0]] and level -0.2"),
+    # a centre is 2 numbers, a box 4, and vertices are (x, y) pairs
+    (dict(DISK, center=[0, 0, 0]), "error: disk center must be 2 numbers, got [0, 0, 0]"),
+    (dict(DISK, center=5), "error: disk center must be 2 numbers, got 5"),
+    (dict(ELLIPSE, center=[0]), "error: ellipse center must be 2 numbers, got [0]"),
+    (dict(FLOWER, center=[[0, 0]]), "error: flower center must be 2 numbers, got [[0, 0]]"),
+    ({"kind": "polygon", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]},
+     "error: polygon vertices must be N × 2 numbers, got [[0, 0, 0], [1, 0, 0], [0, 1, 0]]"),
+    ({"kind": "polygon", "vertices": [0, 0, 1, 0, 0, 1]},
+     "error: polygon vertices must be N × 2 numbers, got [0, 0, 1, 0, 0, 1]"),
+    ({"kind": "implicit", "box": [-2, 2, -2],
+      "poly": {"degree": 2, "coeffs": [-1, 0, 0, 1, 0, 1]}},
+     "error: implicit box must be 4 numbers, got [-2, 2, -2]"),
 ], ids=["ellipse-no-axes", "no-kind", "list", "list-radius", "unknown-kind", "text-radius",
         "bool-radius", "bool-petals", "text-level", "text-tilt", "text-missing-petal",
         "bool-centre", "text-box-edge", "text-vertex", "bool-pole", "no-poles",
-        "three-coordinate-poles", "negative-level"])
+        "three-coordinate-poles", "negative-level", "three-number-centre", "number-centre",
+        "one-number-centre", "nested-centre", "three-coordinate-vertices", "flat-vertices",
+        "three-number-box"])
 def test_gpt_malformed_shape_file_is_config_error(tmp_path, capsys, shape, line):
     sf, out = tmp_path / "shape.json", tmp_path / "M.json"
     sf.write_text(json.dumps(shape))
@@ -430,6 +444,36 @@ def test_recover_reduce_degree_on_triangle(tmp_path):
     obj = json.loads(g.read_text())
     assert obj["flags"] == ["DegreeReduced"]
     assert obj["g"]["degree"] == 3
+
+
+def test_recover_names_the_minimal_degree_of_an_overdegree_kernel(tmp_path):
+    M, g = tmp_path / "M.json", tmp_path / "g.json"
+    assert run("gpt", "--shape", "ellipse:2,1", "--d", "6", "--out", str(M)).returncode == 0
+    # the degree-6 kernel holds the ellipse times every quartic: 15 directions
+    r = run("recover", "--gpt", str(M), "--out", str(g))
+    assert r.returncode == 2 and not g.exists()
+    assert len(r.stderr.splitlines()) == 1
+    assert ("); 15 kernel directions put the minimal degree at 2, which --reduce-degree "
+            "tries; rerun with --force to write the result anyway\n") in r.stderr
+    r = run("recover", "--gpt", str(M), "--reduce-degree", "--out", str(g))
+    assert r.returncode == 0, r.stderr
+    obj = json.loads(g.read_text())
+    assert obj["g"]["degree"] == 2 and obj["flags"] == ["DegreeReduced"]
+    np.testing.assert_allclose(obj["g"]["coeffs"], [-4, 0, 0, 4, 0, 1], atol=1e-8)
+
+
+def test_gap_only_refusal_keeps_its_line(tmp_path):
+    # no degree <= 4 vanishes on a flower: the gap flags it, the spectrum names no degree
+    M, g = tmp_path / "M.json", tmp_path / "g.json"
+    assert run("gpt", "--shape", "flower", "--n", "64", "--d", "4",
+               "--out", str(M)).returncode == 0
+    r = run("recover", "--gpt", str(M), "--out", str(g))
+    assert r.returncode == 2 and not g.exists()
+    assert run("recover", "--gpt", str(M), "--force", "--out", str(g)).returncode == 0
+    obj = json.loads(g.read_text())
+    assert r.stderr == (f"error: ambiguous kernel (gap {obj['kernel_gap']:.3g}, residual "
+                        f"{obj['residual']:.3g}); rerun with --force to write the result "
+                        "anyway\n")
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import functools
 import json
 import warnings
 from dataclasses import replace
@@ -15,6 +16,7 @@ from gptshape.recovery import (
     LambdaEstimate,
     RecoveryResult,
     estimate_lambda,
+    excess_degree,
     kernel_residual,
     normalize,
     recover,
@@ -234,8 +236,7 @@ def test_crossvalidated_underdegreed_is_flagged():
 # minimal-degree reduction -----------------------------------------------------
 
 
-def triangle_edge_product():
-    verts = ShapeSpec.triangle().params["vertices"]
+def edge_product(verts):
     prod = Poly2.from_terms({(0, 0): 1.0})
     for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
         line = Poly2.from_terms({
@@ -245,6 +246,10 @@ def triangle_edge_product():
         })
         prod = prod * line
     return normalize(prod)
+
+
+def triangle_edge_product():
+    return edge_product(ShapeSpec.triangle().params["vertices"])
 
 
 def test_minimal_degree_recovers_triangle_edge_lines():
@@ -287,6 +292,107 @@ def test_minimal_degree_reduces_overdeclared_ellipse():
     assert out.flags == ("DegreeReduced",)
     assert out.g_hat.degree == 2
     np.testing.assert_allclose(out.g_hat.coeffs, [-4, 0, 0, 4, 0, 1], atol=1e-6)
+
+
+def same_direction(p, q, tol):
+    """Coefficient vectors equal as unit vectors up to sign."""
+    u, v = (c / np.linalg.norm(c) for c in (p.coeffs, q.coeffs))
+    return min(np.max(np.abs(u - v)), np.max(np.abs(u + v))) <= tol
+
+
+THREE_POLES = [(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)]
+# shape: (spec, minimal polynomial, or None for a flower, which has none, and degrees)
+RANK_TABLE = {
+    "ellipse-2x1": (ShapeSpec.ellipse(2.0, 1.0),
+                    Poly2.from_terms({(2, 0): 1.0, (0, 2): 4.0, (0, 0): -4.0}), range(2, 9)),
+    "ellipse-3x0.3": (ShapeSpec.ellipse(3.0, 0.3),
+                      Poly2.from_terms({(2, 0): 0.09, (0, 2): 9.0, (0, 0): -0.81}), range(2, 9)),
+    "lemniscate-2": (ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2),
+                     lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2), range(4, 9)),
+    "lemniscate-3": (ShapeSpec.lemniscate(THREE_POLES, 0.3), lemniscate_poly(THREE_POLES, 0.3),
+                     range(6, 9)),
+    "triangle": (ShapeSpec.triangle(), triangle_edge_product(), range(3, 8)),
+    "flower": (ShapeSpec.flower(1.0, 0.3, 5), None, range(4, 9)),
+    "missing-petal": (ShapeSpec.flower(1.0, 0.3, 5, missing_petal=True), None, range(4, 9)),
+}
+
+
+@functools.cache
+def rank_table_gpt(name):
+    """One assembly per shape at its top degree; each row is a leading block of it."""
+    spec, _, degrees = RANK_TABLE[name]
+    return gpt_of(spec, 256, 1.5, max(degrees))[1]
+
+
+@pytest.mark.parametrize("name, d", [(name, d) for name, (_, _, degrees) in RANK_TABLE.items()
+                                     for d in degrees])
+def test_kernel_rank_reads_the_degree_above_the_minimal_one(name, d):
+    # above the minimal degree d0 the kernel is g P_{d - d0}: poly_dim(d - d0) directions
+    _, g, _ = RANK_TABLE[name]
+    M = rank_table_gpt(name).truncate(d)
+    full = recover(M)
+    m = excess_degree(full.singular_values, d)
+    assert m == (0 if g is None else d - g.degree)
+    if m:
+        assert "AmbiguousKernel" in full.flags
+    out = recover_minimal_degree(M)
+    if g is None:  # an approximant is never reduced
+        assert out.to_json() == full.to_json()
+    elif "AmbiguousKernel" not in out.flags:  # an unflagged answer is the minimal polynomial
+        assert out.flags == (("DegreeReduced",) if m else ())
+        assert out.g_hat.degree == g.degree
+        assert same_direction(out.g_hat, g, 1e-6)
+
+
+SMALL_POLES = [(1.0, 0.0), (-0.5, 0.8), (0.2, -0.9)]
+
+
+@functools.cache
+def small_lemniscate_gpt():
+    return gpt_of(ShapeSpec.lemniscate(SMALL_POLES, 0.05), 256, 1.5, 9)[1]
+
+
+@pytest.mark.parametrize("d", [7, 8, 9])
+def test_small_three_pole_lemniscate_is_reduced_right_or_flagged(d):
+    # three ovals of radius about 0.08: their high-degree moments sink under the
+    # floor as well, so at d = 8 and 9 the spectrum has no clean cut and the
+    # answer stays flagged; a reduction must land on the sextic, never below it
+    g = lemniscate_poly(SMALL_POLES, 0.05)
+    M = small_lemniscate_gpt().truncate(d)
+    assert "AmbiguousKernel" in recover(M).flags
+    out = recover_minimal_degree(M)
+    if "AmbiguousKernel" not in out.flags:  # a kernel margin of 3e-12 allows about 1e-6
+        assert out.g_hat.degree == 6
+        assert same_direction(out.g_hat, g, 1e-5)
+
+
+def test_excess_degree_reads_exact_zeros_and_clean_spectra():
+    assert excess_degree(np.array([1.0, 0.5, 0.1]), 1) == 0  # nothing under the floor
+    assert excess_degree(np.array([1.0, 0.5, 1e-20]), 1) == 0
+    # a 3-direction kernel of exact zeros: the widest cut is at k = 3, not k = 1
+    assert excess_degree(np.array([1.0, 0.9, 0.8, 0.0, 0.0, 0.0]), 2) == 1
+    assert excess_degree(np.array([1.0, 0.9, 0.8, 1e-17, 2e-18, 1e-18]), 2) == 1
+    assert excess_degree(np.array([1.0, 0.9, 0.8, 0.7, 0.6, 1e-17]), 2) == 0
+
+
+def random_diamond(rng):
+    ha, hb = rng.uniform(0.8, 1.5), rng.uniform(0.6, 1.2)
+    turn, shift = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-0.3, 0.3, 2)
+    R = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    return [tuple(R @ v + shift) for v in ([ha, 0.0], [0.0, hb], [-ha, 0.0], [0.0, -hb])]
+
+
+def test_seeded_diamonds_above_their_degree_reduce_to_their_edge_lines():
+    # a diamond's degree-5 kernel holds its edge product times every line, and
+    # for about 1 draw in 100 its gap alone looks clean (3 of these 300)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        verts = random_diamond(rng)
+        _, M = gpt_of(ShapeSpec.polygon(verts), 64, 1.5, 5)  # 64 nodes per edge
+        out = recover_minimal_degree(M)
+        assert out.flags == ("DegreeReduced",), verts
+        assert out.g_hat.degree == 4, verts
+        assert same_direction(out.g_hat, edge_product(verts), 1e-6), verts
 
 
 def test_scan_rows_are_leading_block_recoveries():
