@@ -27,7 +27,8 @@ from .geometry import DiscretizedBoundary, ShapeSpec, discretize
 from .gpt import GptMatrix, assemble_gpt, lambda_of_k
 from .npo import assemble, dump_npo
 from .polynomial import Poly2, poly_dim
-from .recovery import excess_degree, recover, recover_crossvalidated, recover_minimal_degree, scan
+from .recovery import (KERNEL_FLOOR, excess_degree, recover, recover_crossvalidated,
+                       recover_minimal_degree, scan)
 from .render import export_svg, extract
 from .transform import match
 
@@ -214,9 +215,16 @@ def cmd_recover(args) -> int:
     else:
         out = recover(M)
     if "AmbiguousKernel" in out.flags and not args.force:
-        m = excess_degree(out.singular_values, out.g_hat.degree)
-        note = (f"; {poly_dim(m)} kernel directions put the minimal degree at "
-                f"{out.g_hat.degree - m}, which --reduce-degree tries") if m else ""
+        s, d = out.singular_values, out.g_hat.degree
+        m = excess_degree(s, d)
+        k = sum(v <= KERNEL_FLOOR * s[0] for v in s)  # minimal degree d - m: poly_dim(m) of them
+        note = ""
+        if m and k == poly_dim(m):
+            note = (f"; {k} kernel directions put the minimal degree at {d - m}, "
+                    "which --reduce-degree tries")
+        elif k > 1:
+            note = (f"; {k} singular values lie under {KERNEL_FLOOR:g} times the largest, "
+                    "which no minimal degree explains")
         print(
             f"error: ambiguous kernel (gap {out.kernel_gap:.3g}, residual "
             f"{out.residual:.3g}){note}; rerun with --force to write the result anyway",

@@ -28,9 +28,11 @@ densities with the moment rows, and refuses a matrix with a non-finite
 entry: a shape so large that its moments overflow gets NumericError, not
 Infinity in the JSON, nor numpy's overflow warnings, which both steps
 silence (the resolvent refuses Neumann data that overflowed).
-:func:`assemble_gpt` and :func:`far_field` are that pair of calls, and
-``recovery.estimate_lambda`` builds one problem and solves it at every
-lambda it tries.  All three take the resolvent from an operator that
+:func:`assemble_gpt` and :func:`far_field` are that pair of calls.
+``recovery.estimate_lambda`` builds one problem and, at every lambda it
+tries, calls ``solve_with_derivative``, which applies the same resolvent
+once more for dM/dlambda = -moments R^2 rhs, the slope of its
+Gauss-Newton steps.  All three take the resolvent from an operator that
 must be ``npo.assemble(b)`` of their boundary ``b``; any other operator
 is a ConfigError.
 """
@@ -172,11 +174,26 @@ class MomentProblem:
     def solve(self, res: Resolvent) -> GptMatrix:
         """The GPT matrix at the resolvent's lambda."""
         phi = res.apply(self.rhs)  # refuses a right-hand side that overflowed
+        return GptMatrix(res.lam, self.d, self.row_degree, self._contract(phi))
+
+    def solve_with_derivative(self, res: Resolvent) -> tuple[GptMatrix, np.ndarray]:
+        """The GPT matrix at the resolvent's lambda and the derivative of its entries.
+
+        With R = (lambda I - K*)^-1 the matrix is moments R rhs, so its
+        derivative in lambda is -moments R^2 rhs: one more solve with the
+        factorization the matrix already used.
+        """
+        phi = res.apply(self.rhs)
+        return (GptMatrix(res.lam, self.d, self.row_degree, self._contract(phi)),
+                -self._contract(res.apply(phi)))
+
+    def _contract(self, phi: np.ndarray) -> np.ndarray:
+        """Entries (rows, cols) of the moment rows against densities phi."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            entries = (self.moments @ phi).T  # (rows, cols)
+            entries = (self.moments @ phi).T
         if not np.all(np.isfinite(entries)):
             raise NumericError("GPT entries are not finite: the shape's moments overflow")
-        return GptMatrix(res.lam, self.d, self.row_degree, entries)
+        return entries
 
 
 @np.errstate(over="ignore", invalid="ignore")  # solve refuses what overflows

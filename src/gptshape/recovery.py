@@ -276,21 +276,27 @@ def estimate_lambda(
     """Fit the spectral parameter of a target GPT matrix on a candidate shape.
 
     Assembles the candidate's GPT matrix over ``lam_grid`` (same degree and
-    row degree as the target), takes the Frobenius misfit against the
-    target, and refines the grid argmin by golden-section search on the
-    bracketing interval, or by a bounded search on the interval to its
-    neighbour when the argmin is an end point of the grid or its bracket
-    crosses [-1/2, 1/2] (then the neighbour of the same sign).  A misfit
-    curve flatter than 1e-12 carries no information about lambda and raises
-    :class:`NumericError`.
+    row degree as the target) and takes the Frobenius misfit against the
+    target.  A misfit curve flatter than 1e-12 carries no information about
+    lambda and raises :class:`NumericError`.  The grid argmin is then
+    refined on the bracketing interval, or on the interval to its neighbour
+    when the argmin is an end point of the grid or its bracket crosses
+    [-1/2, 1/2] (then the neighbour of the same sign).
+
+    The refinement takes Gauss-Newton steps on 1/2 ||M(lambda) - M_target||_F^2,
+    lambda <- lambda - <E, D> / ||D||^2 with E = M(lambda) - M_target and
+    D = dM/dlambda, clipped to that interval; a step that does not lower
+    the misfit is halved toward lambda.  It stops when a step is within a
+    few ulps of lambda or after 10 evaluations, and returns the lowest
+    misfit it met.  On data the candidate fits exactly the steps converge
+    quadratically, to lambda within roundoff, in about 11 evaluations
+    with the grid's.
 
     The candidate's moment problem does not depend on lambda and is built
-    once; each lambda costs one resolvent.  Misfits are memoized per
-    lambda, because golden-section search evaluates its bracket, the grid
-    points around the argmin, again.
+    once; each lambda costs one resolvent, whose factorization gives both
+    M and D (:meth:`MomentProblem.solve_with_derivative`).  Evaluations are
+    memoized per lambda, because a clipped step can land on a grid point.
     """
-    from scipy.optimize import minimize_scalar  # lazy: keeps scipy off gptshape's import path
-
     grid = [float(v) for v in lam_grid]
     if not grid:
         raise ConfigError("lambda grid must be nonempty")
@@ -302,45 +308,38 @@ def estimate_lambda(
     problem = moment_problem(b_candidate, M_target.d, M_target.row_degree)
     memo = {}
 
-    def misfit(lam: float) -> float:
+    def fit(lam: float) -> tuple:
+        """Misfit at lambda and the Gauss-Newton step from there."""
         if lam not in memo:
-            M = problem.solve(_resolvent(b_candidate, npo, lam))
-            memo[lam] = float(np.linalg.norm(M.entries - M_target.entries))
+            M, D = problem.solve_with_derivative(_resolvent(b_candidate, npo, lam))
+            E = M.entries - M_target.entries
+            dd = float(np.vdot(D, D)) or 1.0  # D = 0 makes <E, D> = 0: no step
+            memo[lam] = float(np.linalg.norm(E)), -float(np.vdot(E, D)) / dd
         return memo[lam]
 
-    values = [misfit(v) for v in grid]
+    values = [fit(v)[0] for v in grid]
     if max(values) - min(values) < 1e-12:
         raise NumericError(
             "misfit curve is flat over the lambda grid; the target matrix "
             "does not constrain lambda on this candidate shape"
         )
     i = int(np.argmin(values))
-    best_lam, best_val = grid[i], values[i]
     # refine only toward neighbours on the argmin's side of [-1/2, 1/2]
     near = [j for j in (i - 1, i + 1)
             if 0 <= j < len(grid) and grid[j] * grid[i] > 0]
     if 0 < i < len(grid) - 1 and not values[i] < min(values[i - 1], values[i + 1]):
         near = []
-    res = None
-    if len(near) == 2:
-        res = minimize_scalar(
-            misfit,
-            bracket=(grid[i - 1], grid[i], grid[i + 1]),
-            method="golden",
-            options={"xtol": 1e-10},
-        )
-    elif near:
-        res = minimize_scalar(
-            misfit,
-            bounds=sorted((grid[i], grid[near[0]])),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-    if res is not None and res.fun <= best_val:
-        best_lam, best_val = float(res.x), float(res.fun)
-    return LambdaEstimate(
-        lam=best_lam,
-        misfit=best_val,
-        grid=tuple(grid),
-        misfits=tuple(values),
-    )
+    ends = [grid[j] for j in near + [i]]
+    lo, hi = min(ends), max(ends)
+    lam = grid[i]
+    best, step = fit(lam)
+    t = min(max(lam + step, lo), hi)
+    for _ in range(10):
+        if not abs(t - lam) > 4 * np.spacing(abs(lam)):  # also stops on a NaN step
+            break
+        f, step = fit(t)
+        if f < best:
+            lam, best, t = t, f, min(max(t + step, lo), hi)
+        else:
+            t = lam + (t - lam) / 2
+    return LambdaEstimate(lam=lam, misfit=best, grid=tuple(grid), misfits=tuple(values))

@@ -95,6 +95,14 @@ def gpt_entries_oracle(b, res, d, row_degree):
     return (moment_rows_oracle(b, _col_betas(d)) @ res.apply(rhs)).T
 
 
+def gpt_derivative_oracle(b, res, d, row_degree):
+    """dM/dlambda = -moment rows R^2 Neumann data, with two solves of one resolvent."""
+    from gptshape.gpt import _col_betas, _row_alphas
+
+    rhs = np.column_stack([neumann_oracle(b, a) for a in _row_alphas(row_degree)])
+    return -(moment_rows_oracle(b, _col_betas(d)) @ res.apply(res.apply(rhs))).T
+
+
 def far_field_oracle(b, npo, lam, h, x, truncation=4):
     """far_field's expansion and direct values with a fresh resolvent and the entries above."""
     import math
@@ -419,12 +427,14 @@ def _chain_oracle(segments, points):
     return out
 
 
-# The lambda fit with one full GPT assembly per misfit evaluation: building
-# the moment problem once and memoizing misfits must not move a bit of it.
+# The lambda fit with one full GPT assembly per misfit evaluation.  The
+# golden-section search is the accuracy reference for the Gauss-Newton
+# refinement; the Gauss-Newton oracle below gives its bits.
 
 
 def estimate_lambda_oracle(M_target, b_candidate, lam_grid, npo=None):
-    """estimate_lambda as one assemble_gpt per misfit evaluation, without a memo."""
+    """The lambda fit refined by golden-section search (a bounded search from an
+    end point) to xtol 1e-10, one assemble_gpt per misfit evaluation, without a memo."""
     from scipy.optimize import minimize_scalar
 
     from gptshape.gpt import assemble_gpt
@@ -457,6 +467,43 @@ def estimate_lambda_oracle(M_target, b_candidate, lam_grid, npo=None):
         best_lam, best_val = float(res.x), float(res.fun)
     return LambdaEstimate(lam=best_lam, misfit=best_val, grid=tuple(grid),
                           misfits=tuple(values))
+
+
+def estimate_lambda_gauss_newton_oracle(M_target, b_candidate, lam_grid, npo=None):
+    """estimate_lambda's Gauss-Newton refinement with a fresh Resolvent and
+    the oracle entries and derivative per evaluation, without a memo."""
+    from gptshape.npo import Resolvent, assemble
+    from gptshape.recovery import LambdaEstimate
+
+    grid = [float(v) for v in lam_grid]
+    if npo is None:
+        npo = assemble(b_candidate)
+    d, row_degree = M_target.d, M_target.row_degree
+
+    def fit(lam):
+        res = Resolvent(npo, lam)
+        E = np.array(gpt_entries_oracle(b_candidate, res, d, row_degree)) - M_target.entries
+        D = gpt_derivative_oracle(b_candidate, res, d, row_degree)
+        return float(np.linalg.norm(E)), -float(np.vdot(E, D)) / (float(np.vdot(D, D)) or 1.0)
+
+    values = [fit(v)[0] for v in grid]
+    i = int(np.argmin(values))
+    near = [j for j in (i - 1, i + 1)
+            if 0 <= j < len(grid) and grid[j] * grid[i] > 0]
+    if 0 < i < len(grid) - 1 and not values[i] < min(values[i - 1], values[i + 1]):
+        near = []
+    lo, hi = min(grid[j] for j in near + [i]), max(grid[j] for j in near + [i])
+    lam, (best, step) = grid[i], fit(grid[i])
+    t = min(max(lam + step, lo), hi)
+    for _ in range(10):
+        if not abs(t - lam) > 4 * np.spacing(abs(lam)):
+            break
+        f, step = fit(t)
+        if f < best:
+            lam, best, t = t, f, min(max(t + step, lo), hi)
+        else:
+            t = lam + (t - lam) / 2
+    return LambdaEstimate(lam=lam, misfit=best, grid=tuple(grid), misfits=tuple(values))
 
 
 # Harmonic polynomials and the GPT contraction with them, used by the

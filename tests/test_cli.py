@@ -476,6 +476,24 @@ def test_gap_only_refusal_keeps_its_line(tmp_path):
                         "anyway\n")
 
 
+def test_degenerate_kernel_refusal_names_no_degree(tmp_path):
+    # one nonzero entry leaves 5 of 6 singular values at 0: no minimal degree has 5 directions
+    M, g = tmp_path / "M.json", tmp_path / "g.json"
+    assert run("gpt", "--shape", "disk:1", "--n", "64", "--d", "2",
+               "--out", str(M)).returncode == 0
+    obj = json.loads(M.read_text())
+    top = int(np.argmax(np.abs(obj["entries"])))
+    obj["entries"] = [v if i == top else 0.0 for i, v in enumerate(obj["entries"])]
+    M.write_text(json.dumps(obj))
+    r = run("recover", "--gpt", str(M), "--out", str(g))
+    assert r.returncode == 2 and not g.exists()
+    assert r.stderr == ("error: ambiguous kernel (gap 1, residual 0); 5 singular values lie "
+                        "under 1e-13 times the largest, which no minimal degree explains; "
+                        "rerun with --force to write the result anyway\n")
+    assert run("recover", "--gpt", str(M), "--force", "--out", str(g)).returncode == 0
+    assert json.loads(g.read_text())["flags"] == ["AmbiguousKernel"]
+
+
 @pytest.fixture(scope="module")
 def probe_files(tmp_path_factory):
     """A disk GPT file at lambda = 1.5, a triangle GPT file at d = 4 and a circle."""

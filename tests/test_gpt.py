@@ -8,6 +8,7 @@ from oracles import (
     disk_gpt_oracle,
     far_field_oracle,
     first_order_block,
+    gpt_derivative_oracle,
     gpt_entries_oracle,
     harmonic_combination,
     harmonic_monomial,
@@ -249,6 +250,22 @@ def test_moment_problem_solves_to_the_whole_formula(name, n):
             assert (M.lam, M.d, M.row_degree) == (lam, d, row_degree)
             assert_same_bits(M.entries, gpt_entries_oracle(b, res, d, row_degree))
             assert_same_bits(assemble_gpt(b, npo, lam, d, row_degree).entries, M.entries)
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_solve_with_derivative_keeps_the_bits_of_solve(name):
+    b = discretize(SHAPES[name], 128)
+    npo = assemble(b)
+    problem = moment_problem(b, 3, 6)
+    for lam in (1.5, -0.8):
+        res = Resolvent(npo, lam)
+        M, D = problem.solve_with_derivative(res)
+        assert_same_bits(M.entries, problem.solve(res).entries)
+        assert_same_bits(D, gpt_derivative_oracle(b, res, 3, 6))
+        h = 1e-5
+        central = (problem.solve(Resolvent(npo, lam + h)).entries
+                   - problem.solve(Resolvent(npo, lam - h)).entries) / (2 * h)
+        assert np.max(np.abs(central - D)) <= 1e-7 * np.max(np.abs(D))
 
 
 @pytest.mark.parametrize("name", ["disk", "ellipse", "lemniscate"])

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import estimate_lambda_oracle
+from oracles import estimate_lambda_gauss_newton_oracle, estimate_lambda_oracle
 
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly, trace_implicit
@@ -444,9 +444,9 @@ def test_estimate_lambda_refines_on_the_argmin_side(lam):
 
 FIT_GRID = (0.75, 1.0, 1.25, 1.5, 2.0, 3.0)
 FIT_TARGETS = {
-    # golden-section refinement between grid neighbours
+    # refinement between grid neighbours
     "disk": (ShapeSpec.disk(1.0, (0.2, -0.1)), 256, 1.37, 2),
-    # the argmin is the end point 3.0: bounded refinement
+    # the argmin is the end point 3.0: refinement toward its neighbour
     "ellipse": (ShapeSpec.ellipse(2.0, 1.0, (0.1, 0.0), 0.3), 128, 2.6, 2),
     "lemniscate": (ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2), 128, 1.8, 4),
 }
@@ -460,13 +460,52 @@ def test_estimate_lambda_matches_one_assembly_per_evaluation(name, resolvent_lam
     got = estimate_lambda(M, b, FIT_GRID)
     ours = list(resolvent_lambdas)
     resolvent_lambdas.clear()
-    want = estimate_lambda_oracle(M, b, FIT_GRID)
+    want = estimate_lambda_gauss_newton_oracle(M, b, FIT_GRID)
     assert got.to_json() == want.to_json()
     assert got.lam == pytest.approx(lam, abs=1e-4)
     # one factorization per distinct lambda, and the same lambdas as the oracle
     assert len(ours) == len(set(ours))
     assert set(ours) == set(resolvent_lambdas)
     assert set(FIT_GRID) <= set(ours)
+
+
+@pytest.mark.parametrize("name", FIT_TARGETS)
+def test_estimate_lambda_refines_like_golden_section_in_few_resolvents(name, resolvent_lambdas):
+    spec, n, lam, d = FIT_TARGETS[name]
+    b, M = gpt_of(spec, n, lam, d)
+    resolvent_lambdas.clear()
+    got = estimate_lambda(M, b, FIT_GRID)
+    assert len(resolvent_lambdas) <= len(FIT_GRID) + 10
+    want = estimate_lambda_oracle(M, b, FIT_GRID)
+    # the reference's bounded search stops 1.7e-8 short of lambda* on the ellipse
+    assert abs(got.lam - want.lam) <= 1e-7
+    assert got.misfit <= want.misfit
+    assert np.array(got.misfits).tobytes() == np.array(want.misfits).tobytes()
+
+
+EXACT_TARGETS = {
+    **FIT_TARGETS,
+    # the end-point cases of test_estimate_lambda_refines_end_point_argmin
+    **{f"end-{lam}": (ShapeSpec.ellipse(2.0, 1.0), 128, lam, 2) for lam in (0.8, 2.6, 2.9)},
+}
+
+
+@pytest.mark.parametrize("name", EXACT_TARGETS)
+def test_estimate_lambda_is_exact_to_roundoff_on_its_own_discretization(name):
+    spec, n, lam, d = EXACT_TARGETS[name]
+    b, M = gpt_of(spec, n, lam, d)
+    assert abs(estimate_lambda(M, b, FIT_GRID).lam - lam) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, lam, d", [
+    (ShapeSpec.ellipse(2.0, 1.0, (0.1, 0.0), 0.3), 1.37, 2),
+    (ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2), 1.8, 4),
+], ids=["ellipse", "lemniscate"])
+def test_estimate_lambda_on_a_coarser_candidate_agrees_with_golden_section(spec, lam, d):
+    _, M = gpt_of(spec, 512, lam, d)
+    b = discretize(spec, 128)
+    got = estimate_lambda(M, b, FIT_GRID)
+    assert abs(got.lam - estimate_lambda_oracle(M, b, FIT_GRID).lam) <= 1e-8
 
 
 def test_estimate_lambda_wrong_shape_has_positive_misfit():
