@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._marching import marching_squares
+from ._marching import crossing_cells
+from ._marching import walk_cells as marching_squares  # the walk, by the name perfbench traces
 from .errors import ConfigError, NumericError, check_memory, json_floats
 from .polynomial import Poly2, partial
 
@@ -428,10 +429,18 @@ def level_set(p: Poly2, box, samples: int, level: float = 0.0):
 
     The package's one grid path: checks, ``samples`` points per box edge,
     and a NumericError where ``p - level`` or a vertex overflows float64.
-    A grid is counted at 16 bytes a sample and refused before allocation
-    when that exceeds memory: 8 for the samples, which are shifted by
-    ``level`` in place, and fewer than 8 for marching squares' byte masks
-    and ``on_grid``'s one block of rows."""
+    Tiles of cells that a sign certificate clears are never sampled (see
+    :mod:`gptshape._marching`); the rest are sampled with the bits of
+    ``p.on_grid(xs, ys) - level``, so the polylines and refusals are those
+    of marching squares over the dense grid, and the cost follows the
+    curve's length more than the grid's area.  A grid is counted at 16
+    bytes a sample, the dense grid's shifted samples and byte masks, and
+    refused before allocation when that exceeds memory.  The peak stays
+    well below: the certificate keeps two floats a tile; a quarter of the
+    tiles at most (a row of them on the smallest grids) are sampled at a
+    time, into two reused buffers of 17 x 17 floats a tile, 4.5 bytes a
+    grid sample, with their byte masks; and the crossed cells, with their
+    corners, grow with the curve."""
     if samples < MIN_GRID:
         raise ConfigError(f"grid must be at least {MIN_GRID}, got {samples}")
     check_memory(16 * samples * samples, f"{samples} x {samples} grid samples",
@@ -442,9 +451,8 @@ def level_set(p: Poly2, box, samples: int, level: float = 0.0):
     json_floats(level, "level")
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         xs, ys = np.linspace(xmin, xmax, samples), np.linspace(ymin, ymax, samples)
-        s = p.on_grid(xs, ys)
-        s -= level  # in place: the bits of p - level, with no second grid
-        chains = marching_squares(s, xs, ys, level, p) if np.isfinite(s).all() else None
+        crossed = crossing_cells(p.grid_factors(xs, ys), xs, ys, level)
+        chains = None if crossed is None else marching_squares(*crossed, xs, ys, level, p)
     if chains is None or not all(np.isfinite(pl).all() for pl, _ in chains):
         raise NumericError(f"p overflows float64 on the grid over the box {box}")
     return chains

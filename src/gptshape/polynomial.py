@@ -123,7 +123,7 @@ class Poly2:
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or ys.ndim != 1:
             raise ConfigError("grid axes must be 1-D")
-        factors = [(c * xs**a1, ys**a2) for (a1, a2), c in self.term_items()]
+        factors = self.grid_factors(xs, ys)
         out = np.zeros((xs.size, ys.size))
         term = np.empty((min(_GRID_ROWS, xs.size), ys.size))
         for i in range(0, xs.size, _GRID_ROWS):
@@ -133,6 +133,17 @@ class Poly2:
                 np.multiply(fx[i:i + _GRID_ROWS, None], fy[None, :], out=buf)
                 block += buf
         return out
+
+    def grid_factors(self, xs, ys) -> list:
+        """Axis tables ``(c * xs**a1, ys**a2)`` of the nonzero terms, in term order.
+
+        A grid sample of term t is ``fx[i] * fy[j]``, associated as in
+        :meth:`__call__`, so summing these products from zero in this order
+        gives ``p`` bit for bit.  :meth:`on_grid` sums every sample;
+        :func:`gptshape.geometry.level_set` bounds the tables tile by tile
+        and sums only the samples it cannot rule out.
+        """
+        return [(c * xs**a1, ys**a2) for (a1, a2), c in self.term_items()]
 
     def gradient(self, pts) -> np.ndarray:
         """Gradient at points of shape (..., 2); returns shape (..., 2)."""

@@ -427,6 +427,36 @@ def _chain_oracle(segments, points):
     return out
 
 
+def level_set_oracle(p, box, samples, level=0.0):
+    """geometry.level_set over the dense grid: every sample, every cell walked.
+
+    The same checks as the package, then ``p.on_grid`` on the whole grid,
+    one refusal when a shifted sample is not finite, marching_squares_oracle
+    over every cell, and the same refusal when a vertex is not finite.
+    """
+    from gptshape.errors import ConfigError, NumericError, check_memory, json_floats
+    from gptshape.geometry import MIN_GRID
+
+    if samples < MIN_GRID:
+        raise ConfigError(f"grid must be at least {MIN_GRID}, got {samples}")
+    check_memory(16 * samples * samples, f"{samples} x {samples} grid samples",
+                 "the polynomial's values and its level set")
+    xmin, xmax, ymin, ymax = json_floats(box, "box edges").tolist()
+    if not (xmin < xmax and ymin < ymax):
+        raise ConfigError(f"degenerate box {box}")
+    json_floats(level, "level")
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = np.linspace(xmin, xmax, samples), np.linspace(ymin, ymax, samples)
+        values = p.on_grid(xs, ys)
+        chains = None
+        if np.isfinite(values - level).all():
+            chains = marching_squares_oracle(values, xs, ys, level,
+                                             lambda cx, cy: float(p(np.array([cx, cy]))))
+    if chains is None or not all(np.isfinite(pl).all() for pl, _ in chains):
+        raise NumericError(f"p overflows float64 on the grid over the box {box}")
+    return chains
+
+
 # The lambda fit with one full GPT assembly per misfit evaluation.  The
 # golden-section search is the accuracy reference for the Gauss-Newton
 # refinement; the Gauss-Newton oracle below gives its bits.

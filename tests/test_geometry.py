@@ -292,27 +292,51 @@ def test_level_set_refuses_a_grid_beyond_memory(monkeypatch):
         level_set(UNIT_CIRCLE, (-2, 2, -2, 2), 65)
 
 
-@pytest.mark.parametrize("samples", [257, 1025])
-@pytest.mark.parametrize("p, box, level", [
-    (UNIT_CIRCLE, (-2, 2, -2, 2), 0.0),
-    (lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)], 0.3), DEFAULT_BOX, 0.0),
-    (UNIT_CIRCLE, (-2, 2, -2, 2), 0.25),
-], ids=["circle", "three-pole-lemniscate", "circle-level"])
+def _chebyshev(n, v):
+    a, b = Poly2.from_terms({(0, 0): 1.0}), v
+    for _ in range(n - 1):
+        a, b = b, v * b * Poly2.from_terms({(0, 0): 2.0}) - a
+    return b
+
+
+# T8(x) + T8(y) on the square: a web of zero curves near every tile, and term
+# ranges far wider than |p|, so the certificate clears few tiles (7 % at 1025);
+# p = 0 at level 0 clears none and evaluates every sample
+_WEB = _chebyshev(8, Poly2.from_terms({(1, 0): 1.0})) + _chebyshev(8, Poly2.from_terms({(0, 1): 1.0}))
+_BUDGET_ROWS = [
+    ("circle", UNIT_CIRCLE, (-2, 2, -2, 2), 0.0),
+    ("three-pole-lemniscate", lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)], 0.3),
+     DEFAULT_BOX, 0.0),
+    ("circle-level", UNIT_CIRCLE, (-2, 2, -2, 2), 0.25),
+]
+
+
+@pytest.mark.parametrize("p, box, level, samples", [
+    pytest.param(p, box, level, samples, id=f"{name}-{samples}")
+    for name, p, box, level in _BUDGET_ROWS for samples in (1025, 257)
+] + [
+    pytest.param(Poly2(2, np.zeros(6)), (-2, 2, -2, 2), 0.0, 1025, id="zero-1025"),
+    pytest.param(_WEB, (-1, 1, -1, 1), 0.0, 1025, id="chebyshev-web-1025"),
+])
 def test_level_set_peak_stays_within_its_budget(p, box, level, samples):
-    # check_memory charges 16 bytes a sample: the samples, shifted in place,
-    # and marching squares' byte masks beside one block of on_grid's rows
+    # check_memory charges 16 bytes a sample, the dense grid's cost; the
+    # tiles are sampled a quarter of the grid at a time, and the crossed
+    # cells and their walk grow with the curve
     level_set(p, box, 65, level)  # warm up
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        assert level_set(p, box, samples, level)
+        chains = level_set(p, box, samples, level)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert bool(chains) == bool(p.coeffs.any())  # p = 0 has no crossed cell
     assert peak - before <= 16 * samples**2
 
 
 def test_level_set_refuses_an_overflowing_grid_before_the_walk(monkeypatch):
+    # no tile can be cleared (its bound is not finite), and the first sampled
+    # row of tiles is refused before any crossed cell reaches the walk
     monkeypatch.setattr(geometry, "marching_squares", lambda *a: pytest.fail("walked"))
     p = Poly2(8, np.linspace(-1.0, 1.0, poly_dim(8)))
     with pytest.raises(NumericError, match="p overflows float64 on the grid"):
@@ -320,8 +344,9 @@ def test_level_set_refuses_an_overflowing_grid_before_the_walk(monkeypatch):
 
 
 def test_level_set_refuses_vertices_of_an_overflowing_box_span(monkeypatch):
-    # p = y is finite at every sample, but linspace puts inf and NaN into xs,
-    # so only the vertices are not finite: the check after the walk refuses them
+    # p = y is finite at every sample, so the tiles along y = 0 are sampled and
+    # their crossed cells walked once; linspace puts inf and NaN into xs, so
+    # only the vertices are not finite, and the check after the walk refuses them
     walks = []
     walk = geometry.marching_squares
     monkeypatch.setattr(geometry, "marching_squares", lambda *a: walks.append(1) or walk(*a))
