@@ -32,8 +32,6 @@ from .npo import (
     NpoMatrix,
     Resolvent,
     assemble,
-    dump_npo,
-    load_npo,
 )
 from .gpt import (
     FarFieldResult,
@@ -90,7 +88,6 @@ __all__ = [
     "assemble_gpt",
     "boundedness_check",
     "discretize",
-    "dump_npo",
     "estimate_lambda",
     "export_svg",
     "extract",
@@ -100,7 +97,6 @@ __all__ = [
     "lambda_of_k",
     "lemniscate_poly",
     "lift",
-    "load_npo",
     "match",
     "normalize",
     "push_forward",

@@ -25,7 +25,7 @@ from . import __version__, acceptance
 from .errors import ConfigError, NumericError, check_memory, json_int
 from .geometry import DiscretizedBoundary, ShapeSpec, discretize
 from .gpt import GptMatrix, assemble_gpt, lambda_of_k
-from .npo import assemble, dump_npo
+from .npo import assemble
 from .polynomial import Poly2, poly_dim
 from .recovery import (KERNEL_FLOOR, excess_degree, recover, recover_crossvalidated,
                        recover_minimal_degree, scan)
@@ -172,10 +172,7 @@ def _load_poly(path) -> Poly2:
 def cmd_gpt(args) -> int:
     spec, boundary = _load_shape(args)
     lam = _lambda(args)
-    npo = assemble(boundary)
-    if args.dump_npo:
-        dump_npo(npo, args.dump_npo)
-    M = assemble_gpt(boundary, npo, lam, args.d, args.row_degree)
+    M = assemble_gpt(boundary, assemble(boundary), lam, args.d, args.row_degree)
     # the JSON holds each entry as a float in a list and as indented text
     # (144 bytes an entry at its peak, measured with tracemalloc) besides the array
     check_memory(152 * M.entries.size, f"{M.entries.size} GPT entries",
@@ -201,11 +198,6 @@ def _boundary_from_meta(M: GptMatrix) -> DiscretizedBoundary:
 
 def cmd_recover(args) -> int:
     M = GptMatrix.from_json(_read_json(args.gpt))
-    if args.scan_degrees is not None:
-        if args.force:
-            raise ConfigError("--force has no effect with --scan-degrees")
-        return _scan(_boundary_from_meta(M), M.lam, args.scan_degrees,
-                     None if args.out == "-" else args.out)
     if args.cross_lambda is not None:
         boundary = _boundary_from_meta(M)
         out = recover_crossvalidated(
@@ -235,22 +227,19 @@ def cmd_recover(args) -> int:
     return EXIT_OK
 
 
-def _scan(boundary, lam, dmax, out) -> int:
-    """Assemble once at degree dmax, print the degree table, optionally write it."""
+def cmd_scan_degrees(args) -> int:
+    """Assemble once at degree DMAX, print the degree table, optionally write it."""
+    _, boundary = _load_shape(args)
+    lam, dmax = _lambda(args), args.dmax
     if dmax < 1:
         raise ConfigError(f"the degree scan needs DMAX >= 1, got {dmax}")
     rows = scan(assemble_gpt(boundary, assemble(boundary), lam, dmax))
     print(f"{'d':>3} {'residual':>12} {'kernel_gap':>12}")
     for row in rows:
         print(f"{row['d']:>3} {row['residual']:>12.3e} {row['kernel_gap']:>12.3e}")
-    if out:
-        _write_json({"schema": 1, "lambda": lam, "rows": rows}, out)
+    if args.out:
+        _write_json({"schema": 1, "lambda": lam, "rows": rows}, args.out)
     return EXIT_OK
-
-
-def cmd_scan_degrees(args) -> int:
-    _, boundary = _load_shape(args)
-    return _scan(boundary, _lambda(args), args.dmax, args.out)
 
 
 def cmd_match(args) -> int:
@@ -334,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="column degree bound")
     p.add_argument("--row-degree", type=int, default=None,
                    help="row degree bound (default 2*d)")
-    p.add_argument("--dump-npo", default=None,
-                   help="also dump the boundary operator matrix (binary)")
     p.add_argument("--out", default="-", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_gpt)
 
@@ -344,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--cross-lambda", type=float, default=None,
                       help="cross-validate at a second lambda (needs shape metadata)")
-    mode.add_argument("--scan-degrees", type=int, default=None, metavar="DMAX",
-                      help="scan degrees 1..DMAX instead of recovering once")
     mode.add_argument("--reduce-degree", action="store_true",
                       help="on an ambiguous kernel, drop to the smallest column "
                            "degree that still has one (e.g. polygons)")

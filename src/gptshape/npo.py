@@ -61,7 +61,6 @@ numpy, so the GPT entries keep their bits.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,6 @@ import numpy as np
 from .errors import ConfigError, NumericError, check_memory
 from .geometry import DiscretizedBoundary
 
-_MAGIC = b"NPOMAT01"
 _RESIDUAL_TOL = 1e-10
 _COND_LIMIT = 1e13
 _BLOCK_ENTRIES = 2**15  # entries per row block of the assembly, 256 KiB per buffer
@@ -200,27 +198,3 @@ class Resolvent:
                 f"resolvent residual {resid:.3g} exceeds {_RESIDUAL_TOL:g} * |f|")
         return phi
 
-
-def dump_npo(npo: NpoMatrix, path) -> None:
-    """Raw binary dump: 8-byte magic, little-endian uint64 n, row-major float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.uint64(npo.n).tobytes())
-        fh.write(np.ascontiguousarray(npo.matrix, dtype="<f8").tobytes())
-
-
-def load_npo(path) -> np.ndarray:
-    """Read back a matrix written by :func:`dump_npo` (matrix only).
-
-    The file size is checked against the header's n before any data is
-    read, so a corrupt header raises ConfigError instead of allocating.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if head[:8] != _MAGIC:
-            raise ConfigError(f"not an NPO dump (magic {head[:8]!r})")
-        n = int.from_bytes(head[8:], "little")
-        if len(head) < 16 or os.fstat(fh.fileno()).st_size < 16 + 8 * n * n:
-            raise ConfigError("truncated NPO dump")
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-        return data.reshape(n, n).copy()

@@ -30,8 +30,6 @@ import numpy as np
 
 from .errors import ConfigError, json_floats, json_int
 
-_GRID_ROWS = 32  # rows per block of on_grid, 512 KiB per buffer at 2048 columns
-
 
 def poly_dim(d: int) -> int:
     """Number of bivariate monomials of total degree <= d."""
@@ -114,24 +112,15 @@ class Poly2:
         Powers are taken on the 1-D axes and each term is their outer
         product, summed in the order and with the association of
         :meth:`__call__`, so the result equals ``p`` on the stacked
-        ``meshgrid(xs, ys, indexing="ij")`` points bit for bit.  ``out`` is
-        filled in blocks of ``_GRID_ROWS`` rows: every term passes over one
-        block, through one block-sized buffer, before the next block, so
-        the grid is streamed once rather than twice per term.
+        ``meshgrid(xs, ys, indexing="ij")`` points bit for bit.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or ys.ndim != 1:
             raise ConfigError("grid axes must be 1-D")
-        factors = self.grid_factors(xs, ys)
         out = np.zeros((xs.size, ys.size))
-        term = np.empty((min(_GRID_ROWS, xs.size), ys.size))
-        for i in range(0, xs.size, _GRID_ROWS):
-            block = out[i:i + _GRID_ROWS]
-            buf = term[:len(block)]
-            for fx, fy in factors:
-                np.multiply(fx[i:i + _GRID_ROWS, None], fy[None, :], out=buf)
-                block += buf
+        for fx, fy in self.grid_factors(xs, ys):
+            out += np.multiply.outer(fx, fy)
         return out
 
     def grid_factors(self, xs, ys) -> list:

@@ -17,9 +17,9 @@ PUBLIC = [
     "GptMatrix", "GptShapeError", "LambdaEstimate", "LevelSetCurves",
     "MatchResult", "NpoMatrix", "NumericError", "Poly2", "RecoveryResult",
     "Resolvent", "ShapeSpec", "Similarity", "assemble", "assemble_gpt",
-    "boundedness_check", "discretize", "dump_npo", "estimate_lambda",
+    "boundedness_check", "discretize", "estimate_lambda",
     "export_svg", "extract", "far_field", "hausdorff", "kernel_residual",
-    "lambda_of_k", "lemniscate_poly", "lift", "load_npo", "match", "normalize",
+    "lambda_of_k", "lemniscate_poly", "lift", "match", "normalize",
     "push_forward", "recover", "recover_crossvalidated", "recover_minimal_degree",
     "scan", "trace_implicit",
 ]

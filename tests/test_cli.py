@@ -13,7 +13,7 @@ import pytest
 from gptshape import acceptance, cli, errors, gpt, npo
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly
 from gptshape.gpt import assemble_gpt
-from gptshape.npo import NpoMatrix, assemble, load_npo
+from gptshape.npo import NpoMatrix, assemble
 from gptshape.polynomial import Poly2
 
 def run(*args):
@@ -91,16 +91,6 @@ def test_gpt_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gpt_dump_npo(tmp_path):
-    out, dump = tmp_path / "M.json", tmp_path / "A.bin"
-    r = run("gpt", "--shape", "disk", "--n", "64", "--d", "1",
-            "--dump-npo", str(dump), "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    A = load_npo(dump)
-    assert A.shape == (64, 64)
-    np.testing.assert_allclose(A @ np.ones(64), 0.5, atol=1e-10)
-
-
 def test_gpt_k_flag(tmp_path):
     out = tmp_path / "M.json"
     r = run("gpt", "--shape", "disk", "--n", "128", "--k", "2", "--d", "1",
@@ -138,8 +128,7 @@ def test_gpt_refuses_a_matrix_beyond_memory_before_discretizing(
 @pytest.mark.parametrize("argv", [
     ["gpt", "--shape", "disk", "--n", "64", "--d", "100000", "--out", "{out}"],
     ["scan-degrees", "--shape", "disk", "--n", "64", "--dmax", "100000"],
-    ["recover", "--gpt", "{disk}", "--scan-degrees", "100000"],
-], ids=["gpt", "scan-degrees", "recover-scan-degrees"])
+], ids=["gpt", "scan-degrees"])
 def test_degrees_beyond_memory_are_refused_before_allocation(probe_files, monkeypatch, argv):
     rows = gpt._row_alphas  # the GPT file's own rows are still read
     monkeypatch.setattr(gpt, "_row_alphas", lambda r: rows(r) if r < 100 else pytest.fail(r))
@@ -522,9 +511,6 @@ GPT_DISK = ["gpt", "--shape", "disk", "--n", "64", "--out", "{out}"]
     (["recover", "--gpt", "{disk}", "--cross-lambda", "1.5"], "two distinct lambda values"),
     (["recover", "--gpt", "{disk}", "--cross-lambda", "nan"], "lambda must be finite"),
     (["recover", "--gpt", "{disk}", "--cross-lambda", "inf"], "lambda must be finite"),
-    (["recover", "--gpt", "{disk}", "--scan-degrees", "0"], "DMAX >= 1"),
-    (["recover", "--gpt", "{disk}", "--scan-degrees", "2", "--force"],
-     "--force has no effect with --scan-degrees"),
     (["render", "--poly", "{circle}", "--box=1,0,0,1", "--out", "{out}"], "degenerate box"),
     (["render", "--poly", "{circle}", "--box=-4,4,-4,inf", "--out", "{out}"],
      "box edges must be finite"),
@@ -537,9 +523,7 @@ GPT_DISK = ["gpt", "--shape", "disk", "--n", "64", "--out", "{out}"]
     # the recover modes exclude each other (argparse: usage line plus error line)
     (["recover", "--gpt", "{triangle}", "--reduce-degree", "--cross-lambda", "3"],
      "not allowed with argument"),
-    (["recover", "--gpt", "{disk}", "--scan-degrees", "2", "--reduce-degree"],
-     "not allowed with argument"),
-    (["recover", "--gpt", "{disk}", "--scan-degrees", "2", "--cross-lambda", "3"],
+    (["recover", "--gpt", "{disk}", "--cross-lambda", "3", "--reduce-degree"],
      "not allowed with argument"),
     # so do the two shape sources and the two spectral parameters
     (GPT_DISK + ["--d", "1", "--shape-file", "{out}"], "not allowed with argument"),
@@ -553,10 +537,9 @@ GPT_DISK = ["gpt", "--shape", "disk", "--n", "64", "--out", "{out}"]
      "could not parse box value list"),
 ], ids=["gpt-d-0", "gpt-row-degree-0", "gpt-lambda-nan", "gpt-lambda-inf", "gpt-k-nan",
         "scan-lambda-nan", "cross-lambda-equal", "cross-lambda-nan", "cross-lambda-inf",
-        "scan-degrees-0", "scan-and-force", "render-empty-box", "render-box-inf",
-        "render-level-nan", "match-threshold-nan",
-        "match-threshold-negative", "reduce-and-cross", "scan-and-reduce",
-        "scan-and-cross", "shape-and-shape-file", "lambda-and-k", "no-shape",
+        "render-empty-box", "render-box-inf", "render-level-nan", "match-threshold-nan",
+        "match-threshold-negative", "reduce-and-cross", "cross-and-reduce",
+        "shape-and-shape-file", "lambda-and-k", "no-shape",
         "dsl-empty-field", "dsl-trailing-comma", "box-empty-field"])
 def test_invalid_arguments_exit_1_without_traceback(probe_files, argv, message):
     r = run(*[a.format(**probe_files) for a in argv])  # an escaping exception fails here
@@ -635,12 +618,12 @@ def test_recover_degenerate_gpt_matrix(tmp_path, keep_largest, plain, forced):
 
 
 @pytest.mark.parametrize("option, meta, message", [
-    (["--scan-degrees", "2"], {"shape": {"kind": "disk"}, "n": 64}, "KeyError: 'radius'"),
+    (["--cross-lambda", "3"], {"shape": {"kind": "disk"}, "n": 64}, "KeyError: 'radius'"),
     (["--cross-lambda", "3"], {"shape": ShapeSpec.disk().to_json(), "n": "abc"},
      "ValueError"),
     (["--cross-lambda", "3"], {"shape": ShapeSpec.disk().to_json(), "n": math.inf},
      "OverflowError"),
-], ids=["scan-degrees-no-radius", "cross-lambda-text-n", "cross-lambda-infinite-n"])
+], ids=["cross-lambda-no-radius", "cross-lambda-text-n", "cross-lambda-infinite-n"])
 def test_recover_malformed_meta_is_config_error(tmp_path, capsys, option, meta, message):
     b = discretize(ShapeSpec.disk(), 64)
     path = tmp_path / "M.json"
@@ -670,7 +653,7 @@ def test_recover_refuses_a_meta_node_count_beyond_memory(tmp_path, capsys, monke
     ("entries", ["0.5"] * 84, [], "error: GPT entries must be numeric, got ['0.5', "),
     ("n", 64.5, ["--cross-lambda", "3"], "error: node count must be an integer, got 64.5"),
     ("n", "64", ["--cross-lambda", "3"], "error: node count must be an integer, got '64'"),
-    ("n", False, ["--scan-degrees", "2"], "error: node count must be an integer, got False"),
+    ("n", False, ["--cross-lambda", "3"], "error: node count must be an integer, got False"),
 ], ids=["fractional-d", "text-d", "bool-row-degree", "text-lambda", "text-entries",
         "fractional-n", "text-n", "bool-n"])
 def test_recover_refuses_gpt_numbers_of_the_wrong_kind(tmp_path, field, value, option, line):
@@ -686,21 +669,41 @@ def test_recover_refuses_gpt_numbers_of_the_wrong_kind(tmp_path, field, value, o
     assert not out.exists()
 
 
-def test_recover_scan_degrees_table(tmp_path):
-    M = tmp_path / "M.json"
-    scan = tmp_path / "scan.json"
-    assert run("gpt", "--shape", "ellipse:2,1", "--n", "128", "--d", "2",
-               "--out", str(M)).returncode == 0
-    r = run("recover", "--gpt", str(M), "--scan-degrees", "3",
+@pytest.mark.parametrize("argv, option", [
+    (["gpt", "--shape", "disk", "--n", "64", "--d", "1", "--out", "{tmp}/M.json",
+      "--dump-npo", "{tmp}/A.bin"], "--dump-npo {tmp}/A.bin"),
+    (["recover", "--gpt", "{disk}", "--out", "{tmp}/g.json", "--scan-degrees", "2"],
+     "--scan-degrees 2"),
+], ids=["gpt-dump-npo", "recover-scan-degrees"])
+def test_retired_options_are_unrecognized(probe_files, tmp_path, argv, option):
+    r = run(*[a.format(tmp=tmp_path, **probe_files) for a in argv])
+    assert r.returncode == 1
+    assert r.stderr.splitlines()[-1] == (
+        f"gptshape: error: unrecognized arguments: {option.format(tmp=tmp_path)}")
+    assert not any(tmp_path.iterdir())
+
+
+# scan-degrees subcommand --------------------------------------------------------
+
+
+def test_scan_degrees_table_from_a_shape_and_from_gpt_metadata(tmp_path):
+    M, scan, again = tmp_path / "M.json", tmp_path / "scan.json", tmp_path / "again.json"
+    r = run("scan-degrees", "--shape", "ellipse:2,1", "--n", "128", "--dmax", "3",
             "--out", str(scan))
     assert r.returncode == 0, r.stderr
     rows = json.loads(scan.read_text())["rows"]
     assert [row["d"] for row in rows] == [1, 2, 3]
     # the elbow: degree 2 is the first degree admitting the true polynomial
     assert rows[1]["residual"] < 1e-3 * rows[0]["residual"]
-
-
-# scan-degrees subcommand --------------------------------------------------------
+    # the same table from a GPT file's metadata, as README describes
+    assert run("gpt", "--shape", "ellipse:2,1", "--n", "128", "--d", "2",
+               "--out", str(M)).returncode == 0
+    gpt_file, shape = json.loads(M.read_text()), tmp_path / "shape.json"
+    shape.write_text(json.dumps(gpt_file["meta"]["shape"]))
+    r2 = run("scan-degrees", "--shape-file", str(shape), "--n", str(gpt_file["meta"]["n"]),
+             "--lambda", repr(gpt_file["lambda"]), "--dmax", "3", "--out", str(again))
+    assert (r2.returncode, r2.stdout) == (0, r.stdout)
+    assert again.read_bytes() == scan.read_bytes()
 
 
 def test_scan_degrees_subcommand(tmp_path):

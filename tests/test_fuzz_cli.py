@@ -1,10 +1,10 @@
 """The command line under random input, in this process.
 
 Each draw runs ``cli.main`` on a random shape DSL string or on a corrupted
-GPT, Poly2, recovery, shape, boundary CSV or NPO file.  Every run must end
-with an exit code of the README's table, without an escaping exception
-(which would be a traceback from ``python -m gptshape``), and a refusal
-prints exactly one stderr line, argparse's usage lines aside.
+GPT, Poly2, recovery, shape, boundary CSV or binary matrix file.  Every run
+must end with an exit code of the README's table, without an escaping
+exception (which would be a traceback from ``python -m gptshape``), and a
+refusal prints exactly one stderr line, argparse's usage lines aside.
 
 Sizes stay small: n <= 128, d <= 4 and grid <= 128, and the machine's
 memory reads 16 MiB, so any larger size read from a file can only be
@@ -21,6 +21,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from gptshape import cli, errors
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly
 from gptshape.gpt import assemble_gpt
-from gptshape.npo import assemble, dump_npo
+from gptshape.npo import assemble
 from gptshape.polynomial import Poly2
 from gptshape.recovery import recover
 
@@ -80,7 +81,6 @@ def seeds(tmp_path_factory):
     gpt = dict(M.to_json(), meta={"shape": ShapeSpec.ellipse(2.0, 1.0).to_json(), "n": 32})
     circle = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
     b.save_csv(tmp / "b.csv")
-    dump_npo(assemble(b), tmp / "npo.bin")
     shapes = [ShapeSpec.disk(1.0, (0.5, 0.0)), ShapeSpec.ellipse(2.0, 1.0, tilt=0.3),
               ShapeSpec.lemniscate([(1.0, 0.0), (-1.0, 0.0)], 0.2),
               ShapeSpec.flower(1.0, 0.3, 5, missing_petal=True),
@@ -94,7 +94,9 @@ def seeds(tmp_path_factory):
             [(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)], 0.3).to_json()).encode(),
         **{f"shape-{s.kind}": json.dumps(s.to_json()).encode() for s in shapes},
         "csv": (tmp / "b.csv").read_bytes(),
-        "npo": (tmp / "npo.bin").read_bytes(),
+        # a binary operator matrix: magic, uint64 n, the row-major float64 entries
+        "npo": b"NPOMAT01" + np.uint64(b.n).tobytes()
+               + assemble(b).matrix.astype("<f8").tobytes(),
     }
 
 
@@ -174,8 +176,7 @@ def _commands(kind, path, other, tmp):
     """Every subcommand that reads a file of ``kind``, with the file at ``path``."""
     if kind == "gpt":
         return [["recover", "--gpt", path, *mode, "--out", f"{tmp}/g.json"]
-                for mode in ([], ["--force"], ["--cross-lambda", "3"], ["--reduce-degree"],
-                             ["--scan-degrees", "2"])]
+                for mode in ([], ["--force"], ["--cross-lambda", "3"], ["--reduce-degree"])]
     if kind in ("recovery", "poly"):
         render = ["render", "--poly", path, "--grid", "97", "--out", f"{tmp}/g.svg"]
         return [render, render, render, render, ["match", "--ref", other, "--obs", path],
@@ -183,7 +184,7 @@ def _commands(kind, path, other, tmp):
     if kind == "csv":
         return [["render", "--poly", other, "--grid", "64", "--overlay", path,
                  "--out", f"{tmp}/g.svg"]]
-    if kind == "npo":  # no command reads an NPO dump: it must be refused where JSON goes
+    if kind == "npo":  # no command reads a binary matrix: it must be refused where JSON goes
         return [["recover", "--gpt", path], ["match", "--ref", other, "--obs", path],
                 ["gpt", "--shape-file", path, "--n", "32", "--d", "1"]]
     return [["gpt", "--shape-file", path, "--n", "48", "--d", "2", "--out", f"{tmp}/M.json"]]

@@ -283,13 +283,14 @@ def test_trace_checks_its_box_and_grid_like_render(box, error, message):
 
 
 def test_level_set_refuses_a_grid_beyond_memory(monkeypatch):
+    # the 64 x 64 grid fits exactly, and so does the walk of its 64 crossed cells
     monkeypatch.setattr(errors, "_physical_memory", lambda: 16 * 64 * 64)
-    assert len(level_set(UNIT_CIRCLE, (-2, 2, -2, 2), 64)) == 1
+    assert len(level_set(UNIT_CIRCLE, (-4, 4, -4, 4), 64)) == 1
     monkeypatch.setattr(Poly2, "on_grid", lambda *a: pytest.fail("sampled the grid"))
     with pytest.raises(ConfigError, match=(
             r"^65 x 65 grid samples need 67600 bytes for the polynomial's values and its "
             r"level set, but this machine has 65536 bytes of memory$")):
-        level_set(UNIT_CIRCLE, (-2, 2, -2, 2), 65)
+        level_set(UNIT_CIRCLE, (-4, 4, -4, 4), 65)
 
 
 def _chebyshev(n, v):
@@ -332,6 +333,17 @@ def test_level_set_peak_stays_within_its_budget(p, box, level, samples):
         tracemalloc.stop()
     assert bool(chains) == bool(p.coeffs.any())  # p = 0 has no crossed cell
     assert peak - before <= 16 * samples**2
+
+
+def test_level_set_refuses_a_walk_beyond_memory(monkeypatch):
+    # the web's 257 x 257 samples take 1,056,784 bytes and fit a 2 MiB machine;
+    # its 4,032 crossed cells, at 600 bytes each to walk, do not
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**21)
+    monkeypatch.setattr(geometry, "marching_squares", lambda *a: pytest.fail("walked"))
+    with pytest.raises(ConfigError, match=(
+            r"^4032 crossed cells need 2419200 bytes for the walk along the level set, "
+            r"but this machine has 2097152 bytes of memory$")):
+        level_set(_WEB, (-1, 1, -1, 1), 257)
 
 
 def test_level_set_refuses_an_overflowing_grid_before_the_walk(monkeypatch):

@@ -21,8 +21,6 @@ from gptshape.npo import (
     NpoMatrix,
     Resolvent,
     assemble,
-    dump_npo,
-    load_npo,
 )
 from oracles import (
     assert_same_bits,
@@ -346,38 +344,6 @@ def test_memory_budget_counts_the_matrix_and_its_lu(monkeypatch):
         assemble(discretize_parametric(ShapeSpec.disk(), 257))
     with pytest.raises(ConfigError, match="512 nodes need 4194304 bytes"):
         assemble(discretize_parametric(ShapeSpec.disk(), 512))
-
-
-# binary dump ----------------------------------------------------------------------
-
-
-def test_dump_round_trip(tmp_path):
-    npo = disk_npo(48)
-    path = tmp_path / "npo.bin"
-    dump_npo(npo, path)
-    raw = path.read_bytes()
-    assert raw[:8] == b"NPOMAT01"
-    assert len(raw) == 16 + 8 * 48 * 48
-    back = load_npo(path)
-    np.testing.assert_array_equal(back, npo.matrix)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTDUMP0" + b"\x00" * 24)
-    with pytest.raises(ValueError):
-        load_npo(path)
-
-
-def test_load_checks_size_against_header(tmp_path):
-    # 80 bytes whose header claims n = 2**31: rejected before any allocation
-    path = tmp_path / "lying.bin"
-    path.write_bytes(b"NPOMAT01" + (2**31).to_bytes(8, "little") + b"\x00" * 64)
-    with pytest.raises(ValueError, match="truncated"):
-        load_npo(path)
-    path.write_bytes(b"NPOMAT01")  # header cut short
-    with pytest.raises(ValueError, match="truncated"):
-        load_npo(path)
 
 
 def test_npo_matrix_validates_shape():

@@ -225,12 +225,15 @@ def test_crossvalidated_rejects_equal_lambdas():
 def test_crossvalidated_underdegreed_is_flagged():
     g_true = lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2)
     b = trace_implicit(g_true, n=256)
-    try:
-        out = recover_crossvalidated(b, 2, 1.5, 3.0)
-    except NumericError as exc:
-        assert "kernel is ambiguous at both lambda values" in str(exc)
-        return
-    assert "LambdaSuspect" in out.flags
+    assert recover_crossvalidated(b, 2, 1.5, 3.0).flags == ("LambdaSuspect",)
+
+
+def test_crossvalidated_refuses_an_overdegreed_kernel_at_both_lambdas():
+    b = discretize(ShapeSpec.ellipse(2.0, 1.0), 256)
+    with pytest.raises(NumericError, match=(
+            r"^kernel is ambiguous at both lambda values \(gaps .*\); the degree bound d=4 "
+            r"is above the minimal degree 2 \(6 kernel directions\)$")):
+        recover_crossvalidated(b, 4, 1.5, 3.0)
 
 
 # minimal-degree reduction -----------------------------------------------------
