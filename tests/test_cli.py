@@ -525,6 +525,11 @@ GPT_DISK = ["gpt", "--shape", "disk", "--n", "64", "--out", "{out}"]
      "not allowed with argument"),
     (["recover", "--gpt", "{disk}", "--cross-lambda", "3", "--reduce-degree"],
      "not allowed with argument"),
+    # the degree scan lives in its own subcommand, which takes neither recover mode
+    (["scan-degrees", "--shape", "disk", "--n", "64", "--dmax", "2", "--reduce-degree"],
+     "unrecognized arguments: --reduce-degree"),
+    (["scan-degrees", "--shape", "disk", "--n", "64", "--dmax", "2", "--cross-lambda", "3"],
+     "unrecognized arguments: --cross-lambda 3"),
     # so do the two shape sources and the two spectral parameters
     (GPT_DISK + ["--d", "1", "--shape-file", "{out}"], "not allowed with argument"),
     (GPT_DISK + ["--d", "1", "--lambda", "2", "--k", "3"], "not allowed with argument"),
@@ -539,6 +544,7 @@ GPT_DISK = ["gpt", "--shape", "disk", "--n", "64", "--out", "{out}"]
         "scan-lambda-nan", "cross-lambda-equal", "cross-lambda-nan", "cross-lambda-inf",
         "render-empty-box", "render-box-inf", "render-level-nan", "match-threshold-nan",
         "match-threshold-negative", "reduce-and-cross", "cross-and-reduce",
+        "scan-and-reduce", "scan-and-cross",
         "shape-and-shape-file", "lambda-and-k", "no-shape",
         "dsl-empty-field", "dsl-trailing-comma", "box-empty-field"])
 def test_invalid_arguments_exit_1_without_traceback(probe_files, argv, message):
