@@ -28,18 +28,15 @@ No tolerance is needed: a tile whose two bounds are finite, with the
 lower one above 0 or the upper one below 0, holds finite samples of one
 strict sign, so none of its cells is crossed and none of its samples is
 computed.  NaN in a table makes a bound NaN and keeps the tile.  The
-other tiles are sampled by the products and sums of
-:meth:`Poly2.on_grid` from the same tables, and :func:`walk_cells` walks
-their crossed cells as it walks those of a dense grid in
-:func:`marching_squares`, so no cell changes case and no output bit
-moves.
+other tiles are sampled by the same products, summed from zero in term
+order as :meth:`Poly2.__call__` sums them, and :func:`walk_cells` walks
+their crossed cells, so every sample and every cell's case is that of
+the dense grid, and no output bit moves.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ConfigError
 
 TILE = 16  # cells per tile edge
 
@@ -67,19 +64,6 @@ def _segment_table():
 
 
 _SEGMENTS = _segment_table()
-
-
-def marching_squares(s, xs, ys, level, p):
-    """Trace the zero set of shifted samples on a dense rectangular grid.
-
-    s[i, j] samples ``p - level`` at (xs[i], ys[j]) and is read, never
-    copied; its crossed cells are walked by :func:`walk_cells`.
-    """
-    nx, ny = s.shape
-    if nx != len(xs) or ny != len(ys):
-        raise ConfigError("values shape must match sample coordinates")
-    return walk_cells(*_crossings(s[:, :, None], np.arange(nx)[:, None], np.arange(ny)[:, None]),
-                      xs, ys, level, p)
 
 
 def walk_cells(cells, corners, xs, ys, level, p):
@@ -208,7 +192,7 @@ def crossing_cells(factors, xs, ys, level):
         shape = (TILE + 1, TILE + 1, r.shape[1])
         s, term = (buf[:(TILE + 1) ** 2 * r.shape[1]].reshape(shape) for buf in buffers)
         s.fill(0.0)
-        for fx, fy in factors:  # on_grid's products and sums, in its order
+        for fx, fy in factors:  # the products and sums of Poly2.__call__, in its order
             np.multiply(fx[r][:, None], fy[c][None], out=term)
             s += term
         s -= level

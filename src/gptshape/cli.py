@@ -190,8 +190,8 @@ def _boundary_from_meta(M: GptMatrix) -> DiscretizedBoundary:
     meta = M.meta or {}
     if "shape" not in meta or "n" not in meta:
         raise ConfigError(
-            "the GPT file carries no shape metadata; it cannot be "
-            "re-assembled at another lambda or degree"
+            "the GPT file carries no shape metadata; --cross-lambda cannot "
+            "re-assemble it at another lambda"
         )
     return _shape_boundary(meta["shape"], meta["n"])[1]
 

@@ -106,29 +106,12 @@ class Poly2:
             out += c * p1[a1] * p2[a2]
         return out
 
-    def on_grid(self, xs, ys) -> np.ndarray:
-        """Evaluate on a tensor grid: ``out[i, j] = p(xs[i], ys[j])``.
-
-        Powers are taken on the 1-D axes and each term is their outer
-        product, summed in the order and with the association of
-        :meth:`__call__`, so the result equals ``p`` on the stacked
-        ``meshgrid(xs, ys, indexing="ij")`` points bit for bit.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or ys.ndim != 1:
-            raise ConfigError("grid axes must be 1-D")
-        out = np.zeros((xs.size, ys.size))
-        for fx, fy in self.grid_factors(xs, ys):
-            out += np.multiply.outer(fx, fy)
-        return out
-
     def grid_factors(self, xs, ys) -> list:
         """Axis tables ``(c * xs**a1, ys**a2)`` of the nonzero terms, in term order.
 
         A grid sample of term t is ``fx[i] * fy[j]``, associated as in
         :meth:`__call__`, so summing these products from zero in this order
-        gives ``p`` bit for bit.  :meth:`on_grid` sums every sample;
+        gives ``p`` at ``(xs[i], ys[j])`` bit for bit.
         :func:`gptshape.geometry.level_set` bounds the tables tile by tile
         and sums only the samples it cannot rule out.
         """

@@ -147,7 +147,7 @@ def poly_eval_oracle(p, pts):
 
 
 def on_grid_oracle(p, xs, ys):
-    """Poly2.on_grid in whole-grid passes: one outer product and one sum per term."""
+    """p on the grid xs x ys in whole-grid passes: one outer product and one sum per term."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     out = np.zeros((xs.size, ys.size))
@@ -296,7 +296,7 @@ def _interp_oracle(p0, p1, s0, s1):
 
 
 def marching_squares_oracle(values, xs, ys, level, center_value):
-    """marching_squares with a crossing list, a saddle if-tree and key-pair marks.
+    """Marching squares over a dense grid with a crossing list, a saddle if-tree and key-pair marks.
 
     values[i, j] samples the field at (xs[i], ys[j]).  center_value(x, y)
     returns the field at a cell center, used only for saddle cells.
@@ -430,7 +430,7 @@ def _chain_oracle(segments, points):
 def level_set_oracle(p, box, samples, level=0.0):
     """geometry.level_set over the dense grid: every sample, every cell walked.
 
-    The same checks as the package, then ``p.on_grid`` on the whole grid,
+    The same checks as the package, then on_grid_oracle on the whole grid,
     one refusal when a shifted sample is not finite, marching_squares_oracle
     over every cell, and the same refusal when a vertex is not finite.
     """
@@ -447,7 +447,7 @@ def level_set_oracle(p, box, samples, level=0.0):
     json_floats(level, "level")
     with np.errstate(over="ignore", invalid="ignore"):
         xs, ys = np.linspace(xmin, xmax, samples), np.linspace(ymin, ymax, samples)
-        values = p.on_grid(xs, ys)
+        values = on_grid_oracle(p, xs, ys)
         chains = None
         if np.isfinite(values - level).all():
             chains = marching_squares_oracle(values, xs, ys, level,

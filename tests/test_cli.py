@@ -154,7 +154,7 @@ def test_gpt_refuses_a_json_file_beyond_memory_before_serializing(monkeypatch, t
 
 
 def test_render_refuses_a_grid_beyond_memory(probe_files, monkeypatch, tmp_path):
-    monkeypatch.setattr(Poly2, "on_grid", lambda *a: pytest.fail("sampled the grid"))
+    monkeypatch.setattr(Poly2, "grid_factors", lambda *a: pytest.fail("sampled the grid"))
     monkeypatch.setattr(errors, "_physical_memory", lambda: 2**30)
     out = tmp_path / "g.svg"
     r = run("render", "--poly", probe_files["circle"], "--grid", "100000000", "--out", str(out))
@@ -639,6 +639,23 @@ def test_recover_malformed_meta_is_config_error(tmp_path, capsys, option, meta, 
     err = capsys.readouterr().err
     assert "malformed shape" in err and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("meta", [None, {"shape": ShapeSpec.disk().to_json()}],
+                         ids=["no-meta", "meta-without-n"])
+def test_recover_cross_lambda_refuses_a_file_without_shape_metadata(tmp_path, meta):
+    b = discretize(ShapeSpec.disk(), 64)
+    obj = assemble_gpt(b, assemble(b), 1.5, 2).to_json()
+    assert "meta" not in obj
+    if meta is not None:
+        obj["meta"] = meta
+    path, out = tmp_path / "M.json", tmp_path / "out.json"
+    path.write_text(json.dumps(obj))
+    r = run("recover", "--gpt", str(path), "--cross-lambda", "3", "--out", str(out))
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", (
+        "error: the GPT file carries no shape metadata; --cross-lambda cannot "
+        "re-assemble it at another lambda\n"))
+    assert not out.exists()
 
 
 def test_recover_refuses_a_meta_node_count_beyond_memory(tmp_path, capsys, monkeypatch):

@@ -286,7 +286,7 @@ def test_level_set_refuses_a_grid_beyond_memory(monkeypatch):
     # the 64 x 64 grid fits exactly, and so does the walk of its 64 crossed cells
     monkeypatch.setattr(errors, "_physical_memory", lambda: 16 * 64 * 64)
     assert len(level_set(UNIT_CIRCLE, (-4, 4, -4, 4), 64)) == 1
-    monkeypatch.setattr(Poly2, "on_grid", lambda *a: pytest.fail("sampled the grid"))
+    monkeypatch.setattr(Poly2, "grid_factors", lambda *a: pytest.fail("sampled the grid"))
     with pytest.raises(ConfigError, match=(
             r"^65 x 65 grid samples need 67600 bytes for the polynomial's values and its "
             r"level set, but this machine has 65536 bytes of memory$")):
@@ -320,7 +320,7 @@ _BUDGET_ROWS = [
     pytest.param(_WEB, (-1, 1, -1, 1), 0.0, 1025, id="chebyshev-web-1025"),
 ])
 def test_level_set_peak_stays_within_its_budget(p, box, level, samples):
-    # check_memory charges 16 bytes a sample, the dense grid's cost; the
+    # check_memory charges 16 bytes a sample, a bound on the peak; the
     # tiles are sampled a quarter of the grid at a time, and the crossed
     # cells and their walk grow with the curve
     level_set(p, box, 65, level)  # warm up

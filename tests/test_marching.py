@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptshape._marching import TILE, cleared_tiles, marching_squares
+from gptshape._marching import TILE, _crossings, cleared_tiles, walk_cells
 from gptshape.errors import GptShapeError, NumericError
 from gptshape.geometry import lemniscate_poly, level_set
 from gptshape.polynomial import Poly2, poly_dim
 
-from oracles import assert_same_bits, level_set_oracle, marching_squares_oracle
+from oracles import assert_same_bits, level_set_oracle, marching_squares_oracle, on_grid_oracle
 
 UNIT_CIRCLE = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 
@@ -18,6 +18,13 @@ UNIT_CIRCLE = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 def _reference(values, xs, ys, level, p):
     return marching_squares_oracle(values, xs, ys, level,
                                    lambda cx, cy: float(p(np.array([cx, cy]))))
+
+
+def dense_walk(s, xs, ys, level, p):
+    """walk_cells over every crossed cell of the shifted samples s[i, j] at (xs[i], ys[j])."""
+    nx, ny = s.shape
+    return walk_cells(*_crossings(s[:, :, None], np.arange(nx)[:, None], np.arange(ny)[:, None]),
+                      xs, ys, level, p)
 
 
 def assert_same_polylines(got, want):
@@ -44,9 +51,9 @@ SIZES = st.one_of(st.sampled_from([3, 5, 9, 17, 33]), st.integers(2, 40))
 def test_marching_squares_matches_reference(p, nx, ny, box, level):
     xs = np.linspace(box[0], box[1], nx)
     ys = np.linspace(box[2], box[3], ny)
-    values = p.on_grid(xs, ys)
-    # marching_squares reads samples of p - level; the oracle shifts its own
-    assert_same_polylines(marching_squares(values - level, xs, ys, level, p),
+    values = on_grid_oracle(p, xs, ys)
+    # the walk reads samples of p - level; the oracle shifts its own
+    assert_same_polylines(dense_walk(values - level, xs, ys, level, p),
                           _reference(values, xs, ys, level, p))
 
 
@@ -59,7 +66,7 @@ def test_marching_squares_every_cell_case(case, centre, high):
     values = np.array([[bl, tl], [br, tr]])
     xs, ys = np.array([0.0, 1.0]), np.array([0.0, 1.0])
     p = Poly2(0, [centre])
-    got = marching_squares(values, xs, ys, 0.0, p)
+    got = dense_walk(values, xs, ys, 0.0, p)
     assert_same_polylines(got, _reference(values, xs, ys, 0.0, p))
     assert len(got) == (0 if case in (0, 15) else 2 if case in (5, 10) else 1)
     assert all(len(pl) == 2 and not closed for pl, closed in got)
@@ -103,7 +110,7 @@ def test_level_set_matches_the_dense_grid(p, box, samples, level):
 def test_level_set_refuses_a_grid_that_overflows_in_some_tiles_only(p, box):
     xs = np.linspace(box[0], box[1], 65)
     with np.errstate(over="ignore"):
-        finite = np.isfinite(p.on_grid(xs, np.linspace(box[2], box[3], 65)))
+        finite = np.isfinite(on_grid_oracle(p, xs, np.linspace(box[2], box[3], 65)))
     assert finite.any() and not finite.all()
     with pytest.raises(NumericError, match="p overflows float64 on the grid"):
         level_set(p, box, 65)
@@ -136,7 +143,7 @@ def test_level_set_matches_the_dense_grid_on_match_render_shapes(p, box, samples
 def assert_cleared_tiles_hold_one_sign(p, box, samples, level):
     with np.errstate(over="ignore", invalid="ignore"):
         xs, ys = np.linspace(box[0], box[1], samples), np.linspace(box[2], box[3], samples)
-        s = p.on_grid(xs, ys) - level
+        s = on_grid_oracle(p, xs, ys) - level
         cleared = cleared_tiles(p.grid_factors(xs, ys), xs, ys, level)
     for a, b in zip(*np.nonzero(cleared)):
         block = s[TILE * a:TILE * (a + 1) + 1, TILE * b:TILE * (b + 1) + 1]
