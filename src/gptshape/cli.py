@@ -26,8 +26,8 @@ from .errors import ConfigError, NumericError, check_memory, json_int
 from .geometry import DiscretizedBoundary, ShapeSpec, discretize
 from .gpt import GptMatrix, assemble_gpt, lambda_of_k
 from .npo import assemble
-from .polynomial import Poly2, poly_dim
-from .recovery import (KERNEL_FLOOR, excess_degree, recover, recover_crossvalidated,
+from .polynomial import Poly2
+from .recovery import (KERNEL_FLOOR, kernel_directions, recover, recover_crossvalidated,
                        recover_minimal_degree, scan)
 from .render import export_svg, extract
 from .transform import match
@@ -208,10 +208,9 @@ def cmd_recover(args) -> int:
         out = recover(M)
     if "AmbiguousKernel" in out.flags and not args.force:
         s, d = out.singular_values, out.g_hat.degree
-        m = excess_degree(s, d)
-        k = sum(v <= KERNEL_FLOOR * s[0] for v in s)  # minimal degree d - m: poly_dim(m) of them
+        k, m = kernel_directions(s, d)
         note = ""
-        if m and k == poly_dim(m):
+        if m:
             note = (f"; {k} kernel directions put the minimal degree at {d - m}, "
                     "which --reduce-degree tries")
         elif k > 1:

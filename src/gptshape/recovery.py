@@ -143,6 +143,14 @@ def excess_degree(s: np.ndarray, d: int) -> int:
     return max(cuts, default=(0.0, 0))[1]
 
 
+def kernel_directions(s: np.ndarray, d: int) -> tuple:
+    """(k, m): the k values of the spectrum s under ``KERNEL_FLOOR * s[0]``, and
+    the :func:`excess_degree` m when k = poly_dim(m) of them bear it out, or 0."""
+    k = int(np.sum(s <= KERNEL_FLOOR * s[0]))
+    m = excess_degree(s, d)
+    return k, m if k == poly_dim(m) else 0
+
+
 def recover(M: GptMatrix, eps_nz: float = DEFAULT_EPS_NZ) -> RecoveryResult:
     """Smallest-singular-vector recovery of the boundary polynomial.
 
@@ -233,13 +241,17 @@ def recover_crossvalidated(
     r1, r2 = results
     ambiguous = ["AmbiguousKernel" in r.flags for r in results]
     if all(ambiguous):
-        m = excess_degree(r1.singular_values, d)
+        k, m = kernel_directions(r1.singular_values, d)
+        why = "likely does not admit a vanishing polynomial"
+        if m:
+            why = f"is above the minimal degree {d - m} ({k} kernel directions)"
+        elif k > 1:
+            why = (f"gives {k} singular values under {KERNEL_FLOOR:g} times the largest, "
+                   "which no minimal degree explains")
         raise NumericError(
             "kernel is ambiguous at both lambda values "
             f"(gaps {r1.kernel_gap:.3g} and {r2.kernel_gap:.3g}, residuals "
-            f"{r1.residual:.3g} and {r2.residual:.3g}); the degree bound d={d} "
-            + (f"is above the minimal degree {d - m} ({poly_dim(m)} kernel directions)"
-               if m else "likely does not admit a vanishing polynomial")
+            f"{r1.residual:.3g} and {r2.residual:.3g}); the degree bound d={d} {why}"
         )
     diff = float(np.max(np.abs(r1.g_hat.coeffs - r2.g_hat.coeffs)))
     if diff > CROSS_LAMBDA_TOL:
@@ -294,8 +306,9 @@ def estimate_lambda(
 
     The candidate's moment problem does not depend on lambda and is built
     once; each lambda costs one resolvent, whose factorization gives both
-    M and D (:meth:`MomentProblem.solve_with_derivative`).  Evaluations are
-    memoized per lambda, because a clipped step can land on a grid point.
+    M and D (:meth:`MomentProblem.solve_with_derivative`).  The refinement
+    starts from the grid pass's misfit and step at the argmin; a step
+    clipped onto another grid point solves there again.
     """
     grid = [float(v) for v in lam_grid]
     if not grid:
@@ -306,18 +319,16 @@ def estimate_lambda(
         npo = assemble(b_candidate)
 
     problem = moment_problem(b_candidate, M_target.d, M_target.row_degree)
-    memo = {}
 
     def fit(lam: float) -> tuple:
         """Misfit at lambda and the Gauss-Newton step from there."""
-        if lam not in memo:
-            M, D = problem.solve_with_derivative(_resolvent(b_candidate, npo, lam))
-            E = M.entries - M_target.entries
-            dd = float(np.vdot(D, D)) or 1.0  # D = 0 makes <E, D> = 0: no step
-            memo[lam] = float(np.linalg.norm(E)), -float(np.vdot(E, D)) / dd
-        return memo[lam]
+        M, D = problem.solve_with_derivative(_resolvent(b_candidate, npo, lam))
+        E = M.entries - M_target.entries
+        dd = float(np.vdot(D, D)) or 1.0  # D = 0 makes <E, D> = 0: no step
+        return float(np.linalg.norm(E)), -float(np.vdot(E, D)) / dd
 
-    values = [fit(v)[0] for v in grid]
+    fits = [fit(v) for v in grid]
+    values = [f for f, _ in fits]
     if max(values) - min(values) < 1e-12:
         raise NumericError(
             "misfit curve is flat over the lambda grid; the target matrix "
@@ -332,7 +343,7 @@ def estimate_lambda(
     ends = [grid[j] for j in near + [i]]
     lo, hi = min(ends), max(ends)
     lam = grid[i]
-    best, step = fit(lam)
+    best, step = fits[i]
     t = min(max(lam + step, lo), hi)
     for _ in range(10):
         if not abs(t - lam) > 4 * np.spacing(abs(lam)):  # also stops on a NaN step

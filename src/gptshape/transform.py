@@ -27,15 +27,19 @@ result within that factor as an alternate.
 scipy.optimize is imported by the refinement step, so only :func:`match`
 pays for it.
 
-The grid's rotations do not depend on the pair being matched, so their
-lifts form one table per (degree j, branch), built by :func:`lift` on
-first use and kept for the life of the process: 180 (j+1)^2 doubles, or
-sum over j <= d of that per branch, which is 0.2 MB at d = 6 and 4.8 MB
-at d = 20.  The first match at a degree builds it and later ones only
-read it; :func:`match` counts it in the memory budget before building
-it.  A simplex step lifts one matrix to every degree, so it expands the
-matrix's two linear forms once and shares the expansions between
-degrees.  Both give :func:`lift`'s bits exactly.
+A reflection is a rotation after the fixed mirror F, and since
+``(s R(theta) F)^-1 = F (s R(theta))^-1`` only negates the rows of odd h
+of the lift, the reflected search is the rotation search of the mirrored
+reference p(x1, -x2); only :func:`match` knows the branch.  The grid's
+rotations do not depend on the pair being matched, so their lifts form
+one table per degree j, built by :func:`lift` on first use and kept for
+the life of the process: 180 (j+1)^2 doubles, or sum over j <= d of
+that, which is 0.2 MB at d = 6 and 4.8 MB at d = 20.  The first match at
+a degree builds it and later ones only read it; :func:`match` counts it
+in the memory budget before building it.  A simplex step lifts one
+matrix to every degree, so it expands the matrix's two linear forms once
+and shares the expansions between degrees.  Both give :func:`lift`'s
+bits exactly.
 """
 
 from __future__ import annotations
@@ -194,21 +198,25 @@ def _unit_forms(forms):
     return [b / norm for b in forms]
 
 
+def _mirrored(forms):
+    """The forms of ``p(x1, -x2)``: each form's odd powers of x2 negated."""
+    return [np.where(np.arange(len(b)) % 2, -b, b) for b in forms]
+
+
 @functools.cache
-def _rotation_lifts(j: int, reflected: bool) -> np.ndarray:
+def _rotation_lifts(j: int) -> np.ndarray:
     """``lift(B, j)`` for the inverse ``B`` of every grid rotation, stacked by theta."""
-    table = np.stack([lift(_similarity_matrix(1.0, theta, reflected).T, j)
-                      for theta in THETAS])
+    table = np.stack([lift(_similarity_matrix(1.0, theta).T, j) for theta in THETAS])
     table.setflags(write=False)
     return table
 
 
-def _grid_objective(ref_blocks, obs_blocks, reflected):
+def _grid_objective(ref_blocks, obs_blocks):
     """J on the (THETAS, SCALES) grid, exploiting lift(sB, j) = s^j lift(B, j)."""
     d = len(ref_blocks) - 1
     js = np.arange(d + 1)
     spow = SCALES[None, :] ** (-js[:, None])  # s^{-j}, shape (d+1, N_SCALE)
-    lifts = [_rotation_lifts(j, reflected) for j in range(d + 1)]
+    lifts = [_rotation_lifts(j) for j in range(d + 1)]
     J = np.empty((N_THETA, N_SCALE))
     a = np.empty(d + 1)
     b = np.empty(d + 1)
@@ -223,10 +231,9 @@ def _grid_objective(ref_blocks, obs_blocks, reflected):
     return np.maximum(J, 0.0)
 
 
-def _objective(ref_forms, obs_unit: np.ndarray, logs: float, theta: float,
-               reflected: bool) -> float:
+def _objective(ref_forms, obs_unit: np.ndarray, logs: float, theta: float) -> float:
     """J at one similarity; ``ref_forms`` is ``to_forms`` of the reference."""
-    Ainv = np.linalg.inv(_similarity_matrix(math.exp(logs), theta, reflected))
+    Ainv = np.linalg.inv(_similarity_matrix(math.exp(logs), theta))
     # the simplex may wander to a scale where v overflows or underflows: the worst fit, 2
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         v = np.concatenate([f[::-1] for f in _pushed_forms(ref_forms, Ainv)])
@@ -234,21 +241,14 @@ def _objective(ref_forms, obs_unit: np.ndarray, logs: float, theta: float,
     return max(J, 0.0) if math.isfinite(J) else 2.0
 
 
-def _refine(ref_forms, obs_unit, logs0, theta0, reflected):
-    """Nelder-Mead in (log s, theta) from one grid cell: (J, log s, theta, reflected)."""
+def _refine(ref_forms, obs_unit, logs0, theta0):
+    """Nelder-Mead in (log s, theta) from one grid cell: (J, log s, theta)."""
     from scipy.optimize import minimize  # lazy: see the module docstring
 
-    res = minimize(
-        lambda x: _objective(ref_forms, obs_unit, x[0], x[1], reflected),
-        x0=[logs0, theta0],
-        method="Nelder-Mead",
-        options={
-            "xatol": REFINE_XATOL,
-            "fatol": 1e-15,
-            "maxiter": REFINE_MAXITER,
-        },
-    )
-    return float(res.fun), float(res.x[0]), float(res.x[1]), reflected
+    res = minimize(lambda x: _objective(ref_forms, obs_unit, x[0], x[1]), x0=[logs0, theta0],
+                   method="Nelder-Mead",
+                   options={"xatol": REFINE_XATOL, "fatol": 1e-15, "maxiter": REFINE_MAXITER})
+    return float(res.fun), float(res.x[0]), float(res.x[1])
 
 
 def _local_minima(J):
@@ -303,26 +303,25 @@ def match(g_ref: Poly2, g_obs: Poly2, threshold: float = 0.01,
     obs_blocks = _unit_forms(to_forms(g_obs))
     obs_unit = from_forms(obs_blocks).coeffs
 
-    branches = (False, True) if allow_reflection else (False,)
-    entries = N_THETA * len(branches) * sum((j + 1) ** 2 for j in range(d + 1))
+    # a reflected match is the rotation match of the mirrored reference
+    branches = {False: (ref_forms, ref_blocks)}
+    if allow_reflection:
+        branches[True] = (_mirrored(ref_forms), _mirrored(ref_blocks))
+    entries = N_THETA * sum((j + 1) ** 2 for j in range(d + 1))
     check_memory(8 * entries, f"degree {d}", "match's table of lifted rotations")
 
     candidates = []  # (J_grid, logs, theta, reflected)
-    for reflected in branches:
-        J = _grid_objective(ref_blocks, obs_blocks, reflected)
+    for reflected, (_, blocks) in branches.items():
+        J = _grid_objective(blocks, obs_blocks)
         best_eps = math.sqrt(float(J.min()))
-        keep = _local_minima(J) & (
-            np.sqrt(J) <= ALTERNATES_FACTOR * best_eps + 1e-9
-        )
-        for it, isc in zip(*np.nonzero(keep)):
-            candidates.append(
-                (float(J[it, isc]), math.log(SCALES[isc]), float(THETAS[it]), reflected)
-            )
+        keep = _local_minima(J) & (np.sqrt(J) <= ALTERNATES_FACTOR * best_eps + 1e-9)
+        candidates += [(float(J[it, isc]), math.log(SCALES[isc]), float(THETAS[it]), reflected)
+                       for it, isc in zip(*np.nonzero(keep))]
 
     # a rotation-invariant shape turns the whole theta axis into tied grid
     # minima; refine only the best few cells
     candidates = sorted(candidates, key=lambda c: c[0])[:MAX_CANDIDATES]
-    refined = [_refine(ref_forms, obs_unit, logs0, theta0, reflected)
+    refined = [(*_refine(branches[reflected][0], obs_unit, logs0, theta0), reflected)
                for _, logs0, theta0, reflected in candidates]
     found = [(Similarity(math.exp(logs), theta, reflected), math.sqrt(J))
              for J, logs, theta, reflected in _alternates(refined)]

@@ -28,7 +28,7 @@ from gptshape.gpt import (
 )
 from gptshape.npo import Resolvent, assemble
 from gptshape.polynomial import Poly2, multiindex_at, ordinal, poly_dim
-from gptshape.recovery import estimate_lambda
+from gptshape.recovery import estimate_lambda, recover
 
 
 def build(spec, n, lam, d, row_degree=None):
@@ -209,6 +209,55 @@ def test_ladder_and_far_field_at_one_lambda_factor_once(resolvent_lambdas):
         assemble_gpt(b, npo, 1.5, d)
     far_field(b, npo, 1.5, Poly2.from_terms({(1, 0): 1.0}), (9.0, 0.0))
     assert resolvent_lambdas == [1.5]
+
+
+def _far_field_sum(M, h, x):
+    """far_field's expansion, term for term, from the entries of M."""
+    total = 0.0
+    for r, alpha in enumerate(M.row_alphas):
+        a1, a2 = alpha
+        dgamma = gpt._log_kernel_derivative(alpha, x)
+        sign = (-1.0) ** (a1 + a2)
+        for c, beta in enumerate(M.col_betas):
+            b1, b2 = beta
+            coeff = h.coeffs[ordinal(beta)] if b1 + b2 <= h.degree else 0.0
+            if b1 + b2 == 0 or coeff == 0.0:
+                continue
+            dh0 = coeff * math.factorial(b1) * math.factorial(b2)
+            total += (sign / (math.factorial(a1) * math.factorial(a2)
+                              * math.factorial(b1) * math.factorial(b2))
+                      * dgamma * M.entries[r, c] * dh0)
+    return total
+
+
+def test_the_far_field_does_not_see_the_x2_plus_y2_combinations():
+    # a harmonic h has h_20 + h_02 = 0, and the row weights of (2, 0) and (0, 2)
+    # sum to Laplace Gamma / 2 = 0: entries moved along x^2 + y^2 as a column or
+    # as a row combination change no far field, yet recover reads them
+    b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 256)
+    npo = assemble(b)
+    h = Poly2.from_terms({(2, 0): 1.0, (0, 2): -1.0, (1, 1): 0.5, (1, 0): 0.3, (0, 1): -0.2})
+    x = (7.0, 3.0)
+    M = assemble_gpt(b, npo, 1.5, 2, 4)
+    far = _far_field_sum(M, h, x)
+    assert far == pytest.approx(far_field(b, npo, 1.5, h, x, truncation=4).expansion,
+                                rel=1e-14, abs=0.0)
+    rng = np.random.default_rng(0)
+    delta = 1e-3 * np.max(np.abs(M.entries))
+    cols = [ordinal((2, 0)), ordinal((0, 2))]
+    rows = [M.row_alphas.index((2, 0)), M.row_alphas.index((0, 2))]
+    column, row, visible = (M.entries.copy() for _ in range(3))
+    column[:, cols] += delta * rng.standard_normal((M.entries.shape[0], 1))
+    row[rows] += delta * rng.standard_normal(M.entries.shape[1])
+    visible[:, cols[0]] += delta * rng.standard_normal(M.entries.shape[0])
+    g = recover(M).g_hat.coeffs
+    for entries in (column, row):
+        moved = GptMatrix(M.lam, M.d, M.row_degree, entries)
+        assert abs(_far_field_sum(moved, h, x) - far) <= 1e-12 * abs(far)
+        assert np.max(np.abs(recover(moved).g_hat.coeffs - g)) > 1e-2
+    # the same size of move along x^2 alone is seen
+    moved = GptMatrix(M.lam, M.d, M.row_degree, visible)
+    assert abs(_far_field_sum(moved, h, x) - far) > 1e-3 * abs(far)
 
 
 def test_far_field_too_close_rejected():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import estimate_lambda_gauss_newton_oracle, estimate_lambda_oracle
 
+from gptshape import recovery
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly, trace_implicit
 from gptshape.gpt import assemble_gpt
@@ -234,6 +235,22 @@ def test_crossvalidated_refuses_an_overdegreed_kernel_at_both_lambdas():
             r"^kernel is ambiguous at both lambda values \(gaps .*\); the degree bound d=4 "
             r"is above the minimal degree 2 \(6 kernel directions\)$")):
         recover_crossvalidated(b, 4, 1.5, 3.0)
+
+
+def test_crossvalidated_refusal_names_no_degree_that_its_kernel_count_rules_out(monkeypatch):
+    # five of six singular values at 0: excess_degree's widest cut reads 1, but a
+    # degree 1 above the minimal one would leave 3 kernel directions, not 5
+    s = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    flagged = RecoveryResult(Poly2.from_terms({(0, 0): 1.0}).padded(2), s, 1.0, 0.0, 1.5,
+                             ("AmbiguousKernel",))
+    monkeypatch.setattr(recovery, "recover", lambda M: replace(flagged, lambda_used=M.lam))
+    assert excess_degree(s, 2) == 1
+    b = discretize(ShapeSpec.disk(), 32)
+    with pytest.raises(NumericError, match=(
+            r"^kernel is ambiguous at both lambda values \(gaps 1 and 1, residuals 0 and 0\); "
+            r"the degree bound d=2 gives 5 singular values under 1e-13 times the largest, "
+            r"which no minimal degree explains$")):
+        recover_crossvalidated(b, 2, 1.5, 3.0)
 
 
 # minimal-degree reduction -----------------------------------------------------

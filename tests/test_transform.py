@@ -27,6 +27,7 @@ from gptshape.transform import (
     _alternates,
     _grid_objective,
     _local_minima,
+    _mirrored,
     _objective,
     _pushed_forms,
     _unit_forms,
@@ -345,9 +346,10 @@ def _pair(degree, seed, pushed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 8), st.integers(0, 10**6), st.booleans(), st.booleans())
 def test_grid_objective_reads_the_lift_table_bit_for_bit(degree, seed, pushed, reflected):
+    # the reflected grid is the rotation grid of the mirrored reference, bit for bit
     ref, obs = _pair(degree, seed, pushed)
     rb, ob = _unit_forms(to_forms(ref)), _unit_forms(to_forms(obs))
-    assert_same_bits(_grid_objective(rb, ob, reflected),
+    assert_same_bits(_grid_objective(_mirrored(rb) if reflected else rb, ob),
                      grid_objective_oracle(rb, ob, THETAS, SCALES, reflected))
 
 
@@ -358,7 +360,8 @@ def test_objective_equals_the_push_forward_poly2_wherever_that_returns(
         degree, seed, pushed, logs, theta, reflected):
     ref, obs = _pair(degree, seed, pushed)
     obs_unit = from_forms(_unit_forms(to_forms(obs))).coeffs
-    got = _objective(to_forms(ref), obs_unit, logs, theta, reflected)
+    forms = to_forms(ref)
+    got = _objective(_mirrored(forms) if reflected else forms, obs_unit, logs, theta)
     try:
         want = objective_oracle(ref, obs_unit, logs, theta, reflected)
     except ConfigError:  # an infinite push-forward coefficient: the worst fit
@@ -375,7 +378,7 @@ def test_objective_reads_an_infinite_coefficient_as_the_worst_fit():
     with pytest.raises(ConfigError, match="coefficients must be finite"):
         objective_oracle(ref, obs_unit, -120.0, 0.3, False)
     for logs in (-120.0, -60.0):
-        assert _objective(to_forms(ref), obs_unit, logs, 0.3, False) == 2.0
+        assert _objective(to_forms(ref), obs_unit, logs, 0.3) == 2.0
 
 
 def _off_centre_disk(cx, cy, r):
@@ -390,6 +393,10 @@ MATCH_REFS = {
 }
 
 
+class _Mirrored(list):
+    """A reference's forms, left unmirrored, that the search takes for mirrored ones."""
+
+
 @pytest.mark.parametrize("allow_reflection", [False, True], ids=["plain", "reflection"])
 @pytest.mark.parametrize("name", sorted(MATCH_REFS))
 def test_match_json_equals_the_uncached_search(monkeypatch, name, allow_reflection):
@@ -397,10 +404,13 @@ def test_match_json_equals_the_uncached_search(monkeypatch, name, allow_reflecti
     T = Similarity(1.4, 0.8, reflected=allow_reflection)
     obs = Poly2(ref.degree, -2.5 * push_forward(ref, T).coeffs)
     got = match(ref, obs, allow_reflection=allow_reflection).to_json()
-    monkeypatch.setattr(transform, "_grid_objective", lambda rb, ob, refl:
-                        grid_objective_oracle(rb, ob, THETAS, SCALES, refl))
-    monkeypatch.setattr(transform, "_objective", lambda forms, obs_unit, logs, theta, refl:
-                        objective_oracle(from_forms(forms), obs_unit, logs, theta, refl))
+    # the oracles take the unmirrored reference and the branch as a flag
+    monkeypatch.setattr(transform, "_mirrored", _Mirrored)
+    monkeypatch.setattr(transform, "_grid_objective", lambda rb, ob: grid_objective_oracle(
+        list(rb), ob, THETAS, SCALES, isinstance(rb, _Mirrored)))
+    monkeypatch.setattr(transform, "_objective", lambda forms, obs_unit, logs, theta:
+                        objective_oracle(from_forms(list(forms)), obs_unit, logs, theta,
+                                         isinstance(forms, _Mirrored)))
     want = match(ref, obs, allow_reflection=allow_reflection).to_json()
     assert json.dumps(got) == json.dumps(want)
     assert got["matched"]
@@ -414,6 +424,23 @@ def test_match_counts_its_rotation_table_before_lifting(monkeypatch):
             r"^degree 12 need 1179360 bytes for match's table of lifted rotations, "
             r"but this machine has 1048576 bytes of memory$")):
         match(p, p)
+
+
+def test_a_reflected_match_builds_and_counts_one_rotation_table(monkeypatch):
+    # the mirrored branch searches the mirrored reference with the rotations' table:
+    # d + 1 lifts, 180 * 140 * 8 = 201600 bytes at degree 6, the same as a plain search
+    ref = MATCH_REFS["three-pole-lemniscate"]
+    obs = push_forward(ref, Similarity(1.3, 2.0, reflected=True))
+    transform._rotation_lifts.cache_clear()
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 201600)
+    out = match(ref, obs, allow_reflection=True)
+    assert out.reflected and out.matched
+    assert transform._rotation_lifts.cache_info().currsize == ref.degree + 1
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 201599)
+    with pytest.raises(ConfigError, match=(
+            r"^degree 6 need 201600 bytes for match's table of lifted rotations, "
+            r"but this machine has 201599 bytes of memory$")):
+        match(ref, obs, allow_reflection=True)
 
 
 # one padded stencil for the grid minima, one pass for the alternates ---------
