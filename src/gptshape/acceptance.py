@@ -104,7 +104,7 @@ def _disk_polarization():
 @_check("circle-operator-spectral-identities", 1.0, quick=True)
 def _circle_identities():
     b = discretize(ShapeSpec.disk(), 128)
-    A = assemble(b).matrix
+    A = np.ascontiguousarray(assemble(b).matrix)  # C order keeps the bits of numpy's A @ x
     const_err = float(np.max(np.abs(A @ np.ones(b.n) - 0.5)))
     # on the unit circle the first Fourier mode cos t is just the x coordinate
     mode_err = float(np.max(np.abs(A @ b.nodes[:, 0])))
@@ -230,7 +230,7 @@ def _lift_multiplicativity():
 @_check("gauss-weighted-row", 1.0, quick=True)
 def _gauss_weighted_row():
     b = discretize(ShapeSpec.ellipse(2.0, 1.0), 128)
-    A = assemble(b).matrix
+    A = np.ascontiguousarray(assemble(b).matrix)  # C order, as in _circle_identities
     err = float(np.max(np.abs(b.weights @ A - 0.5 * b.weights)))
     return err <= 1e-8, f"weighted-row err {err:.2e} (<=1e-8)"
 

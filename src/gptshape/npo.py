@@ -21,23 +21,26 @@ importing this module (and ``gptshape``) loads numpy but no scipy.  The
 module holds the operator only; the right-hand sides a GPT matrix needs
 are built by ``gpt.moment_problem``.
 
-The assembly fills A in blocks of max(1, 2**15 // n) rows.  Each block
+A is held in Fortran order, the order LAPACK factors.  The assembly fills
+A's transpose, a C-ordered array, in blocks of max(1, 2**15 // n) rows:
+row block i:j of the transpose is column block i:j of A.  Each block
 passes through three scratch buffers of that shape, in place and in the
 operation order of the whole-matrix formulas, so A gets the same bits as
 from full n x n temporaries while the assembly allocates little beyond A
 itself (1.1 x 8 n^2 bytes at n = 1024).  The coincident-node test puts
 inf on each block's diagonal and then asks whether any squared distance
 is below 1e-28; taking the minimum instead would let a NaN hide a
-coincident pair.  :class:`Resolvent` writes lambda I - A once, in Fortran
-order, and LAPACK factors that array in place (1.1 x 8 n^2 bytes above
-A).  A and its LU thus pin 2 x 8 n^2 bytes, and :func:`assemble` refuses
-a node count whose pair would not fit in physical memory
-(``errors.check_memory``), before any n x n array is allocated.  scipy
-refuses infs and NaNs with a ValueError, which :class:`Resolvent` turns
-into NumericError: a shape so large that A or a right-hand side
-overflows exits 2, not with a traceback.  A solve whose residual is NaN
-(inf - inf) is refused as well, since NaN compares false against the
-tolerance.
+coincident pair.  :class:`NpoMatrix` copies a matrix given in C order to
+Fortran order, so every A has one layout.  :class:`Resolvent` writes
+lambda I - A in one contiguous pass, with no transpose, and LAPACK
+factors it in place (1.1 x 8 n^2 bytes above A).  A and its LU thus pin
+2 x 8 n^2 bytes, and :func:`assemble` refuses a node count whose pair
+would not fit in physical memory (``errors.check_memory``), before any
+n x n array is allocated.  scipy refuses infs and NaNs with a
+ValueError, which :class:`Resolvent` turns into NumericError: a shape so
+large that A or a right-hand side overflows exits 2, not with a
+traceback.  A solve whose residual is NaN (inf - inf) is refused as
+well, since NaN compares false against the tolerance.
 
 :meth:`NpoMatrix.resolvent` keeps the last :class:`Resolvent` built on
 the matrix and hands it out again while lambda stays the same, so a
@@ -82,7 +85,7 @@ class NpoMatrix:
     _resolvent: Resolvent | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.asfortranarray(self.matrix, dtype=float)
         n = self.boundary.n
         if m.shape != (n, n):
             raise ConfigError(f"matrix must be ({n}, {n}) for this boundary")
@@ -113,8 +116,8 @@ class NpoMatrix:
 def assemble(b: DiscretizedBoundary) -> NpoMatrix:
     """Build the dense NPO collocation matrix for a discretized boundary.
 
-    Rows are filled in blocks through three scratch buffers; see the
-    module docstring.
+    Columns are filled in blocks, as rows of the transpose, through three
+    scratch buffers; see the module docstring.
     """
     n = b.n
     check_memory(16 * n * n, f"{n} nodes", "the NPO matrix and its LU")
@@ -122,29 +125,29 @@ def assemble(b: DiscretizedBoundary) -> NpoMatrix:
         extent2 = np.sum(np.ptp(b.nodes, axis=0) ** 2)  # bounds every squared distance
     if not np.isfinite(extent2):
         raise NumericError("squared node distances overflow float64: the shape is too large")
-    x0, x1 = b.nodes[:, 0], b.nodes[:, 1]
-    out = np.empty((n, n))
+    (x0, x1), (nu0, nu1) = np.ascontiguousarray(b.nodes.T), np.ascontiguousarray(b.normals.T)
+    out = np.empty((n, n))  # A transposed: row block i:j of out is column block i:j of A
     rows = max(1, _BLOCK_ENTRIES // n)
     scratch = [np.empty((min(rows, n), n)) for _ in range(3)]
     for i in range(0, n, rows):
         j = min(i + rows, n)
         dx0, dx1, r2 = (buf[: j - i] for buf in scratch)
         block = out[i:j]
-        np.subtract.outer(x0[i:j], x0, out=dx0)
-        np.subtract.outer(x1[i:j], x1, out=dx1)
+        np.subtract(x0, x0[i:j, None], out=dx0)  # x_row - x_col, as in A
+        np.subtract(x1, x1[i:j, None], out=dx1)
         np.multiply(dx0, dx0, out=r2)
         r2 += np.multiply(dx1, dx1, out=block)  # the output block as scratch
         r2.reshape(-1)[i::n + 1] = np.inf  # entries (k, i + k): the block's diagonal
         if (r2 < 1e-28).any():
             raise ConfigError("coincident quadrature nodes")
-        dx0 *= b.normals[i:j, 0:1]
-        dx1 *= b.normals[i:j, 1:2]
+        dx0 *= nu0
+        dx1 *= nu1
         dx0 += dx1
         dx0 /= r2
         dx0 /= 2.0 * np.pi
         dx0.reshape(-1)[i::n + 1] = b.curvatures[i:j] / (4.0 * np.pi)
-        np.multiply(dx0, b.weights, out=block)
-    return NpoMatrix(out, b)
+        np.multiply(dx0, b.weights[i:j, None], out=block)
+    return NpoMatrix(out.T, b)
 
 
 class Resolvent:
@@ -186,10 +189,8 @@ class Resolvent:
         except ValueError as exc:  # infs or NaNs in f
             raise NumericError(f"resolvent solve refused its right-hand side ({exc})") from None
         # A @ phi through scipy's BLAS, not numpy's: see the module docstring.
-        # matrix.T is Fortran-ordered, so trans_a=1 multiplies by the matrix
-        # without copying it.
-        a_phi = scipy.linalg.blas.dgemm(
-            1.0, self.matrix.T, phi.reshape(len(phi), -1), trans_a=1)
+        # The matrix is Fortran-ordered, so dgemm reads it without a copy.
+        a_phi = scipy.linalg.blas.dgemm(1.0, self.matrix, phi.reshape(len(phi), -1))
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is refused below
             resid = np.max(np.abs(self.lam * phi - a_phi.reshape(phi.shape) - f))
         scale = max(float(np.max(np.abs(f))), 1e-300)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericError
+# assemble_gpt is unused here; perfbench traces it as recovery.assemble_gpt
 from .gpt import GptMatrix, _resolvent, assemble_gpt, moment_problem
 from .npo import assemble
 from .polynomial import Poly2, poly_dim
@@ -236,8 +237,8 @@ def recover_crossvalidated(
         raise ConfigError("cross-validation needs two distinct lambda values")
     if npo is None:
         npo = assemble(boundary)
-    results = [recover(assemble_gpt(boundary, npo, lam, d, row_degree))
-               for lam in (lam1, lam2)]
+    problem = moment_problem(boundary, d, row_degree)
+    results = [recover(problem.solve(_resolvent(boundary, npo, lam))) for lam in (lam1, lam2)]
     r1, r2 = results
     ambiguous = ["AmbiguousKernel" in r.flags for r in results]
     if all(ambiguous):

@@ -251,6 +251,24 @@ def test_resolvent_lu_matches_the_identity_formula(case):
         assert np.array_equal(piv, want_piv), lam
 
 
+def test_assembled_matrix_is_fortran_ordered_and_read_only(case):
+    # LAPACK factors Fortran order, so lambda I - A is written without a transpose
+    _, npo = case
+    assert npo.matrix.flags.f_contiguous and not npo.matrix.flags.writeable
+
+
+def test_a_c_ordered_matrix_gives_the_same_lu_and_gpt_entries(case):
+    b, npo = case
+    twin = NpoMatrix(np.ascontiguousarray(npo.matrix), b)
+    assert twin.matrix.flags.f_contiguous
+    for lam in LAMBDAS:
+        (lu, piv), (want_lu, want_piv) = Resolvent(twin, lam)._lu, Resolvent(npo, lam)._lu
+        assert_same_bits(lu, want_lu)
+        assert np.array_equal(piv, want_piv), lam
+    assert_same_bits(assemble_gpt(b, twin, 1.5, 2).entries,
+                     assemble_gpt(b, npo, 1.5, 2).entries)
+
+
 def test_neumann_block_and_moment_rows_match_per_monomial_powers(case):
     b, npo = case
     d, row_degree = 4, 8

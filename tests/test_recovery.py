@@ -229,6 +229,21 @@ def test_crossvalidated_underdegreed_is_flagged():
     assert recover_crossvalidated(b, 2, 1.5, 3.0).flags == ("LambdaSuspect",)
 
 
+def test_crossvalidated_builds_one_moment_problem_for_both_lambdas(monkeypatch):
+    b = discretize(ShapeSpec.ellipse(2.0, 1.0), 128)
+    npo = assemble(b)
+    built, seen = [], []
+    moment_problem = recovery.moment_problem
+    monkeypatch.setattr(recovery, "moment_problem",
+                        lambda *args: built.append(args) or moment_problem(*args))
+    monkeypatch.setattr(recovery, "recover", lambda M: seen.append(M) or recover(M))
+    recover_crossvalidated(b, 2, 1.5, 3.0, npo=npo)
+    assert built == [(b, 2, None)]
+    for M, lam in zip(seen, (1.5, 3.0), strict=True):
+        assert M.lam == lam
+        assert np.array_equal(M.entries, assemble_gpt(b, npo, lam, 2).entries)
+
+
 def test_crossvalidated_refuses_an_overdegreed_kernel_at_both_lambdas():
     b = discretize(ShapeSpec.ellipse(2.0, 1.0), 256)
     with pytest.raises(NumericError, match=(
