@@ -1,57 +1,39 @@
 """Similarity transforms on polynomials and shape matching.
 
 A similarity ``A = s R(theta)``, optionally after the mirror
-``F = diag(1, -1)``, acts on the degree-``d`` monomial vector
-``x_[d] = (x1^d, x1^{d-1} x2, ..., x2^d)`` through a lifted matrix
-``A_[d]`` of size ``(d+1) x (d+1)``: row ``h`` of ``A_[d]`` holds the
-coefficients of ``(a11 x1 + a12 x2)^{d-h} (a21 x1 + a22 x2)^h`` in the
-same descending-power basis.  The lift is multiplicative, so transforming
-a polynomial's zero set amounts to multiplying each homogeneous block by
-the lift of the *inverse* matrix.
+``F = diag(1, -1)``, acts on the degree-``d`` monomials
+``x_[d] = (x1^d, x1^{d-1} x2, ..., x2^d)`` through the lifted matrix
+``A_[d]``, whose row ``h`` holds the coefficients of
+``(a11 x1 + a12 x2)^{d-h} (a21 x1 + a22 x2)^h``.  The lift is multiplicative,
+so a push-forward multiplies each homogeneous form by the lift of the
+inverse; it expands the matrix's two linear forms once for every degree,
+which gives :func:`lift`'s bits exactly.
 
-Matching asks the reverse question: which similarity carries a reference
-zero set onto an observed one?  Both polynomials are padded to the larger
-degree and split into homogeneous forms once.  The objective compares
-unit-normalized coefficient vectors,
-
-    J(s, theta) = min over sign ||sign * obs_hat - push(s, theta)_hat||^2
-                = 2 - 2 |<obs_hat, push(s, theta)_hat>|,
-
-scanned on a coarse (theta, scale) grid and polished with Nelder-Mead in
-(log s, theta).  Normalizing both sides makes the argmin invariant to any
-rescaling of either polynomial; the sign branch absorbs the direction
-ambiguity a singular-vector recovery leaves behind.  Shapes with discrete
-rotational symmetry produce several equally good minima; all grid minima
-within a factor of the best are refined, and one pass keeps each distinct
-result within that factor as an alternate.
-scipy.optimize is imported by the refinement step, so only :func:`match`
-pays for it.
-
-A reflection is a rotation after the fixed mirror F, and since
-``(s R(theta) F)^-1 = F (s R(theta))^-1`` only negates the rows of odd h
-of the lift, the reflected search is the rotation search of the mirrored
-reference p(x1, -x2); only :func:`match` knows the branch.  The grid's
-rotations do not depend on the pair being matched, so their lifts form
-one table per degree j, built by :func:`lift` on first use and kept for
-the life of the process: 180 (j+1)^2 doubles, or sum over j <= d of
-that, which is 0.2 MB at d = 6 and 4.8 MB at d = 20.  The first match at
-a degree builds it and later ones only read it; :func:`match` counts it
-in the memory budget before building it.  A simplex step lifts one
-matrix to every degree, so it expands the matrix's two linear forms once
-and shares the expansions between degrees.  Both give :func:`lift`'s
-bits exactly.
+Matching works in the complex basis ``z = x1 + i x2``: form k is
+``sum_p c_kp z^p conj(z)^(k-p)``, and one FFT of it on the unit circle,
+where ``z^p conj(z)^(k-p) = e^{i(2p-k)phi}``, gives the ``c_kp``.  They are
+orthogonal in the rotation-invariant Bombieri-Weyl product, of squared norm
+``w_kp = 2^k / C(k, p)``, and ``push(s, theta)`` multiplies ``c_kp`` by
+``s^-k e^{-i theta (2p-k)}``; the mirror conjugates them.  Each input is
+scaled by ``sigma = exp(-slope)`` of the least-squares line through
+``log ||B_k||`` against k and divided by its norm, so the unit of length,
+the axes and a factor change nothing.  The cosine of ``push(s, theta) r``
+and ``o`` is a trigonometric polynomial in theta over a norm free of it: one
+FFT per scale gives it on a full grid of angles, and Newton steps in
+(log s, theta) polish its maxima.  The mismatch is the distance
+``min over the sign ||r_hat -+ o_hat||``, equal to ``sqrt(2 - 2 |cos|)``
+without its cancellation; ``epsilon_match`` is the larger of both directions'.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, check_memory
-from .polynomial import Boundedness, Poly2, boundedness_check, from_forms, to_forms
+from .errors import ConfigError, NumericError
+from .polynomial import Poly2, from_forms, to_forms
 
 TWO_PI = 2.0 * math.pi
 
@@ -142,17 +124,16 @@ def angle_dist(a: float, b: float) -> float:
 
 # matching ----------------------------------------------------------------
 
-# match search: a (theta, scale) grid, then Nelder-Mead on the best cells
-N_THETA = 180
-N_SCALE = 40
-SCALE_MIN = 0.1
-SCALE_MAX = 10.0
-ALTERNATES_FACTOR = 1.5
+# match search: a (theta, log s) grid in each input's canonical frame, then Newton
+SCALES = np.geomspace(0.1, 10.0, 81)
+LOG_SCALES = np.log(SCALES)
+CELL = LOG_SCALES[1] - LOG_SCALES[0]  # the longest Newton step
+THETAS_PER_TERM = 8  # grid angles per term of the trigonometric polynomial
 MAX_CANDIDATES = 16
-REFINE_MAXITER = 500
-REFINE_XATOL = 1e-10
-THETAS = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
-SCALES = np.geomspace(SCALE_MIN, SCALE_MAX, N_SCALE)
+NEWTON_STEPS, NEWTON_TOL, NEWTON_QUADRATIC = 100, 1e-13, 1e-6
+ALTERNATES_FACTOR = 1.5
+NEGLIGIBLE_FORM = 1e-9  # a form this far under the fitted line is roundoff: left out of the fit
+EXACT = 1e-12  # mismatches under this tie: the plain branch first, then the smaller theta
 
 
 @dataclass(frozen=True)
@@ -186,69 +167,117 @@ class MatchResult:
         }
 
 
-def _unit_forms(forms):
-    """The homogeneous forms divided by the norm of all their coefficients."""
-    with np.errstate(over="ignore"):  # refused just below
-        norm = math.sqrt(sum(float(b @ b) for b in forms))
-    if norm == 0.0:
-        raise ConfigError("cannot match the zero polynomial")
-    if norm == math.inf:
+def _weights(d: int) -> np.ndarray:
+    """``w[k, p] = 2^k / C(k, p)``, 0 for p > k; C(k, p) / 2^k, in Python ints, cannot overflow."""
+    b = np.array([[math.comb(k, p) / 2**k for p in range(d + 1)] for k in range(d + 1)])
+    return np.divide(1.0, b, out=np.zeros_like(b), where=b > 0)
+
+
+def _canonical(forms, w):
+    """``c[k, p]`` of the input at its canonical size and unit norm, and log sigma."""
+    d = len(forms) - 1
+    phi = np.arange(2 * d + 2) * (TWO_PI / (2 * d + 2))
+    cos, sin = (f(phi) ** np.arange(d + 1)[:, None] for f in (np.cos, np.sin))
+    k, p = np.tril_indices(d + 1)
+    c = np.zeros((d + 1, d + 1), complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        samples = np.array([b @ (cos[j::-1] * sin[:j + 1]) for j, b in enumerate(forms)])
+        c[k, p] = np.fft.fft(samples, axis=1)[k, (2 * p - k) % (2 * d + 2)] / (2 * d + 2)
+        norms = np.sqrt(np.sum(w * np.abs(c) ** 2, axis=1))
+    if not np.all(np.isfinite(norms)):
         raise NumericError("the polynomial's squared coefficients overflow float64: "
                            "scale it down to match it")
-    return [b / norm for b in forms]
+    if not norms.any():
+        raise ConfigError("cannot match the zero polynomial")
+    keep, k = norms > 0, np.arange(d + 1)
+    logn = np.log(norms, out=np.full(d + 1, -np.inf), where=keep)
+    while True:  # log ||B_k|| against k; its offsets do not move with the unit of length
+        kc = k[keep] - k[keep].mean()
+        slope = float(kc @ logn[keep] / (kc @ kc)) if kc.size > 1 else 0.0
+        offset = logn - slope * k - (logn - slope * k)[keep].max()
+        if not (keep & (offset < math.log(NEGLIGIBLE_FORM))).any():
+            break
+        keep &= offset >= math.log(NEGLIGIBLE_FORM)
+    c *= np.divide(np.exp(offset), norms, out=np.zeros(d + 1), where=norms > 0)[:, None]
+    return c / math.sqrt(np.sum(w * np.abs(c) ** 2)), -slope
 
 
-def _mirrored(forms):
-    """The forms of ``p(x1, -x2)``: each form's odd powers of x2 negated."""
-    return [np.where(np.arange(len(b)) % 2, -b, b) for b in forms]
+def _powers(u, d: int) -> np.ndarray:
+    """``e^(-k u)`` for k = 0..d at each u over the largest, which the ratios do not see."""
+    ku = -np.outer(u, np.arange(d + 1))
+    return np.exp(ku - ku.max(axis=1, keepdims=True))
 
 
-@functools.cache
-def _rotation_lifts(j: int) -> np.ndarray:
-    """``lift(B, j)`` for the inverse ``B`` of every grid rotation, stacked by theta."""
-    table = np.stack([lift(_similarity_matrix(1.0, theta).T, j) for theta in THETAS])
-    table.setflags(write=False)
-    return table
+def _closed_form(a, nr, u, th):
+    """cos at each (u, th) = (log s, theta) with its gradient and Hessian; ``a[k, d + m]``
+    holds form k's terms of frequency m, ``nr[k]`` the squared norm of the pushed form k."""
+    d = nr.size - 1
+    k, im, ek = np.arange(d + 1), -1j * np.arange(-d, d + 1), _powers(u, d)
+    p0, p1, p2 = ((ek * (-k) ** j) @ a * np.exp(np.outer(th, im)) for j in range(3))
+    n, n_t, n_tt = (p0 @ np.stack([np.ones_like(im), im, im * im], axis=1)).real.T
+    n_u, n_ut = (p1 @ np.stack([np.ones_like(im), im], axis=1)).real.T
+    e, e_u, e_uu = ((ek * ek) @ np.stack([nr, -2 * k * nr, 4 * k * k * nr], axis=1)).T
+    r, q = 1.0 / np.sqrt(e), e_u / (2.0 * e)  # d r / d u = -q r
+    f_uu = p2.sum(axis=1).real - 2.0 * n_u * q - n * e_uu / (2.0 * e) + 3.0 * n * q * q
+    f_ut = n_ut - n_t * q
+    return n * r, np.stack([n_u - n * q, n_t]) * r, np.array([[f_uu, f_ut], [f_ut, n_tt]]) * r
 
 
-def _grid_objective(ref_blocks, obs_blocks):
-    """J on the (THETAS, SCALES) grid, exploiting lift(sB, j) = s^j lift(B, j)."""
-    d = len(ref_blocks) - 1
-    js = np.arange(d + 1)
-    spow = SCALES[None, :] ** (-js[:, None])  # s^{-j}, shape (d+1, N_SCALE)
-    lifts = [_rotation_lifts(j) for j in range(d + 1)]
-    J = np.empty((N_THETA, N_SCALE))
-    a = np.empty(d + 1)
-    b = np.empty(d + 1)
-    for it in range(N_THETA):
-        for j in range(d + 1):
-            v = ref_blocks[j] @ lifts[j][it]
-            a[j] = obs_blocks[j] @ v
-            b[j] = v @ v
-        num = a @ spow
-        den = np.sqrt(b @ spow**2)
-        J[it] = 2.0 - 2.0 * np.abs(num) / den
-    return np.maximum(J, 0.0)
+def _newton(a, nr, u, th):
+    """Newton steps in (u, th) from each grid cell to the nearest maximum of |cos|.
+
+    Where the Hessian is not definite each variable climbs by its own slope over
+    its own curvature.  Steps are at most a cell long and keep u on the grid's
+    scales, at whose ends theta moves alone.  A candidate stops at a step under
+    ``NEWTON_TOL``, or one under ``NEWTON_QUADRATIC`` that no longer halves.
+    """
+    active, last = np.ones(u.shape, bool), np.full(u.shape, np.inf)
+    for _ in range(NEWTON_STEPS):
+        f, g, h = _closed_form(a, nr, u, th)
+        g, h = np.where(f < 0, -g, g), np.where(f < 0, -h, h)  # climb |cos|
+        (g_u, g_t), ((h_uu, h_ut), (_, h_tt)) = g, h
+        det, curv = h_uu * h_tt - h_ut * h_ut, np.abs(np.stack([h_uu, h_tt]))
+        own = np.divide(g, curv, out=np.zeros_like(curv), where=curv > 0)
+        step = np.divide(np.stack([h_ut * g_t - h_tt * g_u, h_ut * g_u - h_uu * g_t]), det,
+                         out=own.copy(), where=(h_uu < 0) & (det > 0))
+        step *= np.minimum(1.0, CELL / np.maximum(np.hypot(*step), 1e-300))
+        u1 = np.clip(u + step[0], LOG_SCALES[0], LOG_SCALES[-1])
+        step[1] = np.where(u1 != u + step[0], np.clip(own[1], -CELL, CELL), step[1])
+        length = np.hypot(u1 - u, step[1])
+        u, th = np.where(active, u1, u), np.where(active, th + step[1], th)
+        active &= (length > NEWTON_TOL) & ((length > NEWTON_QUADRATIC) | (length < last / 2.0))
+        last = length
+        if not active.any():
+            break
+    return u, th % TWO_PI
 
 
-def _objective(ref_forms, obs_unit: np.ndarray, logs: float, theta: float) -> float:
-    """J at one similarity; ``ref_forms`` is ``to_forms`` of the reference."""
-    Ainv = np.linalg.inv(_similarity_matrix(math.exp(logs), theta))
-    # the simplex may wander to a scale where v overflows or underflows: the worst fit, 2
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        v = np.concatenate([f[::-1] for f in _pushed_forms(ref_forms, Ainv)])
-        J = 2.0 - 2.0 * abs(float(obs_unit @ v)) / np.linalg.norm(v)
-    return max(J, 0.0) if math.isfinite(J) else 2.0
+def _mismatch(x, y, w, u, th):
+    """``min over the sign ||push(e^u, th) x / norm - sign y||^2`` and that sign, per point."""
+    d = x.shape[0] - 1
+    k, p = np.arange(d + 1)[:, None], np.arange(d + 1)
+    v = x * _powers(u, d)[:, :, None] * np.exp(-1j * np.multiply.outer(th, 2 * p - k))
+    v /= np.sqrt(np.sum(w * np.abs(v) ** 2, axis=(1, 2)))[:, None, None]
+    sign = np.where(np.sum(w * v * y.conj(), axis=(1, 2)).real >= 0, 1, -1)
+    return np.sum(w * np.abs(v - sign[:, None, None] * y) ** 2, axis=(1, 2)), sign
 
 
-def _refine(ref_forms, obs_unit, logs0, theta0):
-    """Nelder-Mead in (log s, theta) from one grid cell: (J, log s, theta)."""
-    from scipy.optimize import minimize  # lazy: see the module docstring
-
-    res = minimize(lambda x: _objective(ref_forms, obs_unit, x[0], x[1]), x0=[logs0, theta0],
-                   method="Nelder-Mead",
-                   options={"xatol": REFINE_XATOL, "fatol": 1e-15, "maxiter": REFINE_MAXITER})
-    return float(res.fun), float(res.x[0]), float(res.x[1])
+def _search(x, y, w):
+    """The grid's local optima of pushing x onto y, polished: [(eps^2, log s, theta)]."""
+    d = x.shape[0] - 1
+    k, p = np.tril_indices(d + 1)
+    a = np.zeros((d + 1, 2 * d + 1), complex)
+    a[k, d + 2 * p - k] = (w * x * y.conj())[k, p]
+    nr = np.sum(w * np.abs(x) ** 2, axis=1)
+    n_theta, spow = THETAS_PER_TERM * (2 * d + 1), _powers(LOG_SCALES, d)
+    terms = np.zeros((SCALES.size, n_theta), complex)
+    terms[:, np.arange(-d, d + 1) % n_theta] = spow @ a
+    cos = np.fft.fft(terms, axis=1).real / np.sqrt(spow**2 @ nr)[:, None]
+    J = (2.0 - 2.0 * np.abs(cos)).T
+    it, isc = np.nonzero(_local_minima(J))
+    best = np.argsort(J[it, isc], kind="stable")[:MAX_CANDIDATES]
+    u, th = _newton(a, nr, LOG_SCALES[isc[best]], TWO_PI * it[best] / n_theta)
+    return list(zip(_mismatch(x, y, w, u, th)[0].tolist(), u.tolist(), th.tolist()))
 
 
 def _local_minima(J):
@@ -262,7 +291,7 @@ def _local_minima(J):
 
 def _alternates(refined):
     """Refined (J, log s, theta, reflected) in the best's band by J, 1e-6 apart on a branch."""
-    refined = sorted(refined, key=lambda r: r[0])
+    refined = sorted(refined, key=lambda r: (r[0], 0, 0) if r[0] > EXACT**2 else (0, r[3], r[2]))
     band = ALTERNATES_FACTOR * math.sqrt(refined[0][0]) + 1e-9
     kept = []
     for J, logs, theta, reflected in refined:
@@ -278,60 +307,26 @@ def match(g_ref: Poly2, g_obs: Poly2, threshold: float = 0.01,
           allow_reflection: bool = False) -> MatchResult:
     """Find the similarity mapping the reference zero set onto the observed one.
 
-    The input of lower degree is padded to the other's, and both are
-    unit-normalized, so only the shapes of the coefficient vectors matter.
-    The search runs over rotations and scales (plus reflections when
-    ``allow_reflection``), coarse grid first, then simplex refinement;
-    ``epsilon_match`` is the square root of the final objective, and the
-    result counts as matched when it is at most ``threshold``, which must
-    be finite and >= 0.  Grid minima within ``ALTERNATES_FACTOR`` of the
-    best are refined too and reported as alternates, which is how a
-    shape's rotational symmetry group shows up in the output.
+    Rotations and scales, and reflections if ``allow_reflection``, are searched
+    both ways; ``matched`` is ``epsilon_match <= threshold`` (finite, >= 0).  Other
+    optima within ``ALTERNATES_FACTOR`` of the best, the shape's symmetries, are
+    alternates, each ``eps`` the larger of its mismatch and the reverse one.
     """
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ConfigError(f"match threshold must be finite and >= 0, got {threshold}")
     d = max(g_ref.degree, g_obs.degree)
-    g_ref, g_obs = g_ref.padded(d), g_obs.padded(d)
-    verdict = boundedness_check(g_obs)
-    if verdict is Boundedness.ODD_DEGREE_UNBOUNDED:
-        raise ConfigError(
-            "observed polynomial has odd effective degree, so its zero set "
-            "is unbounded and cannot be a shape boundary"
-        )
-    ref_forms = to_forms(g_ref)
-    ref_blocks = _unit_forms(ref_forms)
-    obs_blocks = _unit_forms(to_forms(g_obs))
-    obs_unit = from_forms(obs_blocks).coeffs
+    w = _weights(d)
+    (ref, log_ref), (obs, log_obs) = (_canonical(to_forms(g.padded(d)), w) for g in (g_ref, g_obs))
+    mirrors = (False, True) if allow_reflection else (False,)
 
-    # a reflected match is the rotation match of the mirrored reference
-    branches = {False: (ref_forms, ref_blocks)}
-    if allow_reflection:
-        branches[True] = (_mirrored(ref_forms), _mirrored(ref_blocks))
-    entries = N_THETA * sum((j + 1) ** 2 for j in range(d + 1))
-    check_memory(8 * entries, f"degree {d}", "match's table of lifted rotations")
+    def optima(x, y):  # a reflected match is the rotation match of the mirrored x
+        return [(J, u, th, m) for m in mirrors for J, u, th in _search(x.conj() if m else x, y, w)]
 
-    candidates = []  # (J_grid, logs, theta, reflected)
-    for reflected, (_, blocks) in branches.items():
-        J = _grid_objective(blocks, obs_blocks)
-        best_eps = math.sqrt(float(J.min()))
-        keep = _local_minima(J) & (np.sqrt(J) <= ALTERNATES_FACTOR * best_eps + 1e-9)
-        candidates += [(float(J[it, isc]), math.log(SCALES[isc]), float(THETAS[it]), reflected)
-                       for it, isc in zip(*np.nonzero(keep))]
-
-    # a rotation-invariant shape turns the whole theta axis into tied grid
-    # minima; refine only the best few cells
-    candidates = sorted(candidates, key=lambda c: c[0])[:MAX_CANDIDATES]
-    refined = [(*_refine(branches[reflected][0], obs_unit, logs0, theta0), reflected)
-               for _, logs0, theta0, reflected in candidates]
-    found = [(Similarity(math.exp(logs), theta, reflected), math.sqrt(J))
-             for J, logs, theta, reflected in _alternates(refined)]
-    best, eps_best = found[0]
-    v = push_forward(g_ref, best).coeffs
-    sign = 1 if float(obs_unit @ v) >= 0 else -1
-    return MatchResult(
-        best=best,
-        epsilon_match=eps_best,
-        sign=sign,
-        alternates=tuple(found[1:]),
-        matched=eps_best <= threshold,
-    )
+    eps_back = math.sqrt(min(r[0] for r in optima(obs, ref)))
+    kept = _alternates(optima(ref, obs))
+    _, u, th, m = kept[0]
+    sign = int(_mismatch(ref.conj() if m else ref, obs, w, [u], [th])[1][0])
+    found = [(Similarity(math.exp(u + log_obs - log_ref), th, m), max(math.sqrt(J), eps_back))
+             for J, u, th, m in kept]
+    return MatchResult(best=found[0][0], epsilon_match=found[0][1], sign=sign,
+                       alternates=tuple(found[1:]), matched=found[0][1] <= threshold)

@@ -158,10 +158,9 @@ def on_grid_oracle(p, xs, ys):
     return out
 
 
-# The diagnostic tier's writers and match search, one point, one theta and
-# one Poly2 at a time.  The package formats whole arrays, reads a table of
-# lifted rotations and builds the push-forward's coefficients directly;
-# these give the reference bytes and bits.
+# The diagnostic tier's writers and lift, one point and one row at a time.
+# The package formats whole arrays and expands each linear form once; these
+# give the reference bytes and bits.
 
 
 def path_oracle(points, to_px, closed):
@@ -198,41 +197,114 @@ def lift_oracle(A, d):
     return rows
 
 
-def grid_objective_oracle(ref_blocks, obs_blocks, thetas, scales, reflected):
-    """transform._grid_objective lifting every rotation afresh."""
-    from gptshape.transform import _similarity_matrix
-
-    d = len(ref_blocks) - 1
-    js = np.arange(d + 1)
-    spow = scales[None, :] ** (-js[:, None])
-    J = np.empty((len(thetas), len(scales)))
-    for it, theta in enumerate(thetas):
-        B = _similarity_matrix(1.0, theta, reflected).T
-        a = np.empty(d + 1)
-        b = np.empty(d + 1)
-        for j in range(d + 1):
-            v = ref_blocks[j] @ lift_oracle(B, j)
-            a[j] = obs_blocks[j] @ v
-            b[j] = v @ v
-        num = a @ spow
-        den = np.sqrt(b @ spow**2)
-        J[it] = 2.0 - 2.0 * np.abs(num) / den
-    return np.maximum(J, 0.0)
+# The match search in the real basis: each form's coefficients weighted by
+# 1 / sqrt(C(k, i)) (the Bombieri-Weyl norm), rotations lifted in monomials,
+# a dense (theta, scale) grid and scipy's Nelder-Mead.  The package works on
+# complex coefficients with one FFT per scale and Newton steps; both must give
+# the same mismatch and the same optima.
 
 
-def objective_oracle(ref, obs_unit, logs, theta, reflected):
-    """transform._objective through one lift per degree and a push-forward Poly2,
-    which refuses infinite coefficients."""
+def _bw_forms(forms):
+    """The forms with coefficient i of form k over sqrt(C(k, i))."""
     import math
 
-    from gptshape.polynomial import from_forms, to_forms
+    return [b / np.sqrt([math.comb(k, i) for i in range(k + 1)]) for k, b in enumerate(forms)]
+
+
+def canonical_oracle(p, d):
+    """p(sigma x) padded to degree d with unit Bombieri-Weyl norm, and log sigma.
+
+    sigma is exp(-slope) of the least-squares line through log ||B_k|| against
+    k, refitted until no form lies NEGLIGIBLE_FORM below the line's best-placed one.
+    """
+    import math
+
+    from gptshape.polynomial import to_forms
+    from gptshape.transform import NEGLIGIBLE_FORM
+
+    forms = to_forms(p.padded(d))
+    logs = {k: math.log(n) for k, n in enumerate(np.linalg.norm(v) for v in _bw_forms(forms))
+            if n > 0}
+    fitted = sorted(logs)
+    while True:
+        slope = np.polyfit(fitted, [logs[k] for k in fitted], 1)[0] if len(fitted) > 1 else 0.0
+        top = max(logs[k] - slope * k for k in fitted)
+        low = [k for k in fitted if logs[k] - slope * k < top + math.log(NEGLIGIBLE_FORM)]
+        if not low:
+            break
+        fitted = [k for k in fitted if k not in low]
+    forms = [b * math.exp(-slope * k) for k, b in enumerate(forms)]
+    total = math.sqrt(sum(float(v @ v) for v in _bw_forms(forms)))
+    return [b / total for b in forms], -float(slope)
+
+
+def _mismatch_oracle(x, y, logs, theta):
+    """min over the sign of the Bombieri-Weyl distance of the unit push-forward of x to y."""
+    import math
+
+    from gptshape.transform import _pushed_forms, _similarity_matrix
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _bw_forms(_pushed_forms(x, np.linalg.inv(_similarity_matrix(math.exp(logs), theta))))
+        v = np.concatenate(v) / math.sqrt(sum(float(b @ b) for b in v))
+        yw = np.concatenate(_bw_forms(y))
+        J = min(float((v - yw) @ (v - yw)), float((v + yw) @ (v + yw)))
+    return J if math.isfinite(J) else 4.0
+
+
+def _grid_oracle(x, y, n_theta, scales):
+    """J = 2 - 2 |cos| of pushing the forms x onto y on the (theta, scale) grid."""
+    import math
+
     from gptshape.transform import _similarity_matrix
 
-    Ainv = np.linalg.inv(_similarity_matrix(math.exp(logs), theta, reflected))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        v = from_forms([b @ lift_oracle(Ainv, j) for j, b in enumerate(to_forms(ref))]).coeffs
-        J = 2.0 - 2.0 * abs(float(obs_unit @ v)) / np.linalg.norm(v)
-    return max(J, 0.0) if math.isfinite(J) else 2.0
+    d = len(x) - 1
+    inv_c = [np.array([1.0 / math.comb(k, i) for i in range(k + 1)]) for k in range(d + 1)]
+    step = [lift_oracle(_similarity_matrix(1.0, 2.0 * math.pi / n_theta).T, k)
+            for k in range(d + 1)]
+    rotated = [b.copy() for b in x]
+    inner, norm2 = np.empty((n_theta, d + 1)), np.empty((n_theta, d + 1))
+    for it in range(n_theta):  # the lift of a rotation by theta is the step's it-th power
+        inner[it] = [r @ (inv_c[k] * y[k]) for k, r in enumerate(rotated)]
+        norm2[it] = [r @ (inv_c[k] * r) for k, r in enumerate(rotated)]
+        rotated = [r @ L for r, L in zip(rotated, step)]
+    spow = scales[None, :] ** -np.arange(d + 1.0)[:, None]
+    return 2.0 - 2.0 * np.abs(inner @ spow) / np.sqrt(norm2 @ spow**2)
+
+
+def directions_oracle(x, y, mirrors, n_theta=360, scales=np.geomspace(0.1, 10.0, 161)):
+    """Optima [(J, log s, theta, reflected)] of pushing the canonical forms x onto y, each
+    branch's grid minima polished by Nelder-Mead while within reach of the best cell."""
+    import math
+
+    from scipy.optimize import minimize
+
+    branches = {m: [np.where(np.arange(len(b)) % 2, -b, b) for b in x] if m else x
+                for m in mirrors}  # the mirror p(x1, -x2) negates the odd powers of x2
+    grids = {m: _grid_oracle(xm, y, n_theta, scales) for m, xm in branches.items()}
+    reach = 2.0 * math.sqrt(min(J.min() for J in grids.values())) + 0.05
+    out = []
+    for m, J in grids.items():
+        for it, isc in zip(*np.nonzero(local_minima_oracle(J) & (np.sqrt(J) <= reach))):
+            res = minimize(lambda z: _mismatch_oracle(branches[m], y, z[0], z[1]),
+                           x0=[math.log(scales[isc]), 2.0 * math.pi * it / n_theta],
+                           method="Nelder-Mead",
+                           options={"xatol": 1e-11, "fatol": 1e-15, "maxiter": 4000})
+            out.append((float(res.fun), float(res.x[0]), float(res.x[1]) % (2.0 * math.pi), m))
+    return out
+
+
+def match_oracle(g_ref, g_obs, allow_reflection):
+    """(epsilon, [(s, theta, reflected)] of the best and the alternates) of transform.match."""
+    import math
+
+    d = max(g_ref.degree, g_obs.degree)
+    (x, log_x), (y, log_y) = canonical_oracle(g_ref, d), canonical_oracle(g_obs, d)
+    mirrors = (False, True) if allow_reflection else (False,)
+    back = directions_oracle(y, x, mirrors)
+    kept = alternates_oracle(directions_oracle(x, y, mirrors))
+    eps = max(math.sqrt(kept[0][0]), math.sqrt(min(r[0] for r in back)))
+    return eps, [(math.exp(logs + log_y - log_x), theta, m) for _, logs, theta, m in kept]
 
 
 # The match search's grid minima and alternates as two rolls and six stacked
@@ -261,10 +333,13 @@ def alternates_oracle(refined):
     """transform._alternates: dedup of all refined results, then the band filter."""
     import math
 
-    from gptshape.transform import ALTERNATES_FACTOR
+    from gptshape.transform import ALTERNATES_FACTOR, EXACT
 
     two_pi = 2.0 * math.pi
-    refined = sorted(refined, key=lambda r: r[0])
+    # mismatches under EXACT are ties: the plain branch first, then the smaller theta
+    exact = [r for r in refined if r[0] <= EXACT**2]
+    refined = (sorted(exact, key=lambda r: (r[3], r[2]))
+               + sorted([r for r in refined if r[0] > EXACT**2], key=lambda r: r[0]))
     unique = []
     for J, logs, theta, reflected in refined:
         dup = False

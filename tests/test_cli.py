@@ -792,8 +792,11 @@ def test_match_unbounded_obs_rejected(tmp_path):
     write_poly(op, obs)
     r = run("match", "--ref", str(rp), "--obs", str(op),
             "--out", str(tmp_path / "m.json"))
-    assert r.returncode == 1
-    assert "unbounded" in r.stderr.lower()
+    # an odd degree is searched like any other; x^3 - y shares no form with the ellipse
+    assert r.returncode == 4
+    assert r.stderr.endswith(" no match\n") and r.stderr.count("\n") == 1
+    assert json.loads((tmp_path / "m.json").read_text())["epsilon_match"] == pytest.approx(
+        math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("allow_reflection", [[], ["--allow-reflection"]],

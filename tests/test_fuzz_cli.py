@@ -8,9 +8,8 @@ refusal prints exactly one stderr line, argparse's usage lines aside.
 
 Sizes stay small: n <= 128, d <= 4 and grid <= 128, and the machine's
 memory reads 16 MiB, so any larger size read from a file can only be
-refused.  Polynomials stay at degree 6 or below, because ``match`` is
-slow at high degree (two degree-40 polynomials take over 40 s) without
-being refused.  The draws are derandomized, so the test is repeatable.
+refused.  Polynomials go up to degree 12, which ``match`` searches in a
+few milliseconds.  The draws are derandomized, so the test is repeatable.
 """
 
 import contextlib
@@ -92,6 +91,8 @@ def seeds(tmp_path_factory):
         "poly": json.dumps(circle.to_json()).encode(),
         "poly-sextic": json.dumps(lemniscate_poly(
             [(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)], 0.3).to_json()).encode(),
+        "poly-12": json.dumps(lemniscate_poly(
+            [(math.cos(k), math.sin(k)) for k in range(6)], 0.1).to_json()).encode(),
         **{f"shape-{s.kind}": json.dumps(s.to_json()).encode() for s in shapes},
         "csv": (tmp / "b.csv").read_bytes(),
         # a binary operator matrix: magic, uint64 n, the row-major float64 entries
@@ -244,8 +245,8 @@ def test_inputs_found_by_fuzzing(seeds, tmp_path, argv, files, code, line):
 
 
 def test_match_refinement_that_wanders_off_scale(tmp_path):
-    # against a sextic with one coefficient of 1e6 the simplex reaches s ~ 1e-17,
-    # where the push-forward overflows: the worst fit there, and no warning
+    # against a sextic with one coefficient of 1e6 a simplex once reached s ~ 1e-17,
+    # where the push-forward overflows; the polish now stays within the grid's scales
     sextic = lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)], 0.3).to_json()
     wild = dict(sextic, coeffs=[1e6 if i == 15 else c for i, c in enumerate(sextic["coeffs"])])
     (tmp_path / "wild.json").write_text(json.dumps(wild))

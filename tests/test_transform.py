@@ -1,36 +1,27 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (
-    alternates_oracle,
-    assert_same_bits,
-    grid_objective_oracle,
-    lift_oracle,
-    local_minima_oracle,
-    objective_oracle,
-)
+from oracles import alternates_oracle, lift_oracle, local_minima_oracle, match_oracle
 
-from gptshape import errors, transform
+from gptshape import transform
 from gptshape.errors import ConfigError
 from gptshape.geometry import lemniscate_poly
 from gptshape.polynomial import Poly2, from_forms, poly_dim, to_forms
 from gptshape.transform import (
     MatchResult,
-    SCALES,
-    THETAS,
     TWO_PI,
     Similarity,
     _alternates,
-    _grid_objective,
     _local_minima,
-    _mirrored,
-    _objective,
     _pushed_forms,
-    _unit_forms,
     angle_dist,
     lift,
     match,
@@ -267,10 +258,12 @@ def test_match_unrelated_shapes_do_not_match():
 
 
 def test_match_unbounded_observation_rejected():
+    # x^3 + y - 1 has no bounded piece; it is searched like any input and matches nothing
     g_ref = lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2)
     g_obs = Poly2.from_terms({(3, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0}).padded(4)
-    with pytest.raises(ConfigError, match="odd effective degree"):
-        match(g_ref, g_obs)
+    for allow_reflection in (False, True):
+        out = match(g_ref, g_obs, allow_reflection=allow_reflection)
+        assert out.epsilon_match > 0.3 and not out.matched
 
 
 def test_match_zero_reference_rejected():
@@ -331,54 +324,7 @@ def test_match_alternates_carry_their_branch():
         assert cos == pytest.approx(1.0, abs=1e-9)
 
 
-# the search without its repeated work, bit for bit ---------------------------
-
-
-
-def _pair(degree, seed, pushed):
-    rng = np.random.default_rng(seed)
-    ref = Poly2(degree, rng.uniform(-3.0, 3.0, size=poly_dim(degree)))
-    obs = (push_forward(ref, Similarity(rng.uniform(0.5, 2.0), rng.uniform(0.0, 6.3)))
-           if pushed else Poly2(degree, rng.uniform(-3.0, 3.0, size=poly_dim(degree))))
-    return ref, obs
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 8), st.integers(0, 10**6), st.booleans(), st.booleans())
-def test_grid_objective_reads_the_lift_table_bit_for_bit(degree, seed, pushed, reflected):
-    # the reflected grid is the rotation grid of the mirrored reference, bit for bit
-    ref, obs = _pair(degree, seed, pushed)
-    rb, ob = _unit_forms(to_forms(ref)), _unit_forms(to_forms(obs))
-    assert_same_bits(_grid_objective(_mirrored(rb) if reflected else rb, ob),
-                     grid_objective_oracle(rb, ob, THETAS, SCALES, reflected))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 8), st.integers(0, 10**6), st.booleans(),
-       st.floats(-150.0, 150.0), st.floats(-10.0, 10.0), st.booleans())
-def test_objective_equals_the_push_forward_poly2_wherever_that_returns(
-        degree, seed, pushed, logs, theta, reflected):
-    ref, obs = _pair(degree, seed, pushed)
-    obs_unit = from_forms(_unit_forms(to_forms(obs))).coeffs
-    forms = to_forms(ref)
-    got = _objective(_mirrored(forms) if reflected else forms, obs_unit, logs, theta)
-    try:
-        want = objective_oracle(ref, obs_unit, logs, theta, reflected)
-    except ConfigError:  # an infinite push-forward coefficient: the worst fit
-        assert got == 2.0
-    else:
-        assert float(got).hex() == float(want).hex()
-
-
-def test_objective_reads_an_infinite_coefficient_as_the_worst_fit():
-    # at logs = -120 a push-forward coefficient of the degree-6 reference is
-    # inf, not only its norm; the Poly2 round trip refused it with a ConfigError
-    ref = Poly2(6, np.ones(poly_dim(6)))
-    obs_unit = from_forms(_unit_forms(to_forms(ref))).coeffs
-    with pytest.raises(ConfigError, match="coefficients must be finite"):
-        objective_oracle(ref, obs_unit, -120.0, 0.3, False)
-    for logs in (-120.0, -60.0):
-        assert _objective(to_forms(ref), obs_unit, logs, 0.3) == 2.0
+# one search in every frame: the canonical size and the Bombieri-Weyl norm ----
 
 
 def _off_centre_disk(cx, cy, r):
@@ -393,54 +339,199 @@ MATCH_REFS = {
 }
 
 
-class _Mirrored(list):
-    """A reference's forms, left unmirrored, that the search takes for mirrored ones."""
+def _pair(degree, seed, noise=0.1, reflected=False):
+    """A random reference and the image of a perturbed copy under a random similarity."""
+    rng = np.random.default_rng(seed)
+    ref = Poly2(degree, rng.uniform(-1.0, 1.0, size=poly_dim(degree)))
+    noisy = Poly2(degree, ref.coeffs + noise * rng.uniform(-1.0, 1.0, size=poly_dim(degree)))
+    T = Similarity(rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI), reflected)
+    return ref, push_forward(noisy, T)
+
+
+def _ellipse_axes(a, b):
+    return Poly2.from_terms({(2, 0): 1.0 / a**2, (0, 2): 1.0 / b**2, (0, 0): -1.0})
+
+
+THREE_POLES = [(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)]
+# probe pairs, each observation the image of a variant: an ellipse, a two-pole
+# lemniscate with a pole moved to (0.9, 0) and a three-pole lemniscate at two levels
+PROBES = {
+    "ellipse": (_ellipse_axes(2.0, 1.0),
+                push_forward(_ellipse_axes(2.2, 1.0), Similarity(1.3, 0.7)), 0.029151664),
+    "two-pole-lemniscate": (lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2),
+                            push_forward(lemniscate_poly([(0.9, 0.0), (-1.0, 0.0)], 0.2),
+                                         Similarity(1.3, 0.7)), 0.101052928),
+    "three-pole-lemniscate": (lemniscate_poly(THREE_POLES, 0.3),
+                              push_forward(lemniscate_poly(THREE_POLES, 0.36),
+                                           Similarity(1.2, 0.7)), 0.019690411),
+}
+FRAME_PAIRS = {**{f"seed-{seed}": _pair(2 + seed % 7, seed) for seed in range(20)},
+               **{name: (r, o) for name, (r, o, _) in PROBES.items()}}
+FRAMES = [Similarity(1.0, phi) for phi in (0.3, 0.9, 1.5, 4.0)] + [
+    Similarity(c, 0.0) for c in (0.1, 0.5, 2.0, 10.0)] + [Similarity(7.0, 2.2)]
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_PAIRS))
+def test_epsilon_does_not_depend_on_the_frame_or_the_order(name):
+    ref, obs = FRAME_PAIRS[name]
+    base = match(ref, obs)
+    for frame in FRAMES:
+        moved = match(push_forward(ref, frame), push_forward(obs, frame))
+        assert moved.epsilon_match == pytest.approx(base.epsilon_match, rel=1e-9, abs=1e-15)
+        assert moved.best.s == pytest.approx(base.best.s, rel=1e-9)
+    assert match(obs, ref).epsilon_match == base.epsilon_match
+    assert (match(obs, ref, allow_reflection=True).epsilon_match
+            == match(ref, obs, allow_reflection=True).epsilon_match)
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_probe_pairs_read_one_epsilon_in_every_frame(name):
+    ref, obs, eps = PROBES[name]
+    for frame in [Similarity(1.0, 0.0)] + FRAMES:
+        got = match(push_forward(ref, frame), push_forward(obs, frame)).epsilon_match
+        assert got == pytest.approx(eps, abs=1e-9)
+
+
+def _lines(vertices):
+    """The product of the lines through consecutive vertices of a polygon."""
+    p = Poly2.from_terms({(0, 0): 1.0})
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
+        p = p * Poly2.from_terms({(1, 0): y1 - y0, (0, 1): x0 - x1, (0, 0): x1 * y0 - x0 * y1})
+    return p
+
+
+def _regular(n):
+    return [(math.cos(TWO_PI * j / n + 0.2), math.sin(TWO_PI * j / n + 0.2)) for j in range(n)]
+
+
+ODD_SHAPES = {
+    "triangle": _lines(_regular(3)),
+    "pentagon": _lines(_regular(5)),
+    "cubic-oval": Poly2.from_terms({(0, 2): 1.0, (3, 0): -1.0, (1, 0): 1.0}),  # y^2 = x^3 - x
+}
+
+
+def _assert_found(out, T):
+    """epsilon at most 1e-8, and T the best similarity or one of the alternates."""
+    assert out.epsilon_match <= 1e-8 and out.matched
+    assert any(t.reflected == T.reflected and abs(t.s - T.s) <= 1e-8 * T.s
+               and angle_dist(t.theta, T.theta) <= 1e-8
+               for t in [out.best] + [t for t, _ in out.alternates]), (out, T)
+
+
+@pytest.mark.parametrize("allow_reflection", [False, True], ids=["plain", "reflection"])
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_exact_push_forwards_come_back_exactly(degree, allow_reflection):
+    rng = np.random.default_rng(degree)
+    for _ in range(3):
+        ref = Poly2(degree, rng.uniform(-1.0, 1.0, size=poly_dim(degree)))
+        T = Similarity(rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI),
+                       allow_reflection and bool(rng.integers(2)))
+        factor = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        obs = Poly2(degree, factor * push_forward(ref, T).coeffs)
+        out = match(ref, obs, allow_reflection=allow_reflection)
+        _assert_found(out, T)
+        assert out.sign == np.sign(factor)
+
+
+@pytest.mark.parametrize("allow_reflection", [False, True], ids=["plain", "reflection"])
+@pytest.mark.parametrize("name", sorted(ODD_SHAPES))
+def test_odd_degree_shapes_match_their_push_forwards(name, allow_reflection):
+    # an odd-degree zero set is unbounded, but its bounded piece is a shape
+    ref = ODD_SHAPES[name]
+    rng = np.random.default_rng(len(name))
+    for _ in range(20):
+        T = Similarity(rng.uniform(0.5, 2.0), rng.uniform(0.0, TWO_PI),
+                       allow_reflection and bool(rng.integers(2)))
+        _assert_found(match(ref, push_forward(ref, T), allow_reflection=allow_reflection), T)
+    assert not match(ODD_SHAPES["triangle"], ODD_SHAPES["cubic-oval"]).matched
+
+
+def test_a_form_of_roundoff_size_does_not_move_the_canonical_size():
+    # the edge-line product's form B_1 is roundoff (1e-16) of a form that vanishes; fitted
+    # through log 1e-16, the canonical size made the triangle and its exact twin differ by 0.93
+    forms = to_forms(ODD_SHAPES["triangle"])
+    assert 0.0 < np.abs(forms[1]).max() < 1e-15
+    exact = from_forms(forms[:1] + [np.zeros(2)] + forms[2:])
+    out = match(ODD_SHAPES["triangle"], exact)
+    assert out.epsilon_match < 1e-13 and out.best.s == pytest.approx(1.0, rel=1e-12)
+
+
+def test_exact_pairs_read_epsilon_without_the_cosine_floor():
+    # sqrt(2 - 2 |cos|) cannot read less than 1.5e-8; the distance reads roundoff
+    for ref in (MATCH_REFS["two-pole-lemniscate"], MATCH_REFS["three-pole-lemniscate"]):
+        assert match(ref, push_forward(ref, Similarity(1.3, 0.8))).epsilon_match < 1e-13
+
+
+def test_sign_agrees_with_the_push_forward_on_exact_pairs():
+    for name, ref in sorted(MATCH_REFS.items()):
+        for factor in (-2.5, 0.3):
+            T = Similarity(1.4, 2.1)
+            obs = factor * push_forward(ref, T).coeffs
+            out = match(ref, Poly2(ref.degree, obs))
+            euclid = float(push_forward(ref, out.best).coeffs @ obs)
+            assert out.sign == np.sign(euclid) == np.sign(factor), name
+
+
+def test_a_cold_match_imports_no_scipy_optimize(tmp_path):
+    ref = MATCH_REFS["three-pole-lemniscate"]
+    for name, p in (("ref", ref), ("obs", push_forward(ref, Similarity(1.3, 0.4)))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(p.to_json()))
+    code = ("import runpy, sys\n"
+            "sys.argv = ['gptshape', 'match', '--ref', 'ref.json', '--obs', 'obs.json']\n"
+            "try:\n    runpy.run_module('gptshape.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    assert exc.code in (0, None), exc.code\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(transform.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]", out.stdout
+
+
+# the complex basis against the real basis -------------------------------------
+
+
+def _assert_agrees_with_the_reference(ref, obs, allow_reflection):
+    eps, sims = match_oracle(ref, obs, allow_reflection)
+    out = match(ref, obs, allow_reflection=allow_reflection)
+    assert out.epsilon_match == pytest.approx(eps, abs=1e-10)
+    got = [out.best] + [t for t, _ in out.alternates]
+    assert len(got) == len(sims)
+    for t in got:
+        assert any(t.reflected == m and t.s == pytest.approx(s, rel=1e-6)
+                   and angle_dist(t.theta, theta) <= 1e-6 for s, theta, m in sims), t
 
 
 @pytest.mark.parametrize("allow_reflection", [False, True], ids=["plain", "reflection"])
 @pytest.mark.parametrize("name", sorted(MATCH_REFS))
-def test_match_json_equals_the_uncached_search(monkeypatch, name, allow_reflection):
+def test_match_agrees_with_the_real_basis_reference(name, allow_reflection):
+    # the reference against a perturbed image, so that epsilon is not roundoff
     ref = MATCH_REFS[name]
-    T = Similarity(1.4, 0.8, reflected=allow_reflection)
-    obs = Poly2(ref.degree, -2.5 * push_forward(ref, T).coeffs)
-    got = match(ref, obs, allow_reflection=allow_reflection).to_json()
-    # the oracles take the unmirrored reference and the branch as a flag
-    monkeypatch.setattr(transform, "_mirrored", _Mirrored)
-    monkeypatch.setattr(transform, "_grid_objective", lambda rb, ob: grid_objective_oracle(
-        list(rb), ob, THETAS, SCALES, isinstance(rb, _Mirrored)))
-    monkeypatch.setattr(transform, "_objective", lambda forms, obs_unit, logs, theta:
-                        objective_oracle(from_forms(list(forms)), obs_unit, logs, theta,
-                                         isinstance(forms, _Mirrored)))
-    want = match(ref, obs, allow_reflection=allow_reflection).to_json()
-    assert json.dumps(got) == json.dumps(want)
-    assert got["matched"]
+    noisy = Poly2(ref.degree, ref.coeffs * (1.0 + 0.05 * np.cos(np.arange(ref.coeffs.size))))
+    T = Similarity(1.4, 0.8, allow_reflection)
+    obs = Poly2(ref.degree, -2.5 * push_forward(noisy, T).coeffs)
+    _assert_agrees_with_the_reference(ref, obs, allow_reflection)
 
 
-def test_match_counts_its_rotation_table_before_lifting(monkeypatch):
-    monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
-    monkeypatch.setattr(transform, "lift", lambda *a: pytest.fail("lifted"))
-    p = lemniscate_poly([(math.cos(k), math.sin(k)) for k in range(6)], 0.1)
-    with pytest.raises(ConfigError, match=(
-            r"^degree 12 need 1179360 bytes for match's table of lifted rotations, "
-            r"but this machine has 1048576 bytes of memory$")):
-        match(p, p)
+@pytest.mark.parametrize("allow_reflection", [False, True], ids=["plain", "reflection"])
+@pytest.mark.parametrize("seed", range(40))
+def test_match_agrees_with_the_real_basis_reference_on_seeded_pairs(seed, allow_reflection):
+    degree = int(np.random.default_rng(seed).integers(2, 13))
+    _assert_agrees_with_the_reference(*_pair(degree, seed, reflected=allow_reflection),
+                                      allow_reflection)
 
 
-def test_a_reflected_match_builds_and_counts_one_rotation_table(monkeypatch):
-    # the mirrored branch searches the mirrored reference with the rotations' table:
-    # d + 1 lifts, 180 * 140 * 8 = 201600 bytes at degree 6, the same as a plain search
-    ref = MATCH_REFS["three-pole-lemniscate"]
-    obs = push_forward(ref, Similarity(1.3, 2.0, reflected=True))
-    transform._rotation_lifts.cache_clear()
-    monkeypatch.setattr(errors, "_physical_memory", lambda: 201600)
-    out = match(ref, obs, allow_reflection=True)
-    assert out.reflected and out.matched
-    assert transform._rotation_lifts.cache_info().currsize == ref.degree + 1
-    monkeypatch.setattr(errors, "_physical_memory", lambda: 201599)
-    with pytest.raises(ConfigError, match=(
-            r"^degree 6 need 201600 bytes for match's table of lifted rotations, "
-            r"but this machine has 201599 bytes of memory$")):
-        match(ref, obs, allow_reflection=True)
+@pytest.mark.parametrize("allow_reflection", [False, True], ids=["plain", "reflection"])
+@pytest.mark.parametrize("poles", range(1, 7))
+def test_symmetric_alternates_agree_with_the_real_basis_reference(poles, allow_reflection):
+    # a k-fold symmetric lemniscate against a level-perturbed image: k alternates, 2k mirrored
+    P = [(math.cos(TWO_PI * j / poles), math.sin(TWO_PI * j / poles)) for j in range(poles)]
+    ref = lemniscate_poly(P, 0.3)
+    obs = push_forward(lemniscate_poly(P, 0.36), Similarity(1.2, 0.7, allow_reflection))
+    _assert_agrees_with_the_reference(ref, obs, allow_reflection)
+    assert len(match(ref, obs, allow_reflection=allow_reflection).alternates) == (
+        poles * (2 if allow_reflection else 1) - 1)
 
 
 # one padded stencil for the grid minima, one pass for the alternates ---------
