@@ -390,10 +390,11 @@ def discretize_polygon(spec: ShapeSpec, n: int) -> DiscretizedBoundary:
 def _newton_project(p, gx, gy, pts, tol, max_iter=20):
     pts = np.array(pts, dtype=float)
     for _ in range(max_iter):
-        v = p(pts)
+        powers = ({}, {})  # one table of powers per step, shared by p and its partials
+        v = p(pts, powers)
         if np.max(np.abs(v)) < tol:
             break
-        g1, g2 = gx(pts), gy(pts)
+        g1, g2 = gx(pts, powers), gy(pts, powers)
         n2 = np.maximum(g1 * g1 + g2 * g2, 1e-300)
         step = v / n2
         pts = pts - np.column_stack([step * g1, step * g2])

@@ -94,15 +94,22 @@ class Poly2:
 
     # evaluation ---------------------------------------------------------
 
-    def __call__(self, pts) -> np.ndarray:
-        """Evaluate at points of shape (..., 2); returns shape (...)."""
+    def __call__(self, pts, powers=None) -> np.ndarray:
+        """Evaluate at points of shape (..., 2); returns shape (...).
+
+        Each power ``x1**k``, ``x2**k`` is formed once.  ``powers``, a pair
+        of dicts from k to those arrays, lets several polynomials evaluated
+        at the same ``pts`` share them; the sum is the same bits either way.
+        """
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
         out = np.zeros(np.broadcast(x1, x2).shape)
-        terms = list(self.term_items())
-        p1 = {k: x1**k for k in {a1 for (a1, _), _ in terms}}  # each power once
-        p2 = {k: x2**k for k in {a2 for (_, a2), _ in terms}}
-        for (a1, a2), c in terms:
+        p1, p2 = ({}, {}) if powers is None else powers
+        for (a1, a2), c in self.term_items():
+            if a1 not in p1:
+                p1[a1] = x1**a1
+            if a2 not in p2:
+                p2[a2] = x2**a2
             out += c * p1[a1] * p2[a2]
         return out
 

@@ -7,6 +7,11 @@ which is plenty for the visual comparisons the SVG export serves.  Open
 polylines run into the clipping box and are styled differently — a zero
 set with unbounded components is exactly what a failed or truncated
 recovery looks like, so the distinction is worth a glance.
+
+The CSV and SVG writers format one polyline at a time: one ``%`` over a
+template that repeats the per-vertex codes (``%.17g`` for CSV coordinates,
+``%.3f`` for SVG pixels), so the files are byte for byte those of
+formatting vertex by vertex, at a fraction of the interpreter work.
 """
 
 from __future__ import annotations
@@ -52,11 +57,15 @@ class LevelSetCurves:
         return np.vstack(self.polylines)
 
     def save_csv(self, path) -> None:
-        lines = ["component,x,y"]
-        for ci, pl in enumerate(self.polylines):
-            lines.extend(f"{ci},{x:.17g},{y:.17g}" for x, y in pl.tolist())
+        """Write ``component,x,y`` rows, one ``%.17g`` per coordinate.
+
+        Each polyline is formatted by one ``%`` over a row template repeated
+        once per vertex, so the text is byte for byte that of formatting
+        vertex by vertex."""
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("component,x,y\n")
+            for ci, pl in enumerate(self.polylines):
+                fh.write((f"{ci},%.17g,%.17g\n" * len(pl)) % tuple(pl.ravel().tolist()))
 
 
 def extract(p: Poly2, box=DEFAULT_BOX, grid: int = DEFAULT_GRID,
@@ -80,15 +89,16 @@ def margin_box(pts, frac: float = 0.10):
     return (x0 - mx, x1 + mx, y0 - my, y1 + my)
 
 
-def _point_set(pts, name):
+def _point_set(pts, name, empty):
+    """``pts`` as a nonempty (m, 2) float array of finite coordinates, else
+    ConfigError: ``empty`` when it has no coordinates, else one naming ``name``."""
     pts = np.asarray(pts, dtype=float)
     if pts.size == 0:
-        raise ConfigError("hausdorff distance needs two nonempty point sets")
+        raise ConfigError(empty)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ConfigError(f"hausdorff: {name} must be an (m, 2) array, "
-                          f"got shape {pts.shape}")
+        raise ConfigError(f"{name} must be an (m, 2) array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
-        raise ConfigError(f"hausdorff: {name} has non-finite coordinates")
+        raise ConfigError(f"{name} has non-finite coordinates")
     return pts
 
 
@@ -102,7 +112,8 @@ def hausdorff(a, b) -> float:
     """
     from scipy.spatial import cKDTree  # lazy: keeps scipy off render's import path
 
-    a, b = _point_set(a, "a"), _point_set(b, "b")
+    empty = "hausdorff distance needs two nonempty point sets"
+    a, b = _point_set(a, "hausdorff: a", empty), _point_set(b, "hausdorff: b", empty)
     return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
 
 
@@ -133,12 +144,13 @@ def _mapper(box):
 
 
 def _path(points, to_px, closed):
+    """SVG path data ``M x y L x y ... [Z]`` of (m >= 1, 2) points, in pixels.
+
+    One ``%`` over a template with a ``%.3f`` pair per vertex formats the
+    whole polyline, byte for byte as formatting vertex by vertex would."""
     px, py = to_px(*points.T)  # elementwise, so the same bits as point by point
-    cmds = [f"{'M' if i == 0 else 'L'} {x:.3f} {y:.3f}"
-            for i, (x, y) in enumerate(zip(px.tolist(), py.tolist()))]
-    if closed:
-        cmds.append("Z")
-    return " ".join(cmds)
+    template = "M %.3f %.3f" + " L %.3f %.3f" * (len(points) - 1) + (" Z" if closed else "")
+    return template % tuple(np.column_stack((px, py)).ravel().tolist())
 
 
 def export_svg(curves: LevelSetCurves, path, overlays=None) -> None:
@@ -146,7 +158,8 @@ def export_svg(curves: LevelSetCurves, path, overlays=None) -> None:
 
     ``overlays`` takes an optional sequence of (m, 2) point arrays (for
     example a source boundary's nodes) drawn in a distinct style under the
-    extracted curves.
+    extracted curves.  An overlay that is empty, not (m, 2) (a flat pair is
+    one point) or not finite is a ConfigError.
     """
     to_px = _mapper(curves.box)
     xmin, xmax, ymin, ymax = curves.box
@@ -174,8 +187,9 @@ def export_svg(curves: LevelSetCurves, path, overlays=None) -> None:
             f'<line x1="{ax0:.3f}" y1="{ay0:.3f}" x2="{ax1:.3f}" '
             f'y2="{ay1:.3f}" {_STYLE_AXIS}/>'
         )
-    for pts in overlays or ():
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    for i, pts in enumerate(overlays or ()):
+        name = f"export_svg: overlay {i}"
+        pts = _point_set(np.atleast_2d(pts), name, f"{name} is empty")
         parts.append(f'<path d="{_path(pts, to_px, True)}" {_STYLE_SOURCE}/>')
     for pl, closed in zip(curves.polylines, curves.closed):
         style = _STYLE_CLOSED if closed else _STYLE_OPEN

@@ -146,6 +146,20 @@ def poly_eval_oracle(p, pts):
     return out
 
 
+def newton_project_oracle(p, gx, gy, pts, tol, max_iter=20):
+    """geometry._newton_project calling p, gx and gy on their own, each term taking its own powers."""
+    pts = np.array(pts, dtype=float)
+    for _ in range(max_iter):
+        v = poly_eval_oracle(p, pts)
+        if np.max(np.abs(v)) < tol:
+            break
+        g1, g2 = poly_eval_oracle(gx, pts), poly_eval_oracle(gy, pts)
+        n2 = np.maximum(g1 * g1 + g2 * g2, 1e-300)
+        step = v / n2
+        pts = pts - np.column_stack([step * g1, step * g2])
+    return pts
+
+
 def on_grid_oracle(p, xs, ys):
     """p on the grid xs x ys in whole-grid passes: one outer product and one sum per term."""
     xs = np.asarray(xs, dtype=float)
@@ -172,6 +186,39 @@ def path_oracle(points, to_px, closed):
     if closed:
         cmds.append("Z")
     return " ".join(cmds)
+
+
+def svg_oracle(curves, overlays=()):
+    """render.export_svg's whole document, each path written by path_oracle."""
+    from gptshape.render import (_STYLE_AXIS, _STYLE_CLOSED, _STYLE_FRAME, _STYLE_OPEN,
+                                 _STYLE_SOURCE, _mapper)
+
+    to_px = _mapper(curves.box)
+    xmin, xmax, ymin, ymax = curves.box
+    fx0, fy0 = to_px(xmin, ymax)
+    fx1, fy1 = to_px(xmax, ymin)
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+             'viewBox="0 0 640 640">',
+             '<rect width="100%" height="100%" fill="white"/>',
+             f'<rect x="{fx0:.3f}" y="{fy0:.3f}" width="{fx1 - fx0:.3f}" '
+             f'height="{fy1 - fy0:.3f}" {_STYLE_FRAME}/>']
+    axes = []
+    if xmin < 0 < xmax:
+        axes.append((to_px(0, ymin), to_px(0, ymax)))
+    if ymin < 0 < ymax:
+        axes.append((to_px(xmin, 0), to_px(xmax, 0)))
+    for (x1, y1), (x2, y2) in axes:
+        parts.append(f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
+                     f'{_STYLE_AXIS}/>')
+    for pts in overlays:
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        parts.append(f'<path d="{path_oracle(pts, to_px, True)}" {_STYLE_SOURCE}/>')
+    for pl, closed in zip(curves.polylines, curves.closed):
+        style = _STYLE_CLOSED if closed else _STYLE_OPEN
+        parts.append(f'<path d="{path_oracle(pl, to_px, closed)}" {style}/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def csv_oracle(curves):

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gptshape.geometry import (
 from gptshape.gpt import assemble_gpt
 from gptshape.npo import assemble
 from gptshape.polynomial import Poly2, poly_dim
+from oracles import assert_same_bits, newton_project_oracle
 
 UNIT_CIRCLE = Poly2.from_terms({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 
@@ -211,6 +213,21 @@ def test_trace_does_not_depend_on_the_sign_of_p(p, box, grid, n):
         flux = np.sum(np.sum(plus.nodes[mask] * plus.normals[mask], axis=1)
                       * plus.weights[mask])
         assert flux > 0
+
+
+@pytest.mark.parametrize("p", [
+    lemniscate_poly([(1.0, 0.0), (-1.0, 0.0)], 0.2),
+    lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)], 0.3),
+    Poly2.from_terms({(0, 2): 1.0, (3, 0): -1.0, (1, 0): 1.0}),  # the oval of y^2 = x^3 - x
+], ids=["lemniscate2", "lemniscate3", "cubic-oval"])
+def test_trace_shares_one_power_table_a_step_bit_for_bit(p, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the cubic's unbounded branch
+        got = trace_implicit(p, n=1024)
+        monkeypatch.setattr(geometry, "_newton_project", newton_project_oracle)
+        want = trace_implicit(p, n=1024)
+    for name in ("nodes", "normals", "weights", "curvatures", "component_id"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
 
 
 def test_trace_lemniscate_components():

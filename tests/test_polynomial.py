@@ -132,6 +132,23 @@ def test_eval_takes_each_power_once_bit_for_bit(degree, seed, shape):
     assert_same_bits(got, want)
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 8), st.integers(0, 10**6), st.sampled_from([(1,), (7,), (4, 3)]))
+def test_polynomials_sharing_a_power_table_evaluate_bit_for_bit(degree, seed, shape):
+    # as a Newton step evaluates p and both partials: one table of powers, filled as needed
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-3.0, 3.0, size=poly_dim(degree))
+    c[rng.random(c.size) < 0.3] = 0.0
+    polys = [Poly2(degree, c), partial(Poly2(degree, c), 0), partial(Poly2(degree, c), 1)]
+    pts = rng.uniform(-3.0, 3.0, size=shape + (2,))
+    pts[rng.random(pts.shape) < 0.2] = -0.0
+    powers = ({}, {})
+    for p in polys:
+        assert_same_bits(p(pts, powers), poly_eval_oracle(p, pts))
+    exponents = [{alpha[k] for p in polys for alpha, _ in p.term_items()} for k in (0, 1)]
+    assert [set(table) for table in powers] == exponents
+
+
 @pytest.mark.parametrize("grid", [65, 97])
 def test_level_set_still_refuses_a_grid_that_overflows(grid):
     p = Poly2(8, np.linspace(-1.0, 1.0, poly_dim(8)))

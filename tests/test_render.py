@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import csv_oracle, path_oracle
+from oracles import csv_oracle, path_oracle, svg_oracle
 
 from gptshape.errors import ConfigError, NumericError
-from gptshape.geometry import discretize, ShapeSpec
+from gptshape.geometry import discretize, lemniscate_poly, ShapeSpec
 from gptshape.polynomial import Poly2
 from gptshape.render import LevelSetCurves, _mapper, _path, export_svg, extract, hausdorff
 
@@ -224,3 +224,92 @@ def test_svg_ties_and_signed_zeros_format_as_before():
     to_px = _mapper((0.0, 560.0, 0.0, 560.0))
     assert _path(pl, to_px, True) == path_oracle(pl, to_px, True) == (
         "M 40.062 600.000 L 40.000 599.812 L 39.938 40.000 Z")
+
+
+# the writers at the match-render workload's scale: thousands of vertices a
+# polyline, several components open and closed, and 1-point paths, so an
+# off-by-one in a repeated template shows
+
+
+def _big_polylines(seed):
+    """Polylines of 3000, 517, 2 and 1 vertices: gaussian coordinates, with
+    pixel ties (k / 16), signed zeros and extremes mixed in."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in (3000, 517, 2, 1):
+        pl = rng.standard_normal((m, 2)) * 10.0 ** rng.integers(-3, 4, size=(m, 2))
+        pick = rng.random((m, 2))
+        pl[pick < 0.2] = rng.integers(-10**4, 10**4, size=int(np.sum(pick < 0.2))) / 16
+        pl[(pick >= 0.2) & (pick < 0.25)] = -0.0
+        pl[(pick >= 0.25) & (pick < 0.27)] = 0.0
+        pl[(pick >= 0.27) & (pick < 0.28)] = 1e300
+        out.append(pl)
+    return out
+
+
+LEMNISCATE3 = lemniscate_poly([(1.0, 0.0), (-0.5, 0.8), (-0.5, -0.8)], 0.3)
+BIG_CURVES = [  # (p, box, grid, level): closed only, open and closed, three closed
+    (CIRCLE, (-2.0, 2.0, -2.0, 2.0), 2048, 0.0),
+    (PRODUCT_CUBIC, (-2.0, 2.0, -2.0, 2.0), 1024, 0.1),
+    (LEMNISCATE3, (-2.5, 2.5, -2.5, 2.5), 1024, 0.0),
+]
+
+
+@pytest.mark.parametrize("box", [(0.0, 560.0, 0.0, 560.0), (-2.0, 2.0, -1.5, 2.5)])
+@pytest.mark.parametrize("closed", [True, False])
+def test_svg_paths_equal_the_per_point_writer_at_workload_scale(box, closed):
+    to_px = _mapper(box)
+    polylines = _big_polylines(0) + list(extract(*BIG_CURVES[0][:3]).polylines)
+    assert max(len(pl) for pl in polylines) > 3000 and min(len(pl) for pl in polylines) == 1
+    for pl in polylines:
+        assert _path(pl, to_px, closed) == path_oracle(pl, to_px, closed)
+
+
+def test_csv_text_equals_the_per_point_writer_at_workload_scale(tmp_path):
+    big = [pl for pl in _big_polylines(1) if len(pl) > 1]
+    curves = [LevelSetCurves(tuple(big), (True, False, True), (-1, 1, -1, 1))]
+    curves += [extract(p, box=box, grid=grid, level=level) for p, box, grid, level in BIG_CURVES]
+    assert set(curves[2].closed) == {True, False} and curves[3].n_components == 3
+    assert len(curves[1].polylines[0]) > 4000
+    for i, c in enumerate(curves):
+        path = tmp_path / f"{i}.csv"
+        c.save_csv(path)
+        assert path.read_bytes() == csv_oracle(c).encode()
+
+
+@pytest.mark.parametrize("case", range(len(BIG_CURVES)))
+def test_svg_document_equals_the_per_point_writer(tmp_path, case):
+    p, box, grid, level = BIG_CURVES[case]
+    curves = extract(p, box=box, grid=grid, level=level)
+    overlays = [discretize(ShapeSpec.ellipse(1.5, 0.5), 1024).nodes,
+                np.array([[0.0625, -0.0]]), [0.25, -1.0]]  # an (m, 2) array, one point, a flat pair
+    path = tmp_path / "doc.svg"
+    export_svg(curves, path, overlays=overlays)
+    assert path.read_bytes() == svg_oracle(curves, overlays).encode()
+    assert path.read_text().count(" Z\"") == len(overlays) + sum(curves.closed)
+
+
+def test_empty_curves_write_the_header_and_frame_alone(tmp_path):
+    empty = LevelSetCurves((), (), (0.5, 1.5, 0.5, 1.5))  # no axis crosses this box
+    csv, svg = tmp_path / "e.csv", tmp_path / "e.svg"
+    empty.save_csv(csv)
+    export_svg(empty, svg)
+    assert csv.read_text() == csv_oracle(empty) == "component,x,y\n"
+    assert svg.read_bytes() == svg_oracle(empty).encode()
+
+
+# overlays are checked as hausdorff's point sets are
+
+
+@pytest.mark.parametrize("overlay, message", [
+    (np.empty((0, 2)), "overlay 1 is empty"),
+    ([], "overlay 1 is empty"),
+    (np.zeros((5, 3)), r"overlay 1 must be an \(m, 2\) array, got shape \(5, 3\)"),
+    ([[0.0, 0.0], [np.nan, 1.0]], "overlay 1 has non-finite coordinates"),
+], ids=["empty", "empty-list", "three-columns", "nan"])
+def test_export_svg_refuses_a_malformed_overlay(tmp_path, overlay, message):
+    curves = extract(CIRCLE, box=(-2, 2, -2, 2), grid=64)
+    path = tmp_path / "bad.svg"
+    with pytest.raises(ConfigError, match=message):
+        export_svg(curves, path, overlays=[circle_points(10), overlay])
+    assert not path.exists()
