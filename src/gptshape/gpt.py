@@ -23,22 +23,35 @@ rest once per boundary and degree pair, and is the one place that forms
 it: the Neumann data nu . grad x^alpha of the row monomials and the
 weighted column monomials w x^beta, both read off one table of node
 powers x1**k, x2**k, after degrees too large for memory are refused.
-Its ``solve`` applies a resolvent to the Neumann block and contracts the
-densities with the moment rows, and refuses a matrix with a non-finite
-entry: a shape so large that its moments overflow gets NumericError, not
-Infinity in the JSON, nor numpy's overflow warnings, which both steps
-silence (the resolvent refuses Neumann data that overflowed).
-:func:`assemble_gpt` and :func:`far_field` are that pair of calls.
-``recovery.estimate_lambda`` builds one problem and, at every lambda it
-tries, calls ``solve_with_derivative``, which applies the same resolvent
-once more for dM/dlambda = -moments R^2 rhs, the slope of its
-Gauss-Newton steps.  All three take the resolvent from an operator that
-must be ``npo.assemble(b)`` of their boundary ``b``; any other operator
-is a ConfigError.
+Its ``solve`` applies a resolvent to the Neumann block, contracts the
+densities with the moment rows, returns the matrix with its densities,
+and refuses a matrix with a non-finite entry: a shape so large that its
+moments overflow gets NumericError, not Infinity in the JSON, nor
+numpy's overflow warnings, which both steps silence (the resolvent
+refuses Neumann data that overflowed).
+
+Every GPT matrix the package solves goes through one helper, ``_solve``:
+in :func:`assemble_gpt`, in :func:`far_field` for its moment matrix, and
+in ``recovery.estimate_lambda`` and ``recovery.recover_crossvalidated``.
+It refuses an operator that is not ``npo.assemble(b)`` of its boundary
+``b`` with a ConfigError.  It then looks in the operator's memo, keyed by
+(lambda, d, row_degree): a kept matrix comes back as a new GptMatrix with
+the same bits, and only a miss builds the moment problem, solves it on
+the operator's resolvent and keeps the entries (at most 1 MiB of them an
+operator; see ``NpoMatrix.keep``).  So a lambda fit, a cross-validation
+at two lambda of the fit's grid, a degree ladder and a far field on one
+operator solve each (lambda, degrees) once.  ``estimate_lambda`` also
+takes the densities R rhs of a solve, so that
+:meth:`MomentProblem.derivative` gets dM/dlambda = -moments R^2 rhs, the
+slope of its Gauss-Newton steps, with one more solve on the same LU.
+
+The graded-lex multi-indices of each degree are built once
+(``_alphas``); ``_row_alphas`` and ``_col_betas`` hand out fresh lists.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,12 +74,19 @@ def lambda_of_k(k) -> float:
     return (k + 1.0) / (2.0 * (k - 1.0))
 
 
+@functools.lru_cache(maxsize=64)
+def _alphas(degree: int) -> tuple:
+    """The multi-indices of degree at most ``degree`` in graded lex order, built once
+    per degree; the two functions below hand out fresh lists of them."""
+    return tuple(multiindex_at(i) for i in range(poly_dim(degree)))
+
+
 def _row_alphas(row_degree: int):
-    return [multiindex_at(i) for i in range(1, poly_dim(row_degree))]
+    return list(_alphas(row_degree)[1:])
 
 
 def _col_betas(d: int):
-    return [multiindex_at(i) for i in range(poly_dim(d))]
+    return list(_alphas(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,21 +191,20 @@ class MomentProblem:
     rhs: np.ndarray
     moments: np.ndarray
 
-    def solve(self, res: Resolvent) -> GptMatrix:
-        """The GPT matrix at the resolvent's lambda."""
+    def solve(self, res: Resolvent) -> tuple[GptMatrix, np.ndarray]:
+        """The GPT matrix at the resolvent's lambda, and the densities phi = R rhs
+        of its solve, from which :meth:`derivative` takes dM/dlambda."""
         phi = res.apply(self.rhs)  # refuses a right-hand side that overflowed
-        return GptMatrix(res.lam, self.d, self.row_degree, self._contract(phi))
+        return GptMatrix(res.lam, self.d, self.row_degree, self._contract(phi)), phi
 
-    def solve_with_derivative(self, res: Resolvent) -> tuple[GptMatrix, np.ndarray]:
-        """The GPT matrix at the resolvent's lambda and the derivative of its entries.
+    def derivative(self, res: Resolvent, phi: np.ndarray) -> np.ndarray:
+        """dM/dlambda at the resolvent's lambda, from the densities phi = R rhs.
 
         With R = (lambda I - K*)^-1 the matrix is moments R rhs, so its
         derivative in lambda is -moments R^2 rhs: one more solve with the
         factorization the matrix already used.
         """
-        phi = res.apply(self.rhs)
-        return (GptMatrix(res.lam, self.d, self.row_degree, self._contract(phi)),
-                -self._contract(res.apply(phi)))
+        return -self._contract(res.apply(phi))
 
     def _contract(self, phi: np.ndarray) -> np.ndarray:
         """Entries (rows, cols) of the moment rows against densities phi."""
@@ -229,11 +248,24 @@ def moment_problem(b: DiscretizedBoundary, d: int,
     return MomentProblem(d, row_degree, rhs, moments)
 
 
-def _resolvent(b: DiscretizedBoundary, npo: NpoMatrix, lam) -> Resolvent:
-    """``npo``'s resolvent at lambda, refused unless ``npo`` is ``assemble(b)``."""
+def _solve(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int, row_degree: int | None,
+           problem) -> tuple[GptMatrix, np.ndarray | None]:
+    """The GPT matrix at (lambda, d, row_degree) on ``npo``, and the densities of its solve.
+
+    ``npo`` must be ``assemble(b)``.  The entries kept on ``npo`` for that
+    key come back as a new GptMatrix, with None for the densities;
+    otherwise ``problem()``, the moment problem of those degrees, is solved
+    on ``npo``'s resolvent and its entries are kept.
+    """
     if npo.boundary is not b:
         raise ConfigError("the NPO matrix was assembled on another boundary than b")
-    return npo.resolvent(lam)
+    key = (float(lam), d, 2 * d if row_degree is None else row_degree)
+    entries = npo.kept(key)
+    if entries is not None:
+        return GptMatrix(*key, entries), None
+    M, phi = problem().solve(npo.resolvent(lam))
+    npo.keep(key, M.entries)
+    return M, phi
 
 
 def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
@@ -242,9 +274,11 @@ def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
 
     Rows span 1 <= |alpha| <= row_degree (default 2 d, which makes any
     polynomial vanishing on the boundary a null vector of the matrix);
-    columns span 0 <= |beta| <= d including the constant.
+    columns span 0 <= |beta| <= d including the constant.  ``npo`` keeps
+    the matrix, and a second call with the same lambda and degrees solves
+    nothing.
     """
-    return moment_problem(b, d, row_degree).solve(_resolvent(b, npo, lam))
+    return _solve(b, npo, lam, d, row_degree, lambda: moment_problem(b, d, row_degree))[0]
 
 
 @dataclass(frozen=True)
@@ -283,8 +317,8 @@ def far_field(b: DiscretizedBoundary, npo: NpoMatrix, lam, h: Poly2, x,
         raise ConfigError(
             f"|x| = {np.hypot(*x):.3g} is inside 3x the boundary radius {radius:.3g}")
 
-    res = _resolvent(b, npo, lam)
-    M = moment_problem(b, max(h.degree, 1), max(truncation, 1)).solve(res)
+    d, row_degree = max(h.degree, 1), max(truncation, 1)
+    M = _solve(b, npo, lam, d, row_degree, lambda: moment_problem(b, d, row_degree))[0]
     expansion = 0.0
     for r, alpha in enumerate(M.row_alphas):
         a1, a2 = alpha
@@ -304,7 +338,7 @@ def far_field(b: DiscretizedBoundary, npo: NpoMatrix, lam, h: Poly2, x,
 
     # direct route: u - h = S[(lambda I - K*)^{-1} (dh/dnu)]
     dnu_h = np.sum(b.normals * h.gradient(b.nodes), axis=1)
-    phi = res.apply(dnu_h)
+    phi = npo.resolvent(lam).apply(dnu_h)
     dist = np.hypot(b.nodes[:, 0] - x[0], b.nodes[:, 1] - x[1])
     direct = float(np.sum(b.weights * np.log(dist) * phi) / (2.0 * np.pi))
     return FarFieldResult(float(expansion), direct)

@@ -32,13 +32,14 @@ never has to silence anything.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 # assemble_gpt is unused here; perfbench traces it as recovery.assemble_gpt
-from .gpt import GptMatrix, _resolvent, assemble_gpt, moment_problem
+from .gpt import GptMatrix, _solve, assemble_gpt, moment_problem
 from .npo import assemble
 from .polynomial import Poly2, poly_dim
 
@@ -232,13 +233,18 @@ def recover_crossvalidated(
     one run as unreliable; the smaller-residual result is returned with a
     ``LambdaSuspect`` flag.  If both runs report an ambiguous kernel the
     recovery fails outright.
+
+    A matrix ``npo`` already keeps, such as the ones :func:`estimate_lambda`
+    solved at 1.5 and 3.0 on its grid, is not solved again.  The moment
+    problem is built once, and only when one of the two lambda misses.
     """
     if lam1 == lam2:
         raise ConfigError("cross-validation needs two distinct lambda values")
     if npo is None:
         npo = assemble(boundary)
-    problem = moment_problem(boundary, d, row_degree)
-    results = [recover(problem.solve(_resolvent(boundary, npo, lam))) for lam in (lam1, lam2)]
+    problem = functools.cache(lambda: moment_problem(boundary, d, row_degree))
+    results = [recover(_solve(boundary, npo, lam, d, row_degree, problem)[0])
+               for lam in (lam1, lam2)]
     r1, r2 = results
     ambiguous = ["AmbiguousKernel" in r.flags for r in results]
     if all(ambiguous):
@@ -306,10 +312,12 @@ def estimate_lambda(
     with the grid's.
 
     The candidate's moment problem does not depend on lambda and is built
-    once; each lambda costs one resolvent, whose factorization gives both
-    M and D (:meth:`MomentProblem.solve_with_derivative`).  The refinement
-    starts from the grid pass's misfit and step at the argmin; a step
-    clipped onto another grid point solves there again.
+    once; each lambda costs one resolvent, whose factorization gives M and,
+    with one more solve, D (:meth:`MomentProblem.derivative`).  Where
+    ``npo`` already keeps M (``gpt._solve``), M is not solved again but its
+    densities are, for D.  The refinement starts from the grid pass's
+    misfit and step at the argmin; a step clipped onto another grid point
+    solves there again for D.
     """
     grid = [float(v) for v in lam_grid]
     if not grid:
@@ -319,11 +327,16 @@ def estimate_lambda(
     if npo is None:
         npo = assemble(b_candidate)
 
-    problem = moment_problem(b_candidate, M_target.d, M_target.row_degree)
+    d, row_degree = M_target.d, M_target.row_degree
+    problem = moment_problem(b_candidate, d, row_degree)
 
     def fit(lam: float) -> tuple:
         """Misfit at lambda and the Gauss-Newton step from there."""
-        M, D = problem.solve_with_derivative(_resolvent(b_candidate, npo, lam))
+        M, phi = _solve(b_candidate, npo, lam, d, row_degree, lambda: problem)
+        res = npo.resolvent(lam)
+        if phi is None:  # M was kept: its densities are solved again for D
+            phi = res.apply(problem.rhs)
+        D = problem.derivative(res, phi)
         E = M.entries - M_target.entries
         dd = float(np.vdot(D, D)) or 1.0  # D = 0 makes <E, D> = 0: no step
         return float(np.linalg.norm(E)), -float(np.vdot(E, D)) / dd

@@ -621,9 +621,12 @@ def estimate_lambda_oracle(M_target, b_candidate, lam_grid, npo=None):
                           misfits=tuple(values))
 
 
-def estimate_lambda_gauss_newton_oracle(M_target, b_candidate, lam_grid, npo=None):
+def estimate_lambda_gauss_newton_oracle(M_target, b_candidate, lam_grid, npo=None, log=None):
     """estimate_lambda's Gauss-Newton refinement with a fresh Resolvent and
-    the oracle entries and derivative per evaluation, without a memo."""
+    the oracle entries and derivative at every evaluation, without a memo.
+
+    When ``log`` is a list, each refinement evaluation appends (lambda, accepted).
+    """
     from gptshape.npo import Resolvent, assemble
     from gptshape.recovery import LambdaEstimate
 
@@ -651,6 +654,8 @@ def estimate_lambda_gauss_newton_oracle(M_target, b_candidate, lam_grid, npo=Non
         if not abs(t - lam) > 4 * np.spacing(abs(lam)):
             break
         f, step = fit(t)
+        if log is not None:
+            log.append((t, f < best))
         if f < best:
             lam, best, t = t, f, min(max(t + step, lo), hi)
         else:

@@ -28,7 +28,7 @@ from gptshape.gpt import (
 )
 from gptshape.npo import Resolvent, assemble
 from gptshape.polynomial import Poly2, multiindex_at, ordinal, poly_dim
-from gptshape.recovery import estimate_lambda, recover
+from gptshape.recovery import estimate_lambda, recover, recover_crossvalidated
 
 
 def build(spec, n, lam, d, row_degree=None):
@@ -295,7 +295,8 @@ def test_moment_problem_solves_to_the_whole_formula(name, n):
         # one problem solved at several lambda, in both directions
         for lam in (1.5, -0.8, 3.0, 1.5):
             res = Resolvent(npo, lam)
-            M = problem.solve(res)
+            M, phi = problem.solve(res)
+            assert_same_bits(phi, res.apply(problem.rhs))
             assert (M.lam, M.d, M.row_degree) == (lam, d, row_degree)
             assert_same_bits(M.entries, gpt_entries_oracle(b, res, d, row_degree))
             assert_same_bits(assemble_gpt(b, npo, lam, d, row_degree).entries, M.entries)
@@ -308,12 +309,12 @@ def test_solve_with_derivative_keeps_the_bits_of_solve(name):
     problem = moment_problem(b, 3, 6)
     for lam in (1.5, -0.8):
         res = Resolvent(npo, lam)
-        M, D = problem.solve_with_derivative(res)
-        assert_same_bits(M.entries, problem.solve(res).entries)
+        D = problem.derivative(res, res.apply(problem.rhs))
+        assert_same_bits(D, problem.derivative(res, problem.solve(res)[1]))
         assert_same_bits(D, gpt_derivative_oracle(b, res, 3, 6))
         h = 1e-5
-        central = (problem.solve(Resolvent(npo, lam + h)).entries
-                   - problem.solve(Resolvent(npo, lam - h)).entries) / (2 * h)
+        central = (problem.solve(Resolvent(npo, lam + h))[0].entries
+                   - problem.solve(Resolvent(npo, lam - h))[0].entries) / (2 * h)
         assert np.max(np.abs(central - D)) <= 1e-7 * np.max(np.abs(D))
 
 
@@ -354,6 +355,61 @@ def test_an_operator_built_on_another_boundary_is_refused(other):
         with pytest.raises(ConfigError, match="^the NPO matrix was assembled on another "
                                               "boundary than b$"):
             call()
+
+
+def test_a_kept_matrix_is_refused_to_another_boundary(resolvent_lambdas):
+    b = discretize_parametric(ShapeSpec.disk(), 64)
+    twin = discretize_parametric(ShapeSpec.disk(), 64)  # the same nodes, another object
+    npo = assemble(b)
+    h = Poly2.from_terms({(1, 0): 1.0})
+    M = assemble_gpt(b, npo, 1.5, 2)
+    for lam in (1.0, 2.0, 3.0):
+        assemble_gpt(b, npo, lam, 2)
+    far_field(b, npo, 1.5, h, (9.0, 0.0))
+    resolvent_lambdas.clear()
+    for call in (lambda: assemble_gpt(twin, npo, 1.5, 2),
+                 lambda: far_field(twin, npo, 1.5, h, (9.0, 0.0)),
+                 lambda: estimate_lambda(M, twin, [1.0, 2.0], npo=npo),
+                 lambda: recover_crossvalidated(twin, 2, 1.5, 3.0, npo=npo)):
+        with pytest.raises(ConfigError, match="^the NPO matrix was assembled on another "
+                                              "boundary than b$"):
+            call()
+    assert resolvent_lambdas == []
+
+
+def test_a_kept_matrix_comes_back_as_a_new_value_with_the_same_bits(resolvent_lambdas):
+    b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 64)
+    npo = assemble(b)
+    first = assemble_gpt(b, npo, 1.5, 2)
+    assemble_gpt(b, npo, 3.0, 2)  # the held LU is now another lambda's
+    resolvent_lambdas.clear()
+    again = assemble_gpt(b, npo, np.float64(1.5), 2, 4)
+    assert resolvent_lambdas == []
+    assert again is not first and again.entries is not first.entries
+    assert (again.lam, again.d, again.row_degree) == (1.5, 2, 4) and type(again.lam) is float
+    assert not again.entries.flags.writeable
+    assert_same_bits(again.entries, first.entries)
+    fresh = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 64)
+    assert_same_bits(again.entries, assemble_gpt(fresh, assemble(fresh), 1.5, 2).entries)
+    # other degrees are solved, not cut from a kept matrix
+    resolvent_lambdas.clear()
+    assert assemble_gpt(b, npo, 1.5, 2, 3).entries.shape == (9, 6)
+    assert resolvent_lambdas == [1.5]
+
+
+def test_multi_indices_are_built_once_per_degree_and_handed_out_fresh(monkeypatch):
+    gpt._alphas.cache_clear()
+    made = []
+    monkeypatch.setattr(gpt, "multiindex_at", lambda i: made.append(i) or multiindex_at(i))
+    rows, cols = gpt._row_alphas(5), gpt._col_betas(5)
+    assert rows == [multiindex_at(i) for i in range(1, poly_dim(5))]
+    assert cols == [multiindex_at(i) for i in range(poly_dim(5))]
+    rows.append((9, 9))
+    cols.clear()
+    assert gpt._col_betas(5) == [multiindex_at(i) for i in range(poly_dim(5))]
+    assert gpt._row_alphas(5) == gpt._col_betas(5)[1:]
+    assert gpt._row_alphas(5) is not gpt._row_alphas(5)
+    assert made == list(range(poly_dim(5)))
 
 
 def test_moment_problem_refuses_degrees_beyond_memory(monkeypatch):

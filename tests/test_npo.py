@@ -355,6 +355,37 @@ def test_resolvent_is_reused_only_for_an_equal_lambda(resolvent_lambdas):
     assert len(resolvent_lambdas) == 5  # each refused lambda went to Resolvent
 
 
+def test_kept_matrices_stay_within_one_mib_and_the_oldest_go_first(resolvent_lambdas):
+    npo = disk_npo(32)
+    lams = [1.0 + k / 64 for k in range(200)]
+    entries = [assemble_gpt(npo.boundary, npo, lam, 4).entries for lam in lams]
+    size = entries[0].nbytes  # 44 x 15 entries: 5280 bytes
+    held = (2**20) // size
+    kept = [npo.kept((lam, 4, 8)) for lam in lams]
+    assert [k is None for k in kept] == [True] * (200 - held) + [False] * held
+    assert sum(k.nbytes for k in kept if k is not None) <= 2**20
+    for k, e in zip(kept[-held:], entries[-held:]):
+        assert_same_bits(np.asarray(k), e)
+        assert not k.flags.writeable
+    resolvent_lambdas.clear()
+    assemble_gpt(npo.boundary, npo, lams[-2], 4)  # kept: no solve
+    assert resolvent_lambdas == []
+    again = assemble_gpt(npo.boundary, npo, lams[0], 4)  # dropped: solved and kept again
+    assert resolvent_lambdas == [lams[0]]
+    assert_same_bits(again.entries, entries[0])
+    assert npo.kept((lams[0], 4, 8)) is not None
+    assert npo.kept((lams[200 - held], 4, 8)) is None  # the oldest left made room
+
+
+def test_a_matrix_over_one_mib_is_returned_but_not_kept():
+    npo = disk_npo(32)
+    small = assemble_gpt(npo.boundary, npo, 1.5, 1)
+    big = assemble_gpt(npo.boundary, npo, 1.5, 20, 40)  # 860 x 231 entries
+    assert big.entries.nbytes > 2**20
+    assert npo.kept((1.5, 20, 40)) is None
+    assert_same_bits(np.asarray(npo.kept((1.5, 1, 2))), small.entries)
+
+
 def test_memory_budget_counts_the_matrix_and_its_lu(monkeypatch):
     monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
     assemble(discretize_parametric(ShapeSpec.disk(), 256))  # 2 x 8 x 256^2 bytes is 1 MiB

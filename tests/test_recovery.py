@@ -10,8 +10,8 @@ from oracles import estimate_lambda_gauss_newton_oracle, estimate_lambda_oracle
 from gptshape import recovery
 from gptshape.errors import ConfigError, NumericError
 from gptshape.geometry import ShapeSpec, discretize, lemniscate_poly, trace_implicit
-from gptshape.gpt import assemble_gpt
-from gptshape.npo import assemble
+from gptshape.gpt import GptMatrix, MomentProblem, assemble_gpt, far_field
+from gptshape.npo import Resolvent, assemble
 from gptshape.polynomial import Poly2
 from gptshape.recovery import (
     LambdaEstimate,
@@ -242,6 +242,15 @@ def test_crossvalidated_builds_one_moment_problem_for_both_lambdas(monkeypatch):
     for M, lam in zip(seen, (1.5, 3.0), strict=True):
         assert M.lam == lam
         assert np.array_equal(M.entries, assemble_gpt(b, npo, lam, 2).entries)
+
+
+def test_crossvalidated_builds_no_moment_problem_when_both_lambdas_are_kept(monkeypatch):
+    b = discretize(ShapeSpec.ellipse(2.0, 1.0), 128)
+    npo = assemble(b)
+    want = [recover(assemble_gpt(b, npo, lam, 2, 4)) for lam in (1.5, 3.0)]
+    monkeypatch.setattr(recovery, "moment_problem", lambda *args: pytest.fail("built"))
+    got = recover_crossvalidated(b, 2, 1.5, 3.0, npo=npo)
+    assert json.dumps(got.to_json()) == json.dumps(want[0].to_json())
 
 
 def test_crossvalidated_refuses_an_overdegreed_kernel_at_both_lambdas():
@@ -541,6 +550,115 @@ def test_estimate_lambda_on_a_coarser_candidate_agrees_with_golden_section(spec,
     b = discretize(spec, 128)
     got = estimate_lambda(M, b, FIT_GRID)
     assert abs(got.lam - estimate_lambda_oracle(M, b, FIT_GRID).lam) <= 1e-8
+
+
+def noisy(M, rel=1e-4, seed=1):
+    """M with each entry scaled by 1 + rel N(0, 1)."""
+    e = np.random.default_rng(seed).standard_normal(M.entries.shape)
+    return GptMatrix(M.lam, M.d, M.row_degree, M.entries * (1 + rel * e))
+
+
+def check_slopes_against_the_oracle(M, b, grid, monkeypatch, resolvent_lambdas):
+    """estimate_lambda against the oracle, which solves for dM/dlambda at every fit.
+
+    The package does too, also where ``npo`` already keeps M: each fit
+    makes two solves, the densities and the slope.  Returns the oracle's
+    refinement log.
+    """
+    applies, slopes = [], []
+    apply, derivative = Resolvent.apply, MomentProblem.derivative
+    monkeypatch.setattr(Resolvent, "apply", lambda res, f: applies.append(res.lam) or apply(res, f))
+    monkeypatch.setattr(MomentProblem, "derivative",
+                        lambda p, res, phi: slopes.append(res.lam) or derivative(p, res, phi))
+    resolvent_lambdas.clear()
+    got = estimate_lambda(M, b, grid)
+    factors = list(resolvent_lambdas)
+    monkeypatch.undo()  # the oracle's solves are not counted, nor its factorizations
+    log = []
+    want = estimate_lambda_gauss_newton_oracle(M, b, grid, log=log)
+    assert np.array([got.lam, got.misfit]).tobytes() == np.array([want.lam, want.misfit]).tobytes()
+    assert np.array(got.misfits).tobytes() == np.array(want.misfits).tobytes()
+    assert got.grid == want.grid
+    assert slopes == [float(v) for v in grid] + [t for t, _ in log]
+    assert len(applies) == 2 * len(slopes)
+    assert len(factors) <= len(slopes)
+    return log
+
+
+# noise seeds under which the refinement rejects a step on each target
+NOISE_SEEDS = {"disk": 0, "ellipse": 1, "lemniscate": 1, "end-0.8": 1, "end-2.6": 1}
+
+
+@pytest.mark.parametrize("name, seed", [(name, None) for name in EXACT_TARGETS]
+                         + list(NOISE_SEEDS.items()),
+                         ids=[*EXACT_TARGETS, *(f"{name}-noisy" for name in NOISE_SEEDS)])
+def test_estimate_lambda_solves_for_the_slope_at_every_fit(
+        name, seed, monkeypatch, resolvent_lambdas):
+    spec, n, lam, d = EXACT_TARGETS[name]
+    b, M = gpt_of(spec, n, lam, d)
+    if seed is not None:
+        M = noisy(M, seed=seed)
+    log = check_slopes_against_the_oracle(M, b, FIT_GRID, monkeypatch, resolvent_lambdas)
+    assert all(accepted for _, accepted in log) == (seed is None)
+
+
+@pytest.mark.parametrize("grid", [
+    (0.75, 1.0, 1.25, 1.25, 1.5, 1.5, 2.0, 3.0),  # the least misfit twice: no refinement
+    (0.75, 1.0, 1.0, 1.25, 1.5, 2.0, 3.0, 3.0),  # ties away from the argmin
+    (3.0, 3.0, 2.0, 1.5, 1.25, 1.0, 0.75),  # descending, tied at the start
+], ids=["argmin", "elsewhere", "descending"])
+def test_estimate_lambda_on_tied_misfits_matches_the_oracle(grid, monkeypatch, resolvent_lambdas):
+    spec, n, lam, d = FIT_TARGETS["disk"]
+    b, M = gpt_of(spec, n, lam, d)
+    check_slopes_against_the_oracle(M, b, grid, monkeypatch, resolvent_lambdas)
+
+
+def lambda_fit_outputs(M, on):
+    """JSON of the lambda fit's calls: the fit, cross-validation at 1.5 and 3.0, the
+    degree ladder d = 1..M.d + 1 at the fitted lambda and a far field.  Each call
+    runs on ``on()``, a boundary and its operator."""
+    b, npo = on()
+    est = estimate_lambda(M, b, FIT_GRID, npo=npo)
+    b, npo = on()
+    out = [est.to_json(), recover_crossvalidated(b, M.d, npo=npo).to_json()]
+    for d in range(1, M.d + 2):
+        b, npo = on()
+        out.append(recover(assemble_gpt(b, npo, est.lam, d)).to_json())
+    b, npo = on()
+    ff = far_field(b, npo, est.lam, Poly2.from_terms({(1, 0): 1.0}), (9.0, 5.0), truncation=8)
+    return json.dumps(out + [[ff.expansion, ff.direct]], sort_keys=True)
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["clean", "noisy"])
+@pytest.mark.parametrize("name", FIT_TARGETS)
+def test_the_lambda_fit_on_one_operator_keeps_the_bits_of_fresh_ones(
+        name, noise, resolvent_lambdas):
+    spec, n, lam, d = FIT_TARGETS[name]
+    b, M = gpt_of(spec, n, lam, d)
+    if noise:
+        M = noisy(M, seed=NOISE_SEEDS[name])
+
+    def fresh_operator():
+        other = discretize(spec, n)
+        return other, assemble(other)
+
+    resolvent_lambdas.clear()
+    before = []  # how many lambdas were factored before each call
+    fresh = lambda_fit_outputs(M, lambda: before.append(len(resolvent_lambdas)) or fresh_operator())
+    fresh_fit = resolvent_lambdas[: before[1]]
+    resolvent_lambdas.clear()
+    npo = assemble(b)
+    before.clear()
+    assert lambda_fit_outputs(M, lambda: before.append(len(resolvent_lambdas)) or (b, npo)) == fresh
+    # the fit factors what it factors on a fresh operator, cross-validation reads 1.5
+    # and 3.0 off its grid, and the ladder and far field factor the fitted lambda
+    # again only when the fit's last lambda was another
+    fit = resolvent_lambdas[: before[1]]
+    lam_hat = json.loads(fresh)[0]["lambda"]
+    assert fit == fresh_fit and {1.5, 3.0} <= set(fit)
+    assert resolvent_lambdas[len(fit):] == ([] if fit[-1] == lam_hat else [lam_hat])
+    if not noise:
+        assert fit[-1] == lam_hat
 
 
 def test_estimate_lambda_wrong_shape_has_positive_misfit():
