@@ -30,20 +30,22 @@ moments overflow gets NumericError, not Infinity in the JSON, nor
 numpy's overflow warnings, which both steps silence (the resolvent
 refuses Neumann data that overflowed).
 
-Every GPT matrix the package solves goes through one helper, ``_solve``:
-in :func:`assemble_gpt`, in :func:`far_field` for its moment matrix, and
-in ``recovery.estimate_lambda`` and ``recovery.recover_crossvalidated``.
-It refuses an operator that is not ``npo.assemble(b)`` of its boundary
-``b`` with a ConfigError.  It then looks in the operator's memo, keyed by
-(lambda, d, row_degree): a kept matrix comes back as a new GptMatrix with
-the same bits, and only a miss builds the moment problem, solves it on
-the operator's resolvent and keeps the entries (at most 1 MiB of them an
-operator; see ``NpoMatrix.keep``).  So a lambda fit, a cross-validation
-at two lambda of the fit's grid, a degree ladder and a far field on one
-operator solve each (lambda, degrees) once.  ``estimate_lambda`` also
-takes the densities R rhs of a solve, so that
-:meth:`MomentProblem.derivative` gets dM/dlambda = -moments R^2 rhs, the
-slope of its Gauss-Newton steps, with one more solve on the same LU.
+Every GPT matrix the package solves goes through ``_solve`` (in
+:func:`assemble_gpt`, in :func:`far_field` for its moment matrix and in
+``recovery.recover_crossvalidated``) or ``_solve_and_keep`` (in
+``recovery.estimate_lambda``, which also takes the densities R rhs of each
+solve, so that :meth:`MomentProblem.derivative` gets
+dM/dlambda = -moments R^2 rhs with one more solve on the same LU).  Both
+refuse an operator that is not ``npo.assemble(b)`` of their boundary ``b``
+with a ConfigError, before anything is factored.  This module alone keeps
+the GPT entries solved on an operator: keyed by (lambda, d, row_degree),
+at most 1 MiB of them an operator (``_KEPT_BYTES``), the oldest dropped
+first, and a larger matrix returned but not kept.  The memo lives and
+dies with its operator (``_kept``, a weak map), and the memory budget's
+2 x 8 n^2 bytes do not count it.  ``_solve_and_keep`` writes to it and
+``_solve`` reads from it, solving only a miss, so a lambda fit, a
+cross-validation at two lambda of the fit's grid, a degree ladder and a
+far field on one operator solve each (lambda, degrees) once.
 
 The graded-lex multi-indices of each degree are built once
 (``_alphas``); ``_row_alphas`` and ``_col_betas`` hand out fresh lists.
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +66,8 @@ from .npo import NpoMatrix, Resolvent
 from .polynomial import Poly2, laplacian, multiindex_at, ordinal, poly_dim
 
 _HARMONIC_TOL = 1e-10
+_KEPT_BYTES = 2**20  # GPT entries kept per operator, 1 MiB
+_kept = weakref.WeakKeyDictionary()  # NpoMatrix -> {(lambda, d, row_degree): entries}
 
 
 def lambda_of_k(k) -> float:
@@ -248,24 +253,39 @@ def moment_problem(b: DiscretizedBoundary, d: int,
     return MomentProblem(d, row_degree, rhs, moments)
 
 
-def _solve(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int, row_degree: int | None,
-           problem) -> tuple[GptMatrix, np.ndarray | None]:
-    """The GPT matrix at (lambda, d, row_degree) on ``npo``, and the densities of its solve.
+def _solve_and_keep(b: DiscretizedBoundary, npo: NpoMatrix, problem: MomentProblem,
+                    lam) -> tuple[GptMatrix, np.ndarray]:
+    """``problem`` solved at lambda on ``npo``'s resolvent, and the densities of its solve.
 
-    ``npo`` must be ``assemble(b)``.  The entries kept on ``npo`` for that
-    key come back as a new GptMatrix, with None for the densities;
-    otherwise ``problem()``, the moment problem of those degrees, is solved
-    on ``npo``'s resolvent and its entries are kept.
+    ``npo`` must be ``assemble(b)``.  The entries are kept as the newest in
+    ``npo``'s memo, and the oldest go while it holds more than 1 MiB; a
+    larger matrix is not kept.
     """
     if npo.boundary is not b:
         raise ConfigError("the NPO matrix was assembled on another boundary than b")
-    key = (float(lam), d, 2 * d if row_degree is None else row_degree)
-    entries = npo.kept(key)
-    if entries is not None:
-        return GptMatrix(*key, entries), None
-    M, phi = problem().solve(npo.resolvent(lam))
-    npo.keep(key, M.entries)
+    M, phi = problem.solve(npo.resolvent(lam))
+    kept, key = _kept.setdefault(npo, {}), (M.lam, M.d, M.row_degree)
+    kept.pop(key, None)
+    if M.entries.nbytes <= _KEPT_BYTES:
+        kept[key] = M.entries
+        while sum(e.nbytes for e in kept.values()) > _KEPT_BYTES:
+            del kept[next(iter(kept))]
     return M, phi
+
+
+def _solve(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int, row_degree: int | None,
+           problem) -> GptMatrix:
+    """The GPT matrix at (lambda, d, row_degree) on ``npo``, which must be ``assemble(b)``.
+
+    A matrix kept in ``npo``'s memo comes back as a new GptMatrix with the
+    same bits; otherwise ``problem()``, the moment problem of those
+    degrees, goes to :func:`_solve_and_keep`.
+    """
+    key = (float(lam), d, 2 * d if row_degree is None else row_degree)
+    entries = _kept.get(npo, {}).get(key) if npo.boundary is b else None
+    if entries is None:
+        return _solve_and_keep(b, npo, problem(), lam)[0]
+    return GptMatrix(*key, entries)
 
 
 def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
@@ -274,11 +294,11 @@ def assemble_gpt(b: DiscretizedBoundary, npo: NpoMatrix, lam, d: int,
 
     Rows span 1 <= |alpha| <= row_degree (default 2 d, which makes any
     polynomial vanishing on the boundary a null vector of the matrix);
-    columns span 0 <= |beta| <= d including the constant.  ``npo`` keeps
-    the matrix, and a second call with the same lambda and degrees solves
-    nothing.
+    columns span 0 <= |beta| <= d including the constant.  The matrix is
+    kept with ``npo``, and a second call with the same lambda and degrees
+    solves nothing.
     """
-    return _solve(b, npo, lam, d, row_degree, lambda: moment_problem(b, d, row_degree))[0]
+    return _solve(b, npo, lam, d, row_degree, lambda: moment_problem(b, d, row_degree))
 
 
 @dataclass(frozen=True)
@@ -318,7 +338,7 @@ def far_field(b: DiscretizedBoundary, npo: NpoMatrix, lam, h: Poly2, x,
             f"|x| = {np.hypot(*x):.3g} is inside 3x the boundary radius {radius:.3g}")
 
     d, row_degree = max(h.degree, 1), max(truncation, 1)
-    M = _solve(b, npo, lam, d, row_degree, lambda: moment_problem(b, d, row_degree))[0]
+    M = _solve(b, npo, lam, d, row_degree, lambda: moment_problem(b, d, row_degree))
     expansion = 0.0
     for r, alpha in enumerate(M.row_alphas):
         a1, a2 = alpha

@@ -52,13 +52,6 @@ NpoMatrix: the pair would otherwise form a reference cycle, and each
 dropped matrix would wait with its LU for the cyclic garbage collector
 instead of being freed at once.
 
-Beside its one LU, the matrix keeps the GPT entries solved on it, keyed by
-(lambda, d, row_degree), so that ``gpt`` solves each key once per
-operator (:meth:`NpoMatrix.kept`, :meth:`NpoMatrix.keep`).  They hold at
-most 1 MiB (``_KEPT_BYTES``): the oldest go first, and an array larger
-than that is returned to its caller but not kept.  The memory budget's
-2 x 8 n^2 bytes do not count this 1 MiB.
-
 numpy's and scipy's wheels each bundle their own OpenBLAS, and each
 library keeps its own pool of worker threads.  Handing a solve's data
 from one pool to the other costs about 8 ms per hand-off on a 2-core host
@@ -81,7 +74,6 @@ from .geometry import DiscretizedBoundary
 _RESIDUAL_TOL = 1e-10
 _COND_LIMIT = 1e13
 _BLOCK_ENTRIES = 2**15  # entries per row block of the assembly, 256 KiB per buffer
-_KEPT_BYTES = 2**20  # GPT entries an NpoMatrix keeps, 1 MiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +83,6 @@ class NpoMatrix:
     matrix: np.ndarray
     boundary: DiscretizedBoundary
     _resolvent: Resolvent | None = field(default=None, init=False, repr=False)
-    _kept: dict = field(default_factory=dict, init=False, repr=False)
-    _kept_bytes: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         m = np.asfortranarray(self.matrix, dtype=float)
@@ -121,25 +111,6 @@ class NpoMatrix:
         res = Resolvent(self, lam)
         object.__setattr__(self, "_resolvent", res)
         return res
-
-    def kept(self, key) -> np.ndarray | None:
-        """The GPT entries kept for key (lambda, d, row_degree), or None."""
-        return self._kept.get(key)
-
-    def keep(self, key, entries: np.ndarray) -> None:
-        """Keep the GPT entries solved for key, dropping the oldest beyond 1 MiB.
-
-        An array larger than 1 MiB by itself is not kept.
-        """
-        if entries.nbytes > _KEPT_BYTES:
-            return
-        kept = self._kept
-        total = self._kept_bytes + entries.nbytes
-        while total > _KEPT_BYTES:
-            total -= kept.pop(next(iter(kept))).nbytes
-        entries.setflags(write=False)
-        kept[key] = entries
-        object.__setattr__(self, "_kept_bytes", total)
 
 
 def assemble(b: DiscretizedBoundary) -> NpoMatrix:

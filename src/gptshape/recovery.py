@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 # assemble_gpt is unused here; perfbench traces it as recovery.assemble_gpt
-from .gpt import GptMatrix, _solve, assemble_gpt, moment_problem
+from .gpt import GptMatrix, _solve, _solve_and_keep, assemble_gpt, moment_problem
 from .npo import assemble
 from .polynomial import Poly2, poly_dim
 
@@ -234,16 +234,17 @@ def recover_crossvalidated(
     ``LambdaSuspect`` flag.  If both runs report an ambiguous kernel the
     recovery fails outright.
 
-    A matrix ``npo`` already keeps, such as the ones :func:`estimate_lambda`
-    solved at 1.5 and 3.0 on its grid, is not solved again.  The moment
-    problem is built once, and only when one of the two lambda misses.
+    A matrix kept with ``npo`` (``gpt._solve``), such as the ones
+    :func:`estimate_lambda` solved at 1.5 and 3.0 on its grid, is not solved
+    again.  The moment problem is built once, and only when one of the two
+    lambda misses.
     """
     if lam1 == lam2:
         raise ConfigError("cross-validation needs two distinct lambda values")
     if npo is None:
         npo = assemble(boundary)
     problem = functools.cache(lambda: moment_problem(boundary, d, row_degree))
-    results = [recover(_solve(boundary, npo, lam, d, row_degree, problem)[0])
+    results = [recover(_solve(boundary, npo, lam, d, row_degree, problem))
                for lam in (lam1, lam2)]
     r1, r2 = results
     ambiguous = ["AmbiguousKernel" in r.flags for r in results]
@@ -312,12 +313,12 @@ def estimate_lambda(
     with the grid's.
 
     The candidate's moment problem does not depend on lambda and is built
-    once; each lambda costs one resolvent, whose factorization gives M and,
-    with one more solve, D (:meth:`MomentProblem.derivative`).  Where
-    ``npo`` already keeps M (``gpt._solve``), M is not solved again but its
-    densities are, for D.  The refinement starts from the grid pass's
-    misfit and step at the argmin; a step clipped onto another grid point
-    solves there again for D.
+    once.  Each distinct lambda, on the grid or in the refinement, is
+    solved once a call: one resolvent, whose factorization gives M and,
+    with one more solve, D (:meth:`MomentProblem.derivative`).  M is kept
+    with ``npo`` (``gpt._solve_and_keep``) for later calls, but a kept
+    matrix is not read back, since D needs the densities of a solve.  The
+    refinement starts from the grid pass's misfit and step at the argmin.
     """
     grid = [float(v) for v in lam_grid]
     if not grid:
@@ -330,13 +331,11 @@ def estimate_lambda(
     d, row_degree = M_target.d, M_target.row_degree
     problem = moment_problem(b_candidate, d, row_degree)
 
+    @functools.cache
     def fit(lam: float) -> tuple:
         """Misfit at lambda and the Gauss-Newton step from there."""
-        M, phi = _solve(b_candidate, npo, lam, d, row_degree, lambda: problem)
-        res = npo.resolvent(lam)
-        if phi is None:  # M was kept: its densities are solved again for D
-            phi = res.apply(problem.rhs)
-        D = problem.derivative(res, phi)
+        M, phi = _solve_and_keep(b_candidate, npo, problem, lam)
+        D = problem.derivative(npo.resolvent(lam), phi)
         E = M.entries - M_target.entries
         dd = float(np.vdot(D, D)) or 1.0  # D = 0 makes <E, D> = 0: no step
         return float(np.linalg.norm(E)), -float(np.vdot(E, D)) / dd

@@ -175,18 +175,12 @@ def export_svg(curves: LevelSetCurves, path, overlays=None) -> None:
         f'<rect x="{fx0:.3f}" y="{fy0:.3f}" width="{fx1 - fx0:.3f}" '
         f'height="{fy1 - fy0:.3f}" {_STYLE_FRAME}/>'
     )
-    if xmin < 0 < xmax:
-        (ax0, ay0), (ax1, ay1) = to_px(0, ymin), to_px(0, ymax)
-        parts.append(
-            f'<line x1="{ax0:.3f}" y1="{ay0:.3f}" x2="{ax1:.3f}" '
-            f'y2="{ay1:.3f}" {_STYLE_AXIS}/>'
-        )
-    if ymin < 0 < ymax:
-        (ax0, ay0), (ax1, ay1) = to_px(xmin, 0), to_px(xmax, 0)
-        parts.append(
-            f'<line x1="{ax0:.3f}" y1="{ay0:.3f}" x2="{ax1:.3f}" '
-            f'y2="{ay1:.3f}" {_STYLE_AXIS}/>'
-        )
+    for crosses, ends in ((xmin < 0 < xmax, ((0, ymin), (0, ymax))),
+                          (ymin < 0 < ymax, ((xmin, 0), (xmax, 0)))):
+        if crosses:
+            (ax0, ay0), (ax1, ay1) = (to_px(*p) for p in ends)
+            parts.append(f'<line x1="{ax0:.3f}" y1="{ay0:.3f}" x2="{ax1:.3f}" '
+                         f'y2="{ay1:.3f}" {_STYLE_AXIS}/>')
     for i, pts in enumerate(overlays or ()):
         name = f"export_svg: overlay {i}"
         pts = _point_set(np.atleast_2d(pts), name, f"{name} is empty")

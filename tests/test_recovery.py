@@ -561,9 +561,10 @@ def noisy(M, rel=1e-4, seed=1):
 def check_slopes_against_the_oracle(M, b, grid, monkeypatch, resolvent_lambdas):
     """estimate_lambda against the oracle, which solves for dM/dlambda at every fit.
 
-    The package does too, also where ``npo`` already keeps M: each fit
-    makes two solves, the densities and the slope.  Returns the oracle's
-    refinement log.
+    The package does too, once for each distinct lambda of the grid and the
+    refinement, in the order it first meets them: each such fit makes two
+    solves, the densities and the slope.  Returns the oracle's refinement
+    log and the lambda the package factored.
     """
     applies, slopes = [], []
     apply, derivative = Resolvent.apply, MomentProblem.derivative
@@ -579,10 +580,10 @@ def check_slopes_against_the_oracle(M, b, grid, monkeypatch, resolvent_lambdas):
     assert np.array([got.lam, got.misfit]).tobytes() == np.array([want.lam, want.misfit]).tobytes()
     assert np.array(got.misfits).tobytes() == np.array(want.misfits).tobytes()
     assert got.grid == want.grid
-    assert slopes == [float(v) for v in grid] + [t for t, _ in log]
+    assert slopes == list(dict.fromkeys([float(v) for v in grid] + [t for t, _ in log]))
     assert len(applies) == 2 * len(slopes)
     assert len(factors) <= len(slopes)
-    return log
+    return log, factors
 
 
 # noise seeds under which the refinement rejects a step on each target
@@ -598,8 +599,10 @@ def test_estimate_lambda_solves_for_the_slope_at_every_fit(
     b, M = gpt_of(spec, n, lam, d)
     if seed is not None:
         M = noisy(M, seed=seed)
-    log = check_slopes_against_the_oracle(M, b, FIT_GRID, monkeypatch, resolvent_lambdas)
+    log, factors = check_slopes_against_the_oracle(M, b, FIT_GRID, monkeypatch, resolvent_lambdas)
     assert all(accepted for _, accepted in log) == (seed is None)
+    if seed is not None:  # a step clipped onto a lambda already fitted is not factored again
+        assert len(factors) == len(set(FIT_GRID) | {t for t, _ in log})
 
 
 @pytest.mark.parametrize("grid", [
