@@ -16,10 +16,8 @@ On polygon edges the curvature is zero and the kernel vanishes for pairs
 on a common edge, which the same formulas handle without special cases.
 The spectrum of K* lies in (-1/2, 1/2], so lambda I - A is safely
 invertible for |lambda| > 1/2; :class:`Resolvent` factors it once and
-solves many right-hand sides.  It imports scipy.linalg on first use, so
-importing this module (and ``gptshape``) loads numpy but no scipy.  The
-module holds the operator only; the right-hand sides a GPT matrix needs
-are built by ``gpt.moment_problem``.
+solves many right-hand sides.  The module holds the operator only; the
+right-hand sides a GPT matrix needs are built by ``gpt.moment_problem``.
 
 A is held in Fortran order, the order LAPACK factors.  The assembly fills
 A's transpose, a C-ordered array, in blocks of max(1, 2**15 // n) rows:
@@ -36,11 +34,12 @@ lambda I - A in one contiguous pass, with no transpose, and LAPACK
 factors it in place (1.1 x 8 n^2 bytes above A).  A and its LU thus pin
 2 x 8 n^2 bytes, and :func:`assemble` refuses a node count whose pair
 would not fit in physical memory (``errors.check_memory``), before any
-n x n array is allocated.  scipy refuses infs and NaNs with a
-ValueError, which :class:`Resolvent` turns into NumericError: a shape so
-large that A or a right-hand side overflows exits 2, not with a
-traceback.  A solve whose residual is NaN (inf - inf) is refused as
-well, since NaN compares false against the tolerance.
+n x n array is allocated.  :class:`Resolvent` refuses infs and NaNs in
+lambda I - A or in a right-hand side with NumericError, before LAPACK
+sees them: a shape so large that A or a right-hand side overflows exits
+2, not with a traceback.  An exactly zero pivot is refused when the LU is
+made, and a solve whose residual is NaN (inf - inf) is refused as well,
+since NaN compares false against the tolerance.
 
 :meth:`NpoMatrix.resolvent` keeps the last :class:`Resolvent` built on
 the matrix and hands it out again while lambda stays the same, so a
@@ -59,12 +58,28 @@ with two BLAS threads, whatever the matrix size, and slows the next LU
 as well.  So the factorization, the solve and the solve's residual check
 all run in scipy's BLAS.  The moment contraction in ``gpt`` stays on
 numpy, so the GPT entries keep their bits.
+
+They call scipy's compiled f2py modules ``scipy.linalg._flapack`` and
+``_fblas`` (``dgetrf``, ``dgetrs``, ``dgemm``) directly, with the
+arguments ``scipy.linalg.lu_factor`` and ``lu_solve`` pass, so the bits
+are theirs.  :func:`_blas` loads the two modules from scipy's install
+directory on the first LU, without running the ``scipy`` or
+``scipy.linalg`` package ``__init__``, whose array-API layer,
+``numpy.testing`` and ``numpy.f2py`` took 0.24 s of a cold process on a
+2-vCPU host.  Importing this module (and ``gptshape``) loads numpy but
+no scipy.  The modules are registered under their own names, so a later
+``import scipy.linalg`` hands out the same function objects.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -74,6 +89,33 @@ from .geometry import DiscretizedBoundary
 _RESIDUAL_TOL = 1e-10
 _COND_LIMIT = 1e13
 _BLOCK_ENTRIES = 2**15  # entries per row block of the assembly, 256 KiB per buffer
+
+
+@functools.cache
+def _blas():
+    """scipy's ``dgetrf``, ``dgetrs`` and ``dgemm``, without the scipy packages.
+
+    See the module docstring.  A module that ``import scipy.linalg``
+    loaded already is taken from ``sys.modules``.  A missing one is a
+    ConfigError, one line like every refusal, not a fallback route.
+    """
+    scipy = find_spec("scipy")  # finds the package without importing it
+    finders = [FileFinder(os.path.join(root, "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+               for root in (scipy and scipy.submodule_search_locations) or ()]
+
+    def load(name):
+        if name in sys.modules:
+            return sys.modules[name]
+        spec = next(filter(None, (finder.find_spec(name) for finder in finders)), None)
+        if spec is None:
+            raise ConfigError(f"no module named {name!r}: the resolvent needs scipy's LAPACK")
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+        return module
+
+    flapack, fblas = load("scipy.linalg._flapack"), load("scipy.linalg._fblas")
+    return flapack.dgetrf, flapack.dgetrs, fblas.dgemm
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,18 +204,22 @@ class Resolvent:
                 f"|lambda| = {abs(lam):.6g} <= 1/2: invertibility not guaranteed")
         self.lam = lam
         self.matrix = npo.matrix  # the array, not npo: npo.resolvent holds self
-        import scipy.linalg  # lazy: see the module docstring
 
         # lambda I - A, bit for bit: off the diagonal (lam * 0.0) - a keeps
         # the sign of a zero, where -a alone would not.
         a = self.matrix
         s = np.subtract(lam * 0.0, a, order="F")
         np.fill_diagonal(s, lam - np.diagonal(a))
-        try:
-            self._lu = scipy.linalg.lu_factor(s, overwrite_a=True)
-        except ValueError:  # scipy refuses infs and NaNs
-            raise NumericError("lambda I - A has non-finite entries") from None
-        diag = np.abs(np.diag(self._lu[0]))
+        if not np.isfinite(s).all():
+            raise NumericError("lambda I - A has non-finite entries")
+        getrf = _blas()[0]
+        lu, piv, info = getrf(s, overwrite_a=True)  # in place: s is Fortran-ordered
+        if info > 0:
+            raise NumericError(f"resolvent system is singular: pivot {info} is exactly zero")
+        if info < 0:
+            raise NumericError(f"dgetrf refused its argument {-info}")
+        self._lu = (lu, piv)
+        diag = np.abs(np.diag(lu))
         cond_est = float(np.max(diag) / max(np.min(diag), 1e-300))
         if cond_est > _COND_LIMIT:
             raise NumericError(
@@ -181,16 +227,17 @@ class Resolvent:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Solve (lambda I - A) phi = f; f may hold several columns."""
-        import scipy.linalg
-
+        _, getrs, dgemm = _blas()
         f = np.asarray(f)
-        try:
-            phi = scipy.linalg.lu_solve(self._lu, f)
-        except ValueError as exc:  # infs or NaNs in f
-            raise NumericError(f"resolvent solve refused its right-hand side ({exc})") from None
+        if not np.isfinite(f).all():
+            raise NumericError("resolvent solve refused its right-hand side "
+                               "(array must not contain infs or NaNs)")
+        phi, info = getrs(*self._lu, f, trans=0, overwrite_b=False)  # f itself is kept
+        if info:
+            raise NumericError(f"dgetrs refused its argument {-info}")
         # A @ phi through scipy's BLAS, not numpy's: see the module docstring.
         # The matrix is Fortran-ordered, so dgemm reads it without a copy.
-        a_phi = scipy.linalg.blas.dgemm(1.0, self.matrix, phi.reshape(len(phi), -1))
+        a_phi = dgemm(1.0, self.matrix, phi.reshape(len(phi), -1))
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is refused below
             resid = np.max(np.abs(self.lam * phi - a_phi.reshape(phi.shape) - f))
         scale = max(float(np.max(np.abs(f))), 1e-300)

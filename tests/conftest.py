@@ -1,19 +1,4 @@
 import pytest
-import scipy.linalg
-
-
-@pytest.fixture
-def lu_factor_calls(monkeypatch):
-    """A list that grows by one on every ``scipy.linalg.lu_factor`` call."""
-    calls = []
-    original = scipy.linalg.lu_factor
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
-    return calls
 
 
 @pytest.fixture

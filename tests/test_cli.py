@@ -739,11 +739,11 @@ def test_scan_degrees_subcommand(tmp_path):
     assert rows[1]["residual"] <= 1e-10
 
 
-def test_scan_degrees_factors_once(tmp_path, lu_factor_calls, capsys):
+def test_scan_degrees_factors_once(tmp_path, resolvent_lambdas, capsys):
     out = tmp_path / "scan.json"
     assert cli.main(["scan-degrees", "--shape", "ellipse:2,1", "--n", "128",
                      "--dmax", "3", "--out", str(out)]) == 0
-    assert len(lu_factor_calls) == 1
+    assert len(resolvent_lambdas) == 1
     assert [row["d"] for row in json.loads(out.read_text())["rows"]] == [1, 2, 3]
     assert len(capsys.readouterr().out.splitlines()) == 4
 
@@ -1007,12 +1007,46 @@ def test_recover_and_render_load_no_scipy(tmp_path, command):
     assert scipy_modules_after(code) == []
 
 
-def test_gpt_loads_no_scipy_optimize(tmp_path):
-    argv = ["gpt", "--shape", "disk", "--n", "64", "--d", "2",
-            "--out", str(tmp_path / "M.json")]
-    loaded = scipy_modules_after(f"from gptshape import cli\nassert cli.main({argv!r}) == 0")
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+@pytest.mark.parametrize("command", ["gpt", "scan-degrees", "recover --cross-lambda",
+                                     "verify --quick"])
+def test_a_resolvent_loads_scipys_lapack_and_blas_modules_only(tmp_path, command):
+    # npo loads scipy's compiled modules itself: no scipy or scipy.linalg package runs
+    M = tmp_path / "M.json"
+    assert cli.main(["gpt", "--shape", "disk", "--n", "64", "--d", "2", "--out", str(M)]) == 0
+    argv = {"gpt": ["gpt", "--shape", "disk", "--n", "64", "--d", "2",
+                    "--out", str(tmp_path / "out.json")],
+            "scan-degrees": ["scan-degrees", "--shape", "disk", "--n", "64", "--dmax", "2",
+                             "--out", str(tmp_path / "out.json")],
+            "recover --cross-lambda": ["recover", "--gpt", str(M), "--cross-lambda", "3.0",
+                                       "--out", str(tmp_path / "out.json")],
+            "verify --quick": ["verify", "--quick"]}[command]
+    code = f"from gptshape import cli\nassert cli.main({argv!r}) == 0"
+    assert scipy_modules_after(code) == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+
+
+LU_DIGEST = """
+import hashlib
+import numpy as np
+{first}
+from gptshape.geometry import ShapeSpec, discretize
+from gptshape.npo import _blas, assemble
+res = assemble(discretize(ShapeSpec.ellipse(2.0, 1.0), 128)).resolvent(1.5)
+phi = res.apply(np.arange(256.0).reshape(128, 2))
+import scipy.linalg
+assert all(a is b for a, b in zip(_blas(), (scipy.linalg.lapack.dgetrf,
+                                            scipy.linalg.lapack.dgetrs, scipy.linalg.blas.dgemm)))
+print(hashlib.sha256(res._lu[0].tobytes() + res._lu[1].tobytes() + phi.tobytes()).hexdigest())
+"""
+
+
+def test_scipy_linalg_before_or_after_the_first_resolvent_gives_the_same_routines_and_bits():
+    digests = []
+    for first in ("import scipy.linalg", ""):
+        r = subprocess.run([sys.executable, "-c", LU_DIGEST.format(first=first)],
+                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert r.returncode == 0, r.stderr
+        digests.append(r.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # top level -----------------------------------------------------------------------

@@ -196,10 +196,10 @@ def test_far_field_decays_and_expansion_converges():
     assert errs[2] <= 1e-6
 
 
-def test_far_field_factors_once(lu_factor_calls):
+def test_far_field_factors_once(resolvent_lambdas):
     b = discretize_parametric(ShapeSpec.ellipse(2.0, 1.0), 128)
     far_field(b, assemble(b), 1.5, Poly2.from_terms({(1, 0): 1.0}), (9.0, 0.0))
-    assert len(lu_factor_calls) == 1
+    assert len(resolvent_lambdas) == 1
 
 
 def test_ladder_and_far_field_at_one_lambda_factor_once(resolvent_lambdas):

@@ -1,6 +1,8 @@
 import gc
 import math
+import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -370,3 +372,93 @@ def test_npo_matrix_validates_shape():
     b = discretize_parametric(ShapeSpec.disk(), 32)
     with pytest.raises(ValueError):
         NpoMatrix(np.zeros((8, 8)), b)
+
+
+# the LAPACK route ----------------------------------------------------------------
+# Resolvent calls scipy's compiled dgetrf, dgetrs and dgemm itself, with the
+# arguments scipy.linalg's lu_factor and lu_solve pass; a wrong flag moves a bit.
+
+
+@pytest.fixture(scope="module", params=[16, 64, 255, 256, 1024])
+def lapack_case(request):
+    return assemble(discretize(ShapeSpec.ellipse(2.0, 1.0, (0.1, 0.0), 0.3), request.param))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("lam", [-0.75, 1.5, 3.0])
+def test_resolvent_equals_scipy_linalg_bit_for_bit(lapack_case, lam, order):
+    import scipy.linalg
+
+    from gptshape.npo import _blas
+
+    A, n = lapack_case.matrix, lapack_case.n
+    res = NpoMatrix(np.array(A, order=order), lapack_case.boundary).resolvent(lam)
+    lu, piv = scipy.linalg.lu_factor(np.array(lam * np.eye(n) - A, order=order))
+    assert_same_bits(res._lu[0], lu)
+    assert np.array_equal(res._lu[1], piv)
+    rng = np.random.default_rng(n)
+    for f in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        kept = f.copy()
+        phi = res.apply(f)
+        want = scipy.linalg.lu_solve((lu, piv), f)
+        assert_same_bits(phi, want)
+        assert_same_bits(f, kept)  # the right-hand side is not overwritten
+        cols = want.reshape(n, -1)
+        assert_same_bits(_blas()[2](1.0, res.matrix, cols),
+                         scipy.linalg.blas.dgemm(1.0, A, cols))
+
+
+def test_non_finite_operator_and_right_hand_side_keep_their_messages():
+    npo = disk_npo(32)
+    for bad in (np.inf, np.nan):
+        A = np.array(npo.matrix)
+        A[3, 5] = bad
+        with pytest.raises(NumericError) as exc:
+            Resolvent(NpoMatrix(A, npo.boundary), 1.5)
+        assert str(exc.value) == "lambda I - A has non-finite entries"
+        f = np.ones((32, 2))
+        f[7, 1] = bad
+        with pytest.raises(NumericError) as exc:
+            npo.resolvent(1.5).apply(f)
+        assert str(exc.value) == ("resolvent solve refused its right-hand side "
+                                  "(array must not contain infs or NaNs)")
+
+
+def test_an_all_zero_factorization_is_refused_when_factored():
+    # lambda I - A = 0: every pivot is zero, and the pivot ratio 0 / 1e-300 would pass
+    b = discretize(ShapeSpec.disk(), 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as exc:
+            NpoMatrix(1.5 * np.eye(16), b).resolvent(1.5)
+    assert str(exc.value) == "resolvent system is singular: pivot 1 is exactly zero"
+
+
+def test_one_zero_pivot_is_refused_when_factored():
+    # column 5 of lambda I - A is zero, so LAPACK meets a zero pivot at step 6
+    npo = disk_npo(16)
+    A = np.array(npo.matrix)
+    A[:, 5] = 0.0
+    A[5, 5] = 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as exc:
+            NpoMatrix(A, npo.boundary).resolvent(1.5)
+    assert str(exc.value) == "resolvent system is singular: pivot 6 is exactly zero"
+
+
+def test_a_missing_lapack_module_is_one_line_naming_it(monkeypatch):
+    from gptshape import npo as npo_module
+
+    monkeypatch.setattr(npo_module, "find_spec", lambda name: None)
+    for name in ("scipy.linalg._flapack", "scipy.linalg._fblas"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    npo_module._blas.cache_clear()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            disk_npo(16).resolvent(1.5)
+    finally:
+        monkeypatch.undo()
+        npo_module._blas.cache_clear()
+    assert str(exc.value) == ("no module named 'scipy.linalg._flapack': "
+                              "the resolvent needs scipy's LAPACK")
